@@ -18,7 +18,6 @@ from .diagnostics import (
     analyze,
     codazzi_gauss_residuals,
     flat_normal_residual,
-    isothermic_phase_residual,
     reduction_span_check,
     remark62_residual,
     s_willmore_residual,
@@ -42,7 +41,6 @@ from .gallery import (
 )
 from .invariants import (
     InvariantField,
-    compute_invariants,
     hopf_schwarzian,
     normal_D,
     ricci_residual,

@@ -20,8 +20,10 @@ A run config is a JSON object:
     }
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error,
-3 chart construction error, 4 analysis error.  WLAB_THREADS caps the
-worker threads used by convergence sweeps (default: all cores).
+3 chart error (construction failed, or non-unit, non-finite or
+non-conformal points), 4 analysis error; every subcommand maps failures
+the same way, through `run_analysis`.  WLAB_THREADS caps the worker
+threads used by convergence sweeps (default: all cores).
 """
 
 from __future__ import annotations
@@ -36,20 +38,23 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .calculus import classify_order, convergence_order
-from .diagnostics import DiagnosticsReport, analyze, convergence_L_inf
+from .diagnostics import (
+    RESIDUALS,
+    DiagnosticsReport,
+    analyze,
+    check_tolerances,
+    convergence_L_inf,
+)
 from .frame import Chart, ChartError
 from .gallery import GALLERY, apply_mobius, build_surface, include_in_higher_sphere
 from .lorentz import random_mobius
 
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
-EXIT_CONSTRUCTION = 3
+EXIT_CHART = 3
 EXIT_ANALYSIS = 4
 
-RESIDUAL_CSV_COLUMNS = [
-    "kkbar", "abs_kk", "theta", "res_willmore", "res_swillmore",
-    "res_flat", "res_gauss", "res_codazzi", "omega_abs",
-]
+RESIDUAL_CSV_COLUMNS = ["kkbar", "abs_kk", "theta"] + [r.field for r in RESIDUALS if r.csv]
 
 
 class ConfigError(ValueError):
@@ -80,6 +85,15 @@ def validate_config(cfg: dict) -> dict:
             f"surface name {surface['name']!r} is not in the gallery "
             f"({', '.join(sorted(GALLERY))})"
         )
+    params = surface.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("config key 'surface.params' must be an object")
+    unknown = sorted(set(params) - set(GALLERY[surface["name"]]["params"]))
+    if unknown:
+        raise ConfigError(
+            f"unknown param(s) {unknown} for surface {surface['name']!r}; "
+            "see `wlab gallery list`"
+        )
     grid = cfg.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("config key 'grid' must be an object")
@@ -88,10 +102,12 @@ def validate_config(cfg: dict) -> dict:
     if not (isinstance(nu, int) and isinstance(nv, int) and nu >= 8 and nv >= 8):
         raise ConfigError("config key 'grid' needs integer nu, nv >= 8")
     tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict) or not all(
-        isinstance(v, (int, float)) for v in tol.values()
-    ):
+    if not isinstance(tol, dict):
         raise ConfigError("config key 'tolerances' must map residual names to numbers")
+    try:
+        check_tolerances(tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     transforms = cfg.get("transforms", [])
     if not isinstance(transforms, list):
         raise ConfigError("config key 'transforms' must be a list")
@@ -136,23 +152,25 @@ def build_chart(cfg: dict, nu=None, nv=None) -> Chart:
     return chart
 
 
-def run_analysis(cfg: dict, nu=None, nv=None) -> DiagnosticsReport:
-    chart = build_chart(cfg, nu, nv)
-    return analyze(chart, tolerances=cfg["tolerances"], seed=cfg["seed"])
+def run_analysis(cfg: dict, nu=None, nv=None):
+    """(exit_code, report, chart) of one run.
 
-
-def _construct_and_analyze(cfg: dict):
-    """(exit_code, report_or_None): maps failures to their exit codes."""
+    A failure gives (EXIT_CHART or EXIT_ANALYSIS, message, None), with the
+    one-line message in place of the report: a chart that cannot be built
+    (bad param values included) and any ChartError raised by `analyze`
+    (chart validation) is a chart error, every other exception an
+    analysis error.
+    """
     try:
-        chart = build_chart(cfg)
-    except (ChartError, ValueError, KeyError, RuntimeError) as exc:
-        print(f"chart construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION, None, None
+        chart = build_chart(cfg, nu, nv)
+    except (ValueError, KeyError, RuntimeError, TypeError) as exc:
+        return EXIT_CHART, f"chart construction failed: {exc}", None
     try:
         report = analyze(chart, tolerances=cfg["tolerances"], seed=cfg["seed"])
+    except ChartError as exc:
+        return EXIT_CHART, f"chart rejected: {exc}", None
     except Exception as exc:  # noqa: BLE001 - analysis stage maps to exit 4
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS, None, None
+        return EXIT_ANALYSIS, f"analysis failed: {exc}", None
     return 0, report, chart
 
 
@@ -180,9 +198,9 @@ def _thread_cap() -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    code, report, _ = _construct_and_analyze(cfg)
+    code, report, _ = run_analysis(cfg)
     if code:
-        return code
+        return _fail(code, report)
     out_path = args.out or _configured_path(cfg, "report")
     _emit(report_json(report), out_path)
     for e in report.entries:
@@ -202,48 +220,36 @@ def cmd_convergence(args) -> int:
         print("need at least 3 sizes", file=sys.stderr)
         return EXIT_CONFIG
 
-    def run(n):
-        return run_analysis(cfg, nu=n, nv=n)
+    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(sizes))) as pool:
+        runs = list(pool.map(lambda n: run_analysis(cfg, n, n), sizes))
+    for code, result, _ in runs:
+        if code:
+            return _fail(code, result)
+    reports = [report for _, report, _ in runs]
 
-    try:
-        with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(sizes))) as pool:
-            reports = list(pool.map(run, sizes))
-    except (ChartError, ValueError, KeyError, RuntimeError) as exc:
-        print(f"chart construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-
-    field_of = {
-        "willmore": "res_willmore", "swillmore": "res_swillmore",
-        "flat_normal": "res_flat", "isothermic": "res_isothermic",
-        "gauss": "res_gauss", "codazzi": "res_codazzi",
-        "ricci": "res_ricci", "omega_abs": "omega_abs",
-        "omega_holomorphy": "omega_holomorphy",
-    }
-    names = [e.name for e in reports[0].entries]
     table = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
-    for name in names:
-        linfs = [convergence_L_inf(r, field_of[name]) for r in reports]
-        table["residual_L_inf"][name] = linfs
+    for row in RESIDUALS:
+        linfs = [convergence_L_inf(r, row.field) for r in reports]
+        table["residual_L_inf"][row.name] = linfs
         if any(np.isnan(linfs)) or any(x <= 0 for x in linfs):
-            table["fitted_order"][name] = "skipped"
+            table["fitted_order"][row.name] = "skipped"
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             slope = convergence_order(dict(zip(sizes, linfs)).__getitem__, sizes)
-        table["fitted_order"][name] = {
+        table["fitted_order"][row.name] = {
             "slope": slope, "label": classify_order(slope, linfs)
         }
 
     header = "residual".ljust(18) + "".join(f"n={n}".rjust(13) for n in sizes) + "  order"
     print(header)
-    for name in names:
-        linfs = table["residual_L_inf"][name]
+    for name, linfs in table["residual_L_inf"].items():
         fit = table["fitted_order"][name]
         label = fit if isinstance(fit, str) else fit["label"]
-        row = name.ljust(18) + "".join(
+        line = name.ljust(18) + "".join(
             "      nan".rjust(13) if np.isnan(x) else f"{x:13.3e}" for x in linfs
         )
-        print(f"{row}  {label}")
+        print(f"{line}  {label}")
     if args.out:
         _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -262,9 +268,9 @@ def cmd_gallery(args) -> int:
 
 def cmd_fields(args) -> int:
     cfg = load_config(args.config)
-    code, report, chart = _construct_and_analyze(cfg)
+    code, report, chart = run_analysis(cfg)
     if code:
-        return code
+        return _fail(code, report)
     spec = chart.spec
     uu, vv = spec.meshgrid()
     out_path = args.out or _configured_path(cfg, "fields")
@@ -276,6 +282,11 @@ def cmd_fields(args) -> int:
     text = "\n".join(",".join(r) for r in rows) + "\n"
     _emit(text, out_path)
     return 0
+
+
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def _configured_path(cfg: dict, kind: str):

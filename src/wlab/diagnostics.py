@@ -18,22 +18,29 @@ omega_holomorphy          |d_zbar Omega|
 All scalars are built from pairings of kappa and its normal derivatives,
 never from components in the point-wise psi gauge, so they are invariant
 under re-gauging of the normal frame.
+
+`RESIDUALS` is the one list of these criteria: tolerances, report
+entries, convergence tables and the CSV columns are all read from it.
+Adding a residual takes one table row plus its evaluator, whose field
+`analyze` stores under the row's field key.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__ as _version
 from .calculus import GridSpec, diff_z, diff_zbar
-from .frame import Chart, FrameField, build_frame, normal_project, validate_chart
+from .frame import Chart, FrameField, build_frame, validate_chart
 from .invariants import (
     InvariantField,
-    compute_invariants,
+    hopf_schwarzian,
+    normal_D,
     ricci_residual,
     willmore_energy_conformal,
     willmore_energy_euclidean,
@@ -49,41 +56,61 @@ MIN_RANK_SAMPLES = 50
 CONVERGENCE_MARGIN = 12
 
 
-def convergence_L_inf(report: "DiagnosticsReport", name: str) -> float:
-    """L_inf of a residual field over the deep interior (refinement studies).
+# verdict mask kinds: the points a residual's verdict is taken over
+LIVE = "live"                # the frame mask
+NON_UMBILIC = "non_umbilic"  # live points off the umbilic set
+PHASE_OK = "phase_ok"        # non-umbilic points where theta unwrapped cleanly;
+                             # empty unless the flat-normal verdict passed
 
-    Report verdicts use the standard 3-cell margin; fitted convergence
-    orders need the one-sided-stencil pollution band excluded entirely.
+
+class Residual(NamedTuple):
+    name: str   # report entry and tolerance key
+    field: str  # key of its pointwise field in DiagnosticsReport.fields
+    mask: str   # verdict mask kind
+    csv: bool   # dumped by `wlab fields`
+
+
+# theta is the phase of a flat normal bundle, so this verdict gates PHASE_OK
+FLAT_NORMAL = Residual("flat_normal", "res_flat", NON_UMBILIC, True)
+
+RESIDUALS = (
+    Residual("willmore", "res_willmore", LIVE, True),
+    Residual("swillmore", "res_swillmore", NON_UMBILIC, True),
+    FLAT_NORMAL,
+    Residual("isothermic", "res_isothermic", PHASE_OK, False),
+    Residual("gauss", "res_gauss", LIVE, True),
+    Residual("codazzi", "res_codazzi", LIVE, True),
+    Residual("ricci", "res_ricci", LIVE, False),
+    Residual("omega_abs", "omega_abs", LIVE, True),
+    Residual("omega_holomorphy", "omega_holomorphy", LIVE, False),
+)
+
+
+def convergence_L_inf(report: "DiagnosticsReport", key: str) -> float:
+    """L_inf of the residual field `key` over the deep interior.
+
+    The residual's own verdict mask, minus a CONVERGENCE_MARGIN band at
+    non-periodic edges: fitted convergence orders need the
+    one-sided-stencil pollution band excluded entirely.
     """
-    spec_mask = report.fields["_mask"]
-    deep = np.ones_like(spec_mask)
-    if not report.chart["periodic_u"]:
-        deep[:CONVERGENCE_MARGIN, :] = False
-        deep[-CONVERGENCE_MARGIN:, :] = False
-    if not report.chart["periodic_v"]:
-        deep[:, :CONVERGENCE_MARGIN] = False
-        deep[:, -CONVERGENCE_MARGIN:] = False
-    mask = spec_mask & deep
-    if name in ("res_swillmore", "res_flat", "res_isothermic"):
-        mask &= ~report.fields["_umbilic_mask"]
-    vals = np.abs(report.fields[name])[mask]
+    mask = report.masks[key] & report.spec.interior_mask(CONVERGENCE_MARGIN)
+    vals = np.abs(report.fields[key])[mask]
     return float(vals.max()) if vals.size else math.nan
-
-
-class NonFlatError(ValueError):
-    """Raised when a flat-normal-bundle precondition fails."""
 
 
 def _norm_field(vec: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(herm_norm_sq(vec), 0.0))
 
 
+def _willmore_vector(inv: InvariantField) -> np.ndarray:
+    """D_zbar D_zbar kappa + (conj s / 2) kappa."""
+    return normal_D(inv.frame, inv.Dzbar_kappa, bar=True) \
+        + 0.5 * np.conj(inv.s)[..., None] * inv.kappa
+
+
 def willmore_residual(inv: InvariantField) -> np.ndarray:
     """|D_zbar D_zbar kappa + (conj s / 2) kappa| pointwise."""
-    frame = inv.frame
-    ddk = normal_project(frame, diff_zbar(inv.Dzbar_kappa, frame.spec))
-    expr = ddk + 0.5 * np.conj(inv.s)[..., None] * inv.kappa
-    return _norm_field(expr)
+    return _norm_field(_willmore_vector(inv))
 
 
 def s_willmore_residual(inv: InvariantField) -> np.ndarray:
@@ -126,25 +153,6 @@ def ricci_rhs_max(kappa: np.ndarray) -> np.ndarray:
     return out
 
 
-def isothermic_phase_residual(
-    inv: InvariantField, flat_tolerance: float = DEFAULT_TOL_SPECTRAL
-) -> np.ndarray:
-    """|theta_z zbar| for the unwrapped half-phase of <kappa, kappa>.
-
-    theta is only meaningful on flat-normal-bundle data, so the flatness
-    residual is checked first and NonFlatError raised beyond tolerance.
-    """
-    live = inv.mask & ~inv.umbilic_mask
-    if live.any():
-        worst = float(flat_normal_residual(inv)[live].max())
-        if worst > flat_tolerance:
-            raise NonFlatError(
-                f"flat-normal residual {worst:.3e} exceeds {flat_tolerance:.1e}; "
-                "the phase of <kappa,kappa> does not define theta"
-            )
-    return phase_laplacian_residual(inv.theta, inv.spec)
-
-
 def phase_laplacian_residual(theta: np.ndarray, spec: GridSpec) -> np.ndarray:
     """|d_z d_zbar theta| = |(theta_uu + theta_vv)| / 4."""
     return np.abs(diff_zbar(diff_z(theta, spec), spec))
@@ -177,26 +185,20 @@ def codazzi_gauss_residuals(inv: InvariantField) -> tuple[np.ndarray, np.ndarray
              imaginary part of a V^perp_C field is (W - conj W)/2i, a real
              normal vector, so its Minkowski norm is gauge-invariant.
     """
-    frame = inv.frame
-    s_zbar = diff_zbar(inv.s, frame.spec)
+    s_zbar = diff_zbar(inv.s, inv.spec)
     dz_kappa_bar = np.conj(inv.Dzbar_kappa)  # D_z conj kappa
     gauss = np.abs(
         0.5 * s_zbar
         - 3.0 * cmink_inner(inv.kappa, dz_kappa_bar)
         - cmink_inner(inv.Dz_kappa, np.conj(inv.kappa))
     )
-    ddk = normal_project(frame, diff_zbar(inv.Dzbar_kappa, frame.spec))
-    w_expr = ddk + 0.5 * np.conj(inv.s)[..., None] * inv.kappa
+    w_expr = _willmore_vector(inv)
     im_part = ((w_expr - np.conj(w_expr)) / 2j).real
     codazzi = np.sqrt(np.maximum(mink_inner(im_part, im_part), 0.0))
     return gauss, codazzi
 
 
-def reduction_span_check(
-    frame: FrameField,
-    inv: InvariantField,
-    tol: float = 1e-8,
-) -> tuple[int, int]:
+def reduction_span_check(frame: FrameField, inv: InvariantField) -> tuple[int, int]:
     """(lift_rank, kappa_jet_rank) from sampled singular values.
 
     lift_rank k+2 witnesses containment in a conformal S^k; the kappa jet
@@ -207,13 +209,13 @@ def reduction_span_check(
     m = inv.mask
     if int(m.sum()) < MIN_RANK_SAMPLES:
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
-    lift_rank = span_rank(frame.Y[m], tol)
-    ddk = normal_project(frame, diff_zbar(inv.Dz_kappa, frame.spec))
+    lift_rank = span_rank(frame.Y[m])
+    ddk = normal_D(frame, inv.Dz_kappa, bar=True)
     jets = []
     for f in (inv.kappa, inv.Dz_kappa, ddk):
         jets.append(f[m].real)
         jets.append(f[m].imag)
-    kappa_jet_rank = span_rank(np.concatenate(jets, axis=0), tol)
+    kappa_jet_rank = span_rank(np.concatenate(jets, axis=0))
     return lift_rank, kappa_jet_rank
 
 
@@ -281,7 +283,11 @@ class DiagnosticsReport:
     energies: dict
     ranks: dict
     passed: bool
-    fields: dict = field(default_factory=dict, repr=False)  # not serialized
+    # not serialized: pointwise fields, each residual's verdict mask by
+    # field key, and the grid they live on
+    fields: dict = field(default_factory=dict, repr=False)
+    masks: dict = field(default_factory=dict, repr=False)
+    spec: Optional[GridSpec] = field(default=None, repr=False)
 
     def entry(self, name: str) -> ResidualEntry:
         for e in self.entries:
@@ -323,20 +329,25 @@ def field_norms(f: np.ndarray, spec: GridSpec, mask: np.ndarray):
     return float(a[mask].max()), l2, frac
 
 
+def check_tolerances(overrides: dict) -> dict:
+    """Tolerance overrides as floats; ValueError on an unknown residual
+    name or a value that is not a finite real number (bools included)."""
+    unknown = set(overrides) - {row.name for row in RESIDUALS}
+    if unknown:
+        raise ValueError(f"unknown residual name(s) in tolerances: {sorted(unknown)}")
+    for name, value in overrides.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"tolerance for {name!r} must be a finite number, not {value!r}")
+    return {name: float(value) for name, value in overrides.items()}
+
+
 def default_tolerances(chart: Chart, overrides: Optional[dict] = None) -> dict:
     """Per-residual verdict tolerances: spectral charts resolve to the
     roundoff floor, finite-difference charts to their truncation floor."""
     base = DEFAULT_TOL_SPECTRAL if chart.spec.fully_periodic else DEFAULT_TOL_FD
-    names = [
-        "willmore", "swillmore", "flat_normal", "isothermic",
-        "gauss", "codazzi", "ricci", "omega_abs", "omega_holomorphy",
-    ]
-    tol = {n: base for n in names}
-    if overrides:
-        unknown = set(overrides) - set(names)
-        if unknown:
-            raise KeyError(f"unknown residual name(s) in tolerances: {sorted(unknown)}")
-        tol.update({k: float(v) for k, v in overrides.items()})
+    tol = {row.name: base for row in RESIDUALS}
+    tol.update(check_tolerances(overrides or {}))
     return tol
 
 
@@ -344,20 +355,17 @@ def analyze(
     chart: Chart,
     tolerances: Optional[dict] = None,
     seed: int = 0,
-    rank_tol: float = 1e-8,
-    validate: bool = True,
     euclidean: bool = True,
 ) -> DiagnosticsReport:
     """Full pipeline: frame -> invariants -> residuals -> report."""
-    if validate:
-        validate_chart(chart)
+    validate_chart(chart)
     frame = build_frame(chart, validate=False)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     tol = default_tolerances(chart, tolerances)
     spec = chart.spec
 
     live = frame.mask
-    umb_live = live & ~inv.umbilic_mask
+    masks = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
 
     fields = {
         "res_willmore": willmore_residual(inv),
@@ -375,37 +383,20 @@ def analyze(
     fields["_mask"] = live
     fields["_umbilic_mask"] = inv.umbilic_mask
 
-    entries = []
+    def entry(row: Residual) -> ResidualEntry:
+        mask = masks[row.mask]
+        linf, l2, frac = field_norms(fields[row.field], spec, mask)
+        # NaN and inf compare False, so a non-finite value at a masked point fails
+        verdict = "skipped" if not mask.any() else "pass" if linf < tol[row.name] else "fail"
+        return ResidualEntry(row.name, linf, l2, tol[row.name], verdict, frac)
 
-    def add(name, data, mask):
-        linf, l2, frac = field_norms(data, spec, mask)
-        if math.isnan(linf):
-            verdict = "skipped"
-        else:
-            verdict = "pass" if linf < tol[name] else "fail"
-        entries.append(ResidualEntry(name, linf, l2, tol[name], verdict, frac))
-
-    add("willmore", fields["res_willmore"], live)
-    add("swillmore", fields["res_swillmore"], umb_live)
-    add("flat_normal", fields["res_flat"], umb_live)
-
-    flat_entry = entries[-1]
-    if flat_entry.verdict == "pass":
-        iso = phase_laplacian_residual(inv.theta, spec)
-        fields["res_isothermic"] = iso
-        add("isothermic", iso, umb_live & inv.theta_mask)
+    if entry(FLAT_NORMAL).verdict == "pass":
+        masks[PHASE_OK] = masks[NON_UMBILIC] & inv.theta_mask
+        fields["res_isothermic"] = phase_laplacian_residual(inv.theta, spec)
     else:
-        fields["res_isothermic"] = np.full((spec.nu, spec.nv), np.nan)
-        entries.append(
-            ResidualEntry("isothermic", math.nan, math.nan, tol["isothermic"],
-                          "skipped", 1.0)
-        )
-
-    add("gauss", fields["res_gauss"], live)
-    add("codazzi", fields["res_codazzi"], live)
-    add("ricci", fields["res_ricci"], live)
-    add("omega_abs", fields["omega_abs"], live)
-    add("omega_holomorphy", fields["omega_holomorphy"], live)
+        masks[PHASE_OK] = np.zeros_like(live)
+        fields["res_isothermic"] = np.full(live.shape, np.nan)
+    entries = [entry(row) for row in RESIDUALS]
 
     w_conf = willmore_energy_conformal(inv)
     energies = {
@@ -415,7 +406,7 @@ def analyze(
     if euclidean:
         energies["W_euclidean"] = willmore_energy_euclidean(chart)
 
-    lift_rank, jet_rank = reduction_span_check(frame, inv, rank_tol)
+    lift_rank, jet_rank = reduction_span_check(frame, inv)
     ranks = {"lift_rank": lift_rank, "kappa_jet_rank": jet_rank}
 
     passed = all(e.verdict in ("pass", "skipped") for e in entries)
@@ -433,6 +424,7 @@ def analyze(
     return DiagnosticsReport(
         chart=meta, seed=seed, entries=entries, energies=energies,
         ranks=ranks, passed=passed, fields=fields,
+        masks={row.field: masks[row.mask] for row in RESIDUALS}, spec=spec,
     )
 
 

@@ -20,7 +20,7 @@ because <Y, Y_zzbar> = -1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -81,20 +81,24 @@ def conformality_ratio(chart: Chart) -> np.ndarray:
     return num / np.maximum(den, 1e-300)
 
 
-def validate_chart(chart: Chart, conformal_tol: Optional[float] = None) -> dict:
-    """Check unit norm and conformality; raise ChartError on violation.
+def validate_chart(chart: Chart) -> dict:
+    """Check finiteness, unit norm and conformality; raise ChartError on
+    violation.
 
-    Returns the measured statistics.  The conformality tolerance defaults
-    to 1e-8 on fully periodic (spectral) charts and 1e-4 otherwise.
+    Returns the measured statistics.  The conformality tolerance is
+    CONFORMAL_TOL_SPECTRAL on fully periodic (spectral) charts and
+    CONFORMAL_TOL_FD otherwise.
     """
+    bad = int((~np.isfinite(chart.points)).any(axis=-1).sum())
+    if bad:
+        raise ChartError(f"chart has {bad} non-finite point(s)")
     norms = np.linalg.norm(chart.points, axis=-1)
     unit_defect = float(np.abs(norms - 1.0).max())
     if unit_defect > UNIT_TOL:
         raise ChartError(f"chart points deviate from S^n by {unit_defect:.3e}")
-    if conformal_tol is None:
-        conformal_tol = (
-            CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD
-        )
+    conformal_tol = (
+        CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD
+    )
     ratio = conformality_ratio(chart)
     worst = float(ratio[chart.mask].max())
     if worst > conformal_tol:
@@ -297,41 +301,3 @@ def frame_residuals(frame: FrameField) -> dict:
             pair = np.einsum("uvik,uvk,k->uvi", frame.psi.astype(complex), vec, q)
             res[f"<{label}>"] = worst(np.abs(pair).max(axis=-1))
     return res
-
-
-def full_frame_gram_det(frame: FrameField) -> np.ndarray:
-    """det of the Gram matrix of {Y, Re Y_z, Im Y_z, N, psi_3..psi_n}.
-
-    Nonvanishing detects a genuine rank-(n+2) frame at each point.
-    """
-    vecs = np.concatenate(
-        [
-            np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.N], axis=2),
-            frame.psi,
-        ],
-        axis=2,
-    )
-    q = signature(frame.dim)
-    gram = np.einsum("uvik,uvjk,k->uvij", vecs, vecs, q)
-    return np.linalg.det(gram)
-
-
-def rescaled(chart: Chart, factor: float) -> Chart:
-    """Relabel the grid coordinates by z -> z/factor (same sample points).
-
-    Willmore energies and residual verdicts are invariant under this
-    relabeling; pointwise invariant densities pick up the |dz|^2 weight.
-    """
-    s = chart.spec
-    new_spec = replace(
-        s, Lu=s.Lu / factor, Lv=s.Lv / factor, u0=s.u0 / factor, v0=s.v0 / factor
-    )
-    return Chart(
-        spec=new_spec,
-        points=chart.points.copy(),
-        ambient_n=chart.ambient_n,
-        mask=chart.mask.copy(),
-        cover_count=chart.cover_count,
-        name=chart.name,
-        params={**chart.params, "rescale": factor},
-    )

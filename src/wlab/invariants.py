@@ -76,8 +76,8 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
         np.abs(2.0 * cmink_inner(frame.Y_zz, frame.Y_zbar)),
     )
 
-    Dz_kappa = normal_project(frame, diff_z(kappa, frame.spec))
-    Dzbar_kappa = normal_project(frame, diff_zbar(kappa, frame.spec))
+    Dz_kappa = normal_D(frame, kappa)
+    Dzbar_kappa = normal_D(frame, kappa, bar=True)
 
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)
@@ -96,9 +96,6 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
         decomposition_defect=float(decomp[m].max()),
         tangential_defect=float(tang[m].max()),
     )
-
-
-compute_invariants = hopf_schwarzian
 
 
 def normal_D(frame: FrameField, section: np.ndarray, bar: bool = False) -> np.ndarray:
@@ -174,18 +171,17 @@ def ricci_residual(
     return out
 
 
-def willmore_energy_conformal(inv: InvariantField, spec: Optional[GridSpec] = None) -> float:
+def willmore_energy_conformal(inv: InvariantField) -> float:
     """W = 2i Int <kappa, conj kappa> dz ^ dzbar = 4 Int <k,kbar> du dv.
 
     Covering charts report the energy of a single cover.  On charts that
     are not fully periodic this is the energy of the truncated domain.
     """
-    spec = spec or inv.spec
-    w = 4.0 * float(integrate(inv.kk_bar, spec))
+    w = 4.0 * float(integrate(inv.kk_bar, inv.spec))
     return w / inv.frame.chart.cover_count
 
 
-def select_projection_pole(chart: Chart, min_distance: float = POLE_MIN_DISTANCE) -> np.ndarray:
+def select_projection_pole(chart: Chart) -> np.ndarray:
     """Pole for stereographic projection: far from every chart sample.
 
     Scans the coordinate axes plus a fixed low-discrepancy set of unit
@@ -202,14 +198,14 @@ def select_projection_pole(chart: Chart, min_distance: float = POLE_MIN_DISTANCE
     dots = cand @ pts.T
     min_d = np.sqrt(np.maximum(2.0 - 2.0 * dots.max(axis=1), 0.0))
     best = int(np.argmax(min_d))
-    if min_d[best] < min_distance:
+    if min_d[best] < POLE_MIN_DISTANCE:
         raise ValueError(
-            f"no stereographic pole at distance >= {min_distance} from the surface"
+            f"no stereographic pole at distance >= {POLE_MIN_DISTANCE} from the surface"
         )
     return cand[best]
 
 
-def willmore_energy_euclidean(chart: Chart, pole: Optional[np.ndarray] = None) -> float:
+def willmore_energy_euclidean(chart: Chart) -> float:
     """Independent Willmore pipeline: stereographic projection + H^2 - K.
 
     Projects the chart to R^n from an automatically selected pole, builds
@@ -218,8 +214,7 @@ def willmore_energy_euclidean(chart: Chart, pole: Optional[np.ndarray] = None) -
     the functional is invariant under the projection.
     """
     spec = chart.spec
-    if pole is None:
-        pole = select_projection_pole(chart)
+    pole = select_projection_pole(chart)
     x = chart.points
     xp = np.einsum("uvk,k->uv", x, pole)
     X = (x - xp[..., None] * pole) / (1.0 - xp)[..., None]
@@ -292,7 +287,7 @@ def structure_closure_residuals(frame: FrameField, inv: InvariantField) -> dict:
     w[-1] = 1.0
     section = np.einsum("uvab,b->uva", frame.P_perp, w).astype(complex)
     sz = diff_z(section, spec)
-    dz_sec = normal_project(frame, sz)
+    dz_sec = normal_D(frame, section)
     rhs_psi = (
         dz_sec
         + 2.0 * cmink_inner(section, inv.Dzbar_kappa)[..., None] * frame.Y

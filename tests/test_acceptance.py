@@ -34,7 +34,7 @@ from wlab.gallery import (
     solve_cp2_amplitudes,
     veronese,
 )
-from wlab.invariants import compute_invariants
+from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import random_mobius
 
 TWO_PI = 2 * np.pi
@@ -164,7 +164,7 @@ def test_criterion_05_reduction_rank_witnesses(clifford_report):
         chart = include_in_higher_sphere(clifford(48, 48), 5)
         chart = apply_mobius(chart, random_mobius(5, seed, 1.0))
         frame = build_frame(chart)
-        inv = compute_invariants(frame)
+        inv = hopf_schwarzian(frame)
         lift_rank, _ = reduction_span_check(frame, inv)
         assert lift_rank == 5, seed
 

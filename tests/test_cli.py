@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wlab.cli import ConfigError, main, validate_config
+from wlab.frame import Chart
+from wlab.gallery import clifford
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -128,3 +131,69 @@ def test_transform_pipeline(tmp_path):
     assert report["chart"]["ambient_n"] == 5
     assert report["ranks"]["lift_rank"] == 5
     assert report["energies"]["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-7)
+
+
+@pytest.mark.parametrize("tolerances, message", [
+    ({"wilmore": 1e-3}, "unknown residual"),
+    ({"willmore": True}, "finite number"),
+    ({"willmore": float("inf")}, "finite number"),
+])
+@pytest.mark.parametrize("command", ["analyze", "convergence"])
+def test_bad_tolerance_is_config_error(tmp_path, capsys, command, tolerances, message):
+    cfg = write_config(tmp_path, tolerances=tolerances)
+    argv = [command, cfg] + (["--sizes", "16,24,32"] if command == "convergence" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"radius": 2}, "unknown param"),
+    ([1, 2], "must be an object"),
+])
+def test_bad_surface_params_are_config_errors(tmp_path, capsys, params, message):
+    cfg = write_config(tmp_path, surface={"name": "clifford", "params": params})
+    assert main(["analyze", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def _nan_chart(name, nu, nv, params):
+    chart = clifford(nu, nv)
+    chart.points[3, 4] = np.nan
+    return chart
+
+
+def _stretched_chart(name, nu, nv, params):
+    # Clifford samples on a grid whose v extent is halved: not conformal
+    chart = clifford(nu, nv)
+    return Chart(replace(chart.spec, Lv=chart.spec.Lv / 2), chart.points, ambient_n=3)
+
+
+SUBCOMMANDS = {
+    "analyze": [],
+    "fields": ["--out", "fields.csv"],
+    "convergence": ["--sizes", "16,24,32"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("build, message", [
+    (_nan_chart, "non-finite"),
+    (_stretched_chart, "not conformal"),
+])
+def test_chart_errors_exit_3_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, build, message
+):
+    monkeypatch.setattr("wlab.cli.build_surface", build)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16})
+    assert main([command, cfg] + SUBCOMMANDS[command]) == 3
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def test_wrong_param_type_is_chart_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, surface={"name": "pinkall_hopf_torus", "params": {"c": "abc"}})
+    assert main(["analyze", cfg]) == 3
+    assert capsys.readouterr().err.count("\n") == 1

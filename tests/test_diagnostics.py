@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 
 from wlab.calculus import GridSpec
+import wlab.diagnostics as diagnostics
 from wlab.diagnostics import (
-    NonFlatError,
+    RESIDUALS,
     analyze,
     codazzi_gauss_residuals,
+    default_tolerances,
     field_norms,
     flat_normal_residual,
     flat_normal_scalar,
-    isothermic_phase_residual,
     phase_laplacian_residual,
     reduction_span_check,
     remark62_residual,
@@ -24,7 +26,7 @@ from wlab.diagnostics import (
 )
 from wlab.frame import Chart, build_frame
 from wlab.gallery import clifford, round_sphere, veronese
-from wlab.invariants import compute_invariants
+from wlab.invariants import hopf_schwarzian
 
 TWO_PI = 2 * np.pi
 
@@ -32,7 +34,7 @@ TWO_PI = 2 * np.pi
 @pytest.fixture(scope="module")
 def clifford_data():
     frame = build_frame(clifford(48, 48))
-    return frame, compute_invariants(frame)
+    return frame, hopf_schwarzian(frame)
 
 
 def synthetic_field(vecs):
@@ -56,7 +58,7 @@ def test_willmore_residual_clifford(clifford_data):
 
 def test_willmore_residual_round_sphere():
     frame = build_frame(round_sphere(64, 24))
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     assert willmore_residual(inv)[frame.mask].max() < 1e-10
 
 
@@ -71,7 +73,7 @@ def test_willmore_residual_perturbed_control():
     pts /= np.linalg.norm(pts, axis=-1)[..., None]
     pert = Chart(ch.spec, pts, ambient_n=3, name="perturbed_clifford")
     frame = build_frame(pert, validate=False)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     assert willmore_residual(inv)[frame.mask].max() > 1e-3
     gauss, _ = codazzi_gauss_residuals(inv)
     assert gauss[frame.mask].max() > 1e-3
@@ -127,7 +129,7 @@ def test_flat_residual_clifford(clifford_data):
 
 def test_flat_residual_veronese_bounded_below():
     frame = build_frame(veronese(64, 32))
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     live = frame.mask & ~inv.umbilic_mask
     assert flat_normal_residual(inv)[live].min() > 1e-2
 
@@ -136,7 +138,7 @@ def test_flat_residual_veronese_bounded_below():
 
 def test_isothermic_clifford(clifford_data):
     frame, inv = clifford_data
-    res = isothermic_phase_residual(inv, flat_tolerance=1e-6)
+    res = phase_laplacian_residual(inv.theta, inv.spec)
     assert res[frame.mask].max() < 1e-9
 
 
@@ -153,11 +155,14 @@ def test_isothermic_quadratic_phase():
     assert np.abs(res - 0.5).max() < 1e-10
 
 
-def test_isothermic_rejects_non_flat():
-    frame = build_frame(veronese(64, 32))
-    inv = compute_invariants(frame)
-    with pytest.raises(NonFlatError):
-        isothermic_phase_residual(inv, flat_tolerance=1e-6)
+def test_isothermic_skipped_on_non_flat():
+    # theta is undefined off flat normal bundles: the failed flat_normal
+    # verdict empties the isothermic mask
+    rep = analyze(veronese(64, 32), euclidean=False)
+    assert rep.entry("flat_normal").verdict == "fail"
+    iso = rep.entry("isothermic")
+    assert iso.verdict == "skipped" and iso.masked_fraction == 1.0
+    assert math.isnan(iso.L_inf) and math.isnan(iso.L2)
 
 
 # --- six form ---------------------------------------------------------------
@@ -208,14 +213,14 @@ def test_reduction_span_clifford(clifford_data):
 
 def test_reduction_span_round_sphere():
     frame = build_frame(round_sphere(64, 24))
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     lift_rank, _ = reduction_span_check(frame, inv)
     assert lift_rank == 4
 
 
 def test_reduction_span_needs_samples():
     frame = build_frame(round_sphere(8, 8), validate=False)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     with pytest.raises(ValueError):
         reduction_span_check(frame, inv)
 
@@ -300,3 +305,42 @@ def test_field_norms_empty_mask():
     spec = GridSpec(8, 8, 1.0, 1.0, True, True)
     linf, l2, frac = field_norms(np.ones((8, 8)), spec, np.zeros((8, 8), bool))
     assert math.isnan(linf) and math.isnan(l2) and frac == 1.0
+
+
+def test_nan_at_live_point_fails(clifford_data, monkeypatch):
+    # a NaN among passing values must not read as `skipped`, which counts
+    # as success
+    frame, _ = clifford_data
+    holo = np.zeros(frame.mask.shape)
+    holo[tuple(np.argwhere(frame.mask)[0])] = np.nan
+    monkeypatch.setattr(diagnostics, "six_form", lambda inv: (np.zeros_like(holo), holo))
+    rep = analyze(frame.chart, euclidean=False)
+    assert rep.entry("omega_abs").verdict == "pass"
+    assert rep.entry("omega_holomorphy").verdict == "fail"
+    assert rep.passed is False
+
+
+def test_residual_table_drives_every_name_list(tmp_path):
+    # report entries, tolerances, verdict masks, the convergence table and
+    # the CSV header all come from RESIDUALS
+    from wlab.cli import main
+
+    names = [row.name for row in RESIDUALS]
+    chart = clifford(16, 16)
+    rep = analyze(chart, euclidean=False)
+    assert [e.name for e in rep.entries] == names
+    assert list(default_tolerances(chart)) == names
+    assert list(rep.masks) == [row.field for row in RESIDUALS]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"name": "clifford"}, "grid": {"nu": 16, "nv": 16}}))
+    table, csv = tmp_path / "table.json", tmp_path / "fields.csv"
+    assert main(["convergence", str(cfg), "--sizes", "16,20,24", "--out", str(table)]) == 0
+    data = json.loads(table.read_text())
+    assert sorted(data["residual_L_inf"]) == sorted(data["fitted_order"]) == sorted(names)
+
+    assert main(["fields", str(cfg), "--out", str(csv)]) == 0
+    header = csv.read_text().split("\n", 1)[0].split(",")
+    assert header == ["u", "v", "kkbar", "abs_kk", "theta"] + [
+        row.field for row in RESIDUALS if row.csv
+    ]

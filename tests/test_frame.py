@@ -8,13 +8,12 @@ from wlab.frame import (
     build_frame,
     canonical_lift,
     frame_residuals,
-    full_frame_gram_det,
     light_cone_lift,
     validate_chart,
 )
 from wlab.gallery import clifford, round_sphere, veronese
-from wlab.invariants import compute_invariants
-from wlab.lorentz import cmink_inner, mink_inner
+from wlab.invariants import hopf_schwarzian
+from wlab.lorentz import cmink_inner, mink_inner, signature
 
 
 def clifford_normal(chart):
@@ -68,6 +67,13 @@ def test_non_conformal_chart_rejected():
     pts = np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)], axis=-1)
     ch = Chart(spec, pts, ambient_n=2, name="spherical")
     with pytest.raises(ChartError, match="not conformal"):
+        validate_chart(ch)
+
+
+def test_non_finite_chart_rejected():
+    ch = clifford(32, 32)
+    ch.points[5, 7, 2] = np.nan
+    with pytest.raises(ChartError, match="non-finite"):
         validate_chart(ch)
 
 
@@ -132,6 +138,17 @@ def test_normal_basis_veronese_orthogonal_to_frame():
     assert res["<psi.Y>"] < 1e-8 and res["<psi.Y_z>"] < 1e-8
 
 
+def full_frame_gram_det(frame):
+    """det of the Gram matrix of {Y, Re Y_z, Im Y_z, N, psi_3..psi_n};
+    nonvanishing detects a genuine rank-(n+2) frame at each point."""
+    vecs = np.concatenate(
+        [np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.N], axis=2), frame.psi],
+        axis=2,
+    )
+    gram = np.einsum("uvik,uvjk,k->uvij", vecs, vecs, signature(frame.dim))
+    return np.linalg.det(gram)
+
+
 def test_full_frame_spans_everything():
     fr = build_frame(clifford(24, 24))
     det = full_frame_gram_det(fr)
@@ -141,7 +158,7 @@ def test_full_frame_spans_everything():
 def test_clifford_kappa_closed_form():
     ch = clifford(32, 32)
     fr = build_frame(ch)
-    inv = compute_invariants(fr)
+    inv = hopf_schwarzian(fr)
     n = clifford_normal(ch)
     expected = (np.sqrt(2) / 4) * np.concatenate(
         [np.zeros(n.shape[:2] + (1,)), n], axis=-1

@@ -19,7 +19,7 @@ from wlab.gallery import (
     solve_cp2_amplitudes,
     veronese,
 )
-from wlab.invariants import compute_invariants, willmore_energy_conformal
+from wlab.invariants import hopf_schwarzian, willmore_energy_conformal
 from wlab.lorentz import MobiusMap, random_mobius
 
 TWO_PI = 2 * np.pi
@@ -96,7 +96,7 @@ def test_pinkall_irrational_twist_reports_open():
 def test_pinkall_flatness_spectral():
     res = pinkall_hopf_torus(1.5, 80, 48)
     frame = build_frame(res.chart)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     live = frame.mask & ~inv.umbilic_mask
     assert flat_normal_residual(inv)[live].max() < 1e-8
 
@@ -136,7 +136,7 @@ def test_frame_ode_k2_surface_is_not_flat():
     res = hopf_from_curvature(curve, 64, 32)
     assert res.closed and res.chart.cover_count == 1
     frame = build_frame(res.chart)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     live = frame.mask & ~inv.umbilic_mask
     assert flat_normal_residual(inv)[live].min() > 1e-2
     w = willmore_energy_conformal(inv)
@@ -192,7 +192,7 @@ def test_homogeneous_generic_triple_not_flat():
     assert res.closed
     assert res.closing_period == pytest.approx(8 * np.pi, rel=1e-12)
     frame = build_frame(res.chart)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     live = frame.mask & ~inv.umbilic_mask
     assert flat_normal_residual(inv)[live].min() > 1e-3
     # closed-form energy: W = ((k1^2 + k2^2)/4 + 1) T 2 pi

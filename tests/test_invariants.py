@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wlab.diagnostics import analyze
-from wlab.frame import build_frame, rescaled
+from wlab.frame import Chart, build_frame
 from wlab.gallery import clifford, pinkall_hopf_torus, round_sphere, veronese
 from wlab.invariants import (
-    compute_invariants,
+    hopf_schwarzian,
     normal_D,
     ricci_residual,
     structure_closure_residuals,
@@ -18,18 +20,18 @@ from wlab.lorentz import cmink_inner, herm_norm_sq
 @pytest.fixture(scope="module")
 def clifford_inv():
     frame = build_frame(clifford(48, 48))
-    return frame, compute_invariants(frame)
+    return frame, hopf_schwarzian(frame)
 
 
 @pytest.fixture(scope="module")
 def veronese_inv():
     frame = build_frame(veronese(96, 48))
-    return frame, compute_invariants(frame)
+    return frame, hopf_schwarzian(frame)
 
 
 def test_round_sphere_is_totally_umbilic():
     frame = build_frame(round_sphere(96, 32))
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     kappa_norm = np.sqrt(np.maximum(herm_norm_sq(inv.kappa), 0))
     assert kappa_norm[frame.mask].max() < 1e-9
     assert inv.umbilic_mask[frame.mask].all()
@@ -113,7 +115,7 @@ def test_willmore_energy_clifford(clifford_inv):
 def test_willmore_energy_round_sphere():
     ch = round_sphere(96, 32)
     frame = build_frame(ch)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     assert abs(willmore_energy_conformal(inv)) < 1e-8
     assert abs(willmore_energy_euclidean(ch)) < 1e-8
 
@@ -151,10 +153,18 @@ def test_structure_equations_close_fd(veronese_inv):
 
 def test_structure_equations_close_pinkall():
     frame = build_frame(pinkall_hopf_torus(1.5, 80, 48).chart)
-    inv = compute_invariants(frame)
+    inv = hopf_schwarzian(frame)
     res = structure_closure_residuals(frame, inv)
     for name, val in res.items():
         assert val < 1e-8, (name, val)
+
+
+def rescaled(chart, factor):
+    """Relabel the grid coordinates by z -> z/factor (same sample points)."""
+    s = chart.spec
+    spec = replace(s, Lu=s.Lu / factor, Lv=s.Lv / factor, u0=s.u0 / factor, v0=s.v0 / factor)
+    return Chart(spec, chart.points.copy(), ambient_n=chart.ambient_n,
+                 mask=chart.mask.copy(), cover_count=chart.cover_count, name=chart.name)
 
 
 def test_coordinate_rescaling_preserves_energy():
