@@ -126,11 +126,11 @@ def _fornberg_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fd_matrix(n: int, h: float, order: int = FD_ORDER) -> np.ndarray:
-    """Dense first-derivative matrix, centered order-`order` stencils
-    inside, one-sided at the first/last order/2 rows."""
-    width = order + 1
-    half = order // 2
+def _fd_matrix(n: int, h: float) -> np.ndarray:
+    """Dense first-derivative matrix, centered order-FD_ORDER stencils
+    inside, one-sided at the first/last FD_ORDER/2 rows."""
+    width = FD_ORDER + 1
+    half = FD_ORDER // 2
     d = np.zeros((n, n))
     nodes = np.arange(width) * h
     for i in range(n):
@@ -147,8 +147,7 @@ def _spectral_wavenumbers(n: int, length: float) -> np.ndarray:
     return k
 
 
-def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
-               order: int = FD_ORDER) -> np.ndarray:
+def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool) -> np.ndarray:
     if f.shape[axis] != n:
         raise ValueError(f"field has {f.shape[axis]} points on axis {axis}, grid has {n}")
     if periodic:
@@ -157,27 +156,27 @@ def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
         shape[axis] = n
         fhat = np.fft.fft(f, axis=axis)
         return np.fft.ifft(1j * k.reshape(shape) * fhat, axis=axis)
-    d = _fd_matrix(n, length / (n - 1), order)
+    d = _fd_matrix(n, length / (n - 1))
     out = np.tensordot(d, np.moveaxis(f, axis, 0), axes=(1, 0))
     return np.moveaxis(out, 0, axis)
 
 
-def diff_u(f: np.ndarray, spec: GridSpec, order: int = FD_ORDER) -> np.ndarray:
-    return _diff_axis(np.asarray(f), 0, spec.nu, spec.Lu, spec.periodic_u, order)
+def diff_u(f: np.ndarray, spec: GridSpec) -> np.ndarray:
+    return _diff_axis(np.asarray(f), 0, spec.nu, spec.Lu, spec.periodic_u)
 
 
-def diff_v(f: np.ndarray, spec: GridSpec, order: int = FD_ORDER) -> np.ndarray:
-    return _diff_axis(np.asarray(f), 1, spec.nv, spec.Lv, spec.periodic_v, order)
+def diff_v(f: np.ndarray, spec: GridSpec) -> np.ndarray:
+    return _diff_axis(np.asarray(f), 1, spec.nv, spec.Lv, spec.periodic_v)
 
 
-def diff_z(f: np.ndarray, spec: GridSpec, order: int = FD_ORDER) -> np.ndarray:
+def diff_z(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     """d/dz = (d/du - i d/dv)/2.  Result is complex."""
-    return 0.5 * (diff_u(f, spec, order) - 1j * diff_v(f, spec, order))
+    return 0.5 * (diff_u(f, spec) - 1j * diff_v(f, spec))
 
 
-def diff_zbar(f: np.ndarray, spec: GridSpec, order: int = FD_ORDER) -> np.ndarray:
+def diff_zbar(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     """d/dzbar = (d/du + i d/dv)/2.  Result is complex."""
-    return 0.5 * (diff_u(f, spec, order) + 1j * diff_v(f, spec, order))
+    return 0.5 * (diff_u(f, spec) + 1j * diff_v(f, spec))
 
 
 def integrate(f: np.ndarray, spec: GridSpec) -> complex:

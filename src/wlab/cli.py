@@ -44,6 +44,7 @@ from .diagnostics import (
     analyze,
     check_tolerances,
     convergence_L_inf,
+    is_finite_real,
 )
 from .frame import Chart, ChartError
 from .gallery import GALLERY, apply_mobius, build_surface, include_in_higher_sphere
@@ -99,7 +100,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config key 'grid' must be an object")
     nu = grid.get("nu", 64)
     nv = grid.get("nv", 64)
-    if not (isinstance(nu, int) and isinstance(nv, int) and nu >= 8 and nv >= 8):
+    if not (_is_int(nu) and _is_int(nv) and nu >= 8 and nv >= 8):
         raise ConfigError("config key 'grid' needs integer nu, nv >= 8")
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -114,12 +115,17 @@ def validate_config(cfg: dict) -> dict:
     for tr in transforms:
         if not isinstance(tr, dict) or len(tr) != 1:
             raise ConfigError("each transform must be a one-key object")
-        key = next(iter(tr))
-        if key not in ("include_n", "mobius"):
+        key, val = next(iter(tr.items()))
+        if key == "include_n":
+            if not _is_int(val):
+                raise ConfigError(f"transform 'include_n' must be an integer, not {val!r}")
+        elif key == "mobius":
+            _check_mobius(val)
+        else:
             raise ConfigError(f"unknown transform {key!r}")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("config key 'seed' must be an integer")
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"config key 'seed' must be a non-negative integer, not {seed!r}")
     return {
         "surface": surface,
         "grid": {"nu": nu, "nv": nv},
@@ -128,6 +134,22 @@ def validate_config(cfg: dict) -> dict:
         "outputs": cfg.get("outputs", []),
         "seed": seed,
     }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_mobius(val) -> None:
+    if not isinstance(val, dict):
+        raise ConfigError(f"transform 'mobius' must be an object, not {val!r}")
+    unknown = sorted(set(val) - {"seed", "magnitude"})
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in transform 'mobius'")
+    if "seed" in val and not (_is_int(val["seed"]) and val["seed"] >= 0):
+        raise ConfigError(f"mobius 'seed' must be a non-negative integer, not {val['seed']!r}")
+    if "magnitude" in val and not is_finite_real(val["magnitude"]):
+        raise ConfigError(f"mobius 'magnitude' must be a finite number, not {val['magnitude']!r}")
 
 
 def build_chart(cfg: dict, nu=None, nv=None) -> Chart:
@@ -141,12 +163,12 @@ def build_chart(cfg: dict, nu=None, nv=None) -> Chart:
     for tr in cfg["transforms"]:
         key, val = next(iter(tr.items()))
         if key == "include_n":
-            chart = include_in_higher_sphere(chart, int(val))
+            chart = include_in_higher_sphere(chart, val)
         else:
             mob = random_mobius(
                 chart.ambient_n,
-                int(val.get("seed", cfg["seed"])),
-                float(val.get("magnitude", 1.0)),
+                val.get("seed", cfg["seed"]),
+                val.get("magnitude", 1.0),
             )
             chart = apply_mobius(chart, mob)
     return chart

@@ -329,6 +329,12 @@ def field_norms(f: np.ndarray, spec: GridSpec, mask: np.ndarray):
     return float(a[mask].max()), l2, frac
 
 
+def is_finite_real(value) -> bool:
+    """A finite real number; bools do not count."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 def check_tolerances(overrides: dict) -> dict:
     """Tolerance overrides as floats; ValueError on an unknown residual
     name or a value that is not a finite real number (bools included)."""
@@ -336,8 +342,7 @@ def check_tolerances(overrides: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown residual name(s) in tolerances: {sorted(unknown)}")
     for name, value in overrides.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        if not is_finite_real(value):
             raise ValueError(f"tolerance for {name!r} must be a finite number, not {value!r}")
     return {name: float(value) for name, value in overrides.items()}
 

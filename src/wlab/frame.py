@@ -110,7 +110,7 @@ def validate_chart(chart: Chart) -> dict:
 
 @dataclass
 class FrameField:
-    """Canonical lift, its derivatives, N, and an orthonormal V^perp basis.
+    """Canonical lift, its derivatives, kappa, N, and an orthonormal V^perp basis.
 
     `P_perp` is the (d, d) field projecting R^{n+2}_1 (and its
     complexification) onto V^perp along V.  `psi` holds n-2 orthonormal
@@ -128,6 +128,7 @@ class FrameField:
     Y_zzbar: np.ndarray    # real
     rho: np.ndarray        # <Y0_z, Y0_zbar>, the raw conformal factor
     mask: np.ndarray
+    kappa: Optional[np.ndarray] = None   # V^perp_C part of Y_zz, complex
     N: Optional[np.ndarray] = None       # real
     P_perp: Optional[np.ndarray] = None  # (nu, nv, d, d) real
     psi: Optional[np.ndarray] = None     # (nu, nv, n-2, d) real
@@ -250,14 +251,13 @@ def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_frame(chart: Chart, validate: bool = True) -> FrameField:
-    """Full frame pipeline: canonical lift, projector, N, normal basis."""
+    """Full frame pipeline: canonical lift, projector, kappa, N, normal basis."""
     if validate:
         validate_chart(chart)
     frame = canonical_lift(chart)
     frame.P_perp = perp_projector(frame)
-    kappa = normal_project(frame, frame.Y_zz)
-    kk_bar = herm_norm_sq(kappa)
-    frame.N = frame_N(frame, kk_bar)
+    frame.kappa = normal_project(frame, frame.Y_zz)
+    frame.N = frame_N(frame, herm_norm_sq(frame.kappa))
     psi, ok = normal_basis(frame)
     frame.psi = psi
     frame.mask = frame.mask & ok

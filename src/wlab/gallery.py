@@ -13,11 +13,12 @@ constraints) yields the surface x(t, theta) = e^{i theta} gamma(t), for
 which z = t + i theta is a conformal coordinate.
 
 A closed base curve has frame monodromy gamma(T) = e^{i phi} gamma(0).
-Rectangular doubly periodic grids exist only on a q-fold cover in t,
-where q is the denominator of phi / 2pi; the constructors build that
-cover and record it in Chart.cover_count so integrated energies stay
-per-torus.  Irrational twists produce closed=False results whose chart
-spans a single quasi-period with a non-periodic t axis.
+Rectangular doubly periodic grids exist only on a q-fold cover in t.
+One closure rule gives q, the denominator of phi / 2pi, or None for an
+open curve or an irrational twist; one cover rule (`_hopf_chart`) builds
+the q-fold cover, recorded in Chart.cover_count so integrated energies
+stay per-torus, or for q = None a single non-periodic quasi-period
+(closed=False).  A Pinkall torus is the two-frequency homogeneous lift.
 """
 
 from __future__ import annotations
@@ -83,12 +84,8 @@ def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
     Full in S^4, hence a non-flat-normal-bundle control.  The conformal
     factor decays like sech(u); `extent` = 2.5 keeps it conditioned.
     """
-    spec = GridSpec(nu, nv, 2 * extent, TWO_PI, False, True, u0=-extent)
-    u, v = spec.meshgrid()
-    sech = 1.0 / np.cosh(u)
-    x = sech * np.cos(v)
-    y = sech * np.sin(v)
-    z = np.tanh(u)
+    sphere = round_sphere(nu, nv, 2, extent)
+    x, y, z = np.moveaxis(sphere.points, -1, 0)
     s3 = np.sqrt(3.0)
     pts = np.stack(
         [
@@ -100,7 +97,7 @@ def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
         ],
         axis=-1,
     )
-    return Chart(spec, pts, ambient_n=4, name="veronese", params={"extent": extent})
+    return Chart(sphere.spec, pts, ambient_n=4, name="veronese", params={"extent": extent})
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +145,6 @@ class HopfChartResult:
     lift_monodromy_phase: float
 
 
-def _complexify(real_vecs: np.ndarray) -> np.ndarray:
-    """(..., 2m) real interleaved -> (..., m) complex."""
-    return real_vecs[..., 0::2] + 1j * real_vecs[..., 1::2]
-
-
 def _realify(cplx_vecs: np.ndarray) -> np.ndarray:
     """(..., m) complex -> (..., 2m) real interleaved."""
     out = np.empty(cplx_vecs.shape[:-1] + (2 * cplx_vecs.shape[-1],))
@@ -161,35 +153,81 @@ def _realify(cplx_vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twist_denominator(fraction: float, tol: float = 1e-8) -> Optional[int]:
+def _twist_denominator(fraction: float) -> Optional[int]:
     """Denominator q <= 64 with fraction ~ p/q, or None if irrational."""
     f = Fraction(fraction).limit_denominator(MAX_TWIST_DENOMINATOR)
-    if abs(fraction - f.numerator / f.denominator) < tol:
+    if abs(fraction - f.numerator / f.denominator) < 1e-8:
         return f.denominator
     return None
 
 
+def _multi_frequency_closure(freqs: np.ndarray):
+    """(T, phase, q) for gamma with the given active frequencies.
+
+    The curve closes projectively at the smallest T with (l_i - l_j) T in
+    2 pi Z for all pairs: T = 2 pi lcm(q_k) / d_1, where d_k are the
+    frequency differences and d_k / d_1 = p_k / q_k in lowest terms.  q
+    is the twist denominator of the monodromy phase, None for an
+    irrational twist or an open curve (irrational d_k / d_1).
+    """
+    lam = np.sort(freqs)
+    diffs = lam[1:] - lam[0]
+    diffs = diffs[diffs > 1e-14]
+    if len(diffs) == 0:
+        # single frequency: the base point is fixed, the fiber closes trivially
+        t = TWO_PI / max(abs(lam[0]), 1e-300)
+        return t, (lam[0] * t) % TWO_PI, 1
+    base = diffs[0]
+    n_mult = 1
+    for d in diffs[1:]:
+        q_d = _twist_denominator(d / base)
+        if q_d is None:
+            return TWO_PI, 0.0, None
+        n_mult = math.lcm(n_mult, q_d)
+    t = TWO_PI * n_mult / base
+    phase = (lam[0] * t) % TWO_PI
+    return t, phase, _twist_denominator(phase / TWO_PI)
+
+
 def _hopf_chart(
     gamma_of_t: Callable[[np.ndarray], np.ndarray],
-    t_extent: float,
-    periodic_t: bool,
+    period: float,
+    q: Optional[int],
     nu: int,
     nv: int,
-    cover_count: int,
     name: str,
     params: dict,
-    ambient_complex_dim: int,
 ) -> Chart:
-    """Assemble x(t, theta) = e^{i theta} gamma(t) on the grid."""
-    spec = GridSpec(nu, nv, t_extent, TWO_PI, periodic_t, True)
-    t = spec.u
-    theta = spec.v
-    gam = gamma_of_t(t)  # (nu, m) complex
+    """x(t, theta) = e^{i theta} gamma(t) on the q-fold periodic cover
+    [0, q period), or on one non-periodic period [0, period] if q is None.
+
+    gamma_of_t maps (nu,) parameters to (nu, m) complex points of S^{2m-1}.
+    """
+    closed = q is not None
+    spec = GridSpec(nu, nv, q * period if closed else period, TWO_PI, closed, True)
+    gam = gamma_of_t(spec.u)
     gam = gam / np.linalg.norm(_realify(gam), axis=-1)[:, None]
-    x = np.exp(1j * theta)[None, :, None] * gam[:, None, :]
-    pts = _realify(x)
-    n = 2 * ambient_complex_dim - 1
-    return Chart(spec, pts, ambient_n=n, cover_count=cover_count, name=name, params=params)
+    x = np.exp(1j * spec.v)[None, :, None] * gam[:, None, :]
+    return Chart(spec, _realify(x), ambient_n=2 * gam.shape[-1] - 1,
+                 cover_count=q or 1, name=name, params=params)
+
+
+def _homogeneous_lift(
+    lam: np.ndarray, a: np.ndarray, nu: int, nv: int, name: str, params: dict,
+    t_window: Optional[float] = None,
+) -> HopfChartResult:
+    """gamma(t) = (a_k e^{i l_k t})_k on its closing cover, or on the
+    non-periodic window [0, t_window] when one is given."""
+    t_close, phase, q = _multi_frequency_closure(lam[np.abs(a) > 0])
+
+    def gamma(t):
+        return a[None, :] * np.exp(1j * np.outer(t, lam))
+
+    period = t_close
+    if t_window is not None:
+        period, q, params = t_window, None, {**params, "t_window": t_window}
+    chart = _hopf_chart(gamma, period, q, nu, nv, name, params)
+    return HopfChartResult(chart, q is not None, t_close, phase)
 
 
 def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
@@ -208,25 +246,9 @@ def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
     l2 = 0.5 * (c - disc)
     a1 = math.sqrt(-l2 / (l1 - l2))
     a2 = math.sqrt(l1 / (l1 - l2))
-    t_close = TWO_PI / (l1 - l2)
-    twist = l1 / (l1 - l2) % 1.0
-    phase = twist * TWO_PI
-    q = _twist_denominator(twist)
-    closed = q is not None
-
-    def gamma(t):
-        return np.stack(
-            [a1 * np.exp(1j * l1 * t), a2 * np.exp(1j * l2 * t)], axis=-1
-        )
-
     params = {"c": c, "lambda1": l1, "lambda2": l2, "a1_sq": a1 * a1, "a2_sq": a2 * a2}
-    if closed:
-        chart = _hopf_chart(gamma, q * t_close, True, nu, nv, q,
-                            "pinkall_hopf_torus", params, 2)
-    else:
-        chart = _hopf_chart(gamma, t_close, False, nu, nv, 1,
-                            "pinkall_hopf_torus", params, 2)
-    return HopfChartResult(chart, closed, t_close, phase)
+    return _homogeneous_lift(np.array([l1, l2]), np.array([a1, a2]), nu, nv,
+                             "pinkall_hopf_torus", params)
 
 
 def homogeneous_cp2_hopf(
@@ -257,56 +279,8 @@ def homogeneous_cp2_hopf(
         raise ValueError(
             f"constraint violation (norm, horizontality, speed) = {defects}"
         )
-
-    active = lam[np.abs(a) > 0]
-    closed, t_close, phase, q = _multi_frequency_closure(active)
-
-    def gamma(t):
-        return a[None, :] * np.exp(1j * np.outer(t, lam))
-
     params = {"lambdas": lam.tolist(), "amps": a.tolist()}
-    if t_window is not None:
-        params["t_window"] = t_window
-        chart = _hopf_chart(gamma, t_window, False, nu, nv, 1,
-                            "homogeneous_cp2_hopf", params, 3)
-        return HopfChartResult(chart, False, t_close, phase)
-    if closed:
-        chart = _hopf_chart(gamma, q * t_close, True, nu, nv, q,
-                            "homogeneous_cp2_hopf", params, 3)
-    else:
-        chart = _hopf_chart(gamma, t_close, False, nu, nv, 1,
-                            "homogeneous_cp2_hopf", params, 3)
-    return HopfChartResult(chart, closed, t_close, phase)
-
-
-def _multi_frequency_closure(freqs: np.ndarray):
-    """(closed, T, phase, q) for gamma with the given active frequencies.
-
-    The curve closes projectively at the smallest T with (l_i - l_j) T in
-    2 pi Z for all pairs: T = 2 pi lcm(q_k) / d_1, where d_k are the
-    frequency differences and d_k / d_1 = p_k / q_k in lowest terms.
-    """
-    lam = np.sort(np.asarray(freqs, dtype=float))
-    diffs = lam[1:] - lam[0]
-    diffs = diffs[diffs > 1e-14]
-    if len(diffs) == 0:
-        # single frequency: the base point is fixed, the fiber closes trivially
-        t = TWO_PI / max(abs(lam[0]), 1e-300)
-        return True, t, (lam[0] * t) % TWO_PI, 1
-    base = diffs[0]
-    n_mult = 1
-    for d in diffs[1:]:
-        ratio = d / base
-        frac = Fraction(ratio).limit_denominator(MAX_TWIST_DENOMINATOR)
-        if abs(ratio - frac.numerator / frac.denominator) > 1e-8:
-            return False, TWO_PI, 0.0, 1
-        n_mult = n_mult * frac.denominator // math.gcd(n_mult, frac.denominator)
-    t = TWO_PI * n_mult / base
-    phase = (lam[0] * t) % TWO_PI
-    q = _twist_denominator(phase / TWO_PI)
-    if q is None:
-        return False, t, phase, 1
-    return True, t, phase, q
+    return _homogeneous_lift(lam, a, nu, nv, "homogeneous_cp2_hopf", params, t_window)
 
 
 def solve_cp2_amplitudes(lambdas) -> np.ndarray:
@@ -409,9 +383,7 @@ def hopf_from_curvature(
         np.linalg.norm(y_end[m:2 * m] - rot * xi0),
         np.linalg.norm(y_end[2 * m:] - rot * eta0) if m >= 3 else 0.0,
     )
-    closed = defect < MONODROMY_TOL
-    q = _twist_denominator((phase / TWO_PI) % 1.0) if closed else None
-    closed = closed and q is not None
+    q = _twist_denominator((phase / TWO_PI) % 1.0) if defect < MONODROMY_TOL else None
 
     def gamma_direct(ts: np.ndarray) -> np.ndarray:
         return frame_at(np.minimum(ts, t_period))[:, :m]
@@ -431,13 +403,9 @@ def hopf_from_curvature(
         "t_period": t_period,
         "ambient_complex_dim": m,
     }
-    if closed:
-        chart = _hopf_chart(gamma_extended, q * t_period, True, nu, nv, q,
-                            "hopf_from_curvature", params, m)
-    else:
-        chart = _hopf_chart(gamma_direct, t_period, False, nu, nv, 1,
-                            "hopf_from_curvature", params, m)
-    return HopfChartResult(chart, closed, t_period, phase % TWO_PI)
+    chart = _hopf_chart(gamma_direct if q is None else gamma_extended, t_period, q,
+                        nu, nv, "hopf_from_curvature", params)
+    return HopfChartResult(chart, q is not None, t_period, phase % TWO_PI)
 
 
 def remark_energy(curve_or_c, t_close: float) -> float:

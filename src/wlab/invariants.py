@@ -58,11 +58,12 @@ class InvariantField:
 def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """Split Y_zz into Schwarzian and conformal Hopf differential.
 
+    kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored.
     The tangential components of Y_zz vanish identically for canonical
     lifts; their measured size is recorded as `tangential_defect`, and the
     closure of the decomposition itself as `decomposition_defect`.
     """
-    kappa = normal_project(frame, frame.Y_zz)
+    kappa = frame.kappa
     n_c = frame.N.astype(complex)
     s = 2.0 * cmink_inner(frame.Y_zz, n_c)
     kk = cmink_inner(kappa, kappa)

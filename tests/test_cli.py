@@ -158,6 +158,29 @@ def test_bad_surface_params_are_config_errors(tmp_path, capsys, params, message)
     assert message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides, code, message", [
+    ({"seed": True}, 2, "'seed' must be a non-negative integer"),
+    ({"seed": -1}, 2, "'seed' must be a non-negative integer"),
+    ({"transforms": [{"include_n": "abc"}]}, 2, "'include_n' must be an integer"),
+    ({"transforms": [{"include_n": 5.7}]}, 2, "'include_n' must be an integer"),
+    ({"transforms": [{"include_n": True}]}, 2, "'include_n' must be an integer"),
+    ({"transforms": [{"mobius": 5}]}, 2, "'mobius' must be an object"),
+    ({"transforms": [{"mobius": {"sed": 1}}]}, 2, "unknown key(s) ['sed']"),
+    ({"transforms": [{"mobius": {"seed": "x"}}]}, 2, "'seed' must be a non-negative integer"),
+    ({"transforms": [{"mobius": {"seed": False}}]}, 2, "'seed' must be a non-negative integer"),
+    ({"transforms": [{"mobius": {"seed": -1}}]}, 2, "'seed' must be a non-negative integer"),
+    ({"transforms": [{"mobius": {"magnitude": float("inf")}}]}, 2, "finite number"),
+    ({"transforms": [{"mobius": {"magnitude": "big"}}]}, 2, "finite number"),
+    # a well-formed target below the chart's sphere is the chart's fault
+    ({"transforms": [{"include_n": 2}]}, 3, "smaller than the chart"),
+])
+def test_bad_seed_and_transforms_exit_codes(tmp_path, capsys, overrides, code, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["analyze", cfg]) == code
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 def _nan_chart(name, nu, nv, params):
     chart = clifford(nu, nv)
     chart.points[3, 4] = np.nan

@@ -50,12 +50,29 @@ def test_all_gallery_charts_validate():
 
 # --- pinkall family ---------------------------------------------------------
 
+@pytest.mark.parametrize("c, period, cover", [
+    (0.0, np.pi, 2),
+    (1.5, 4 * np.pi / 5, 5),
+    (1 / math.sqrt(2), TWO_PI / math.sqrt(4.5), 3),  # twist 2/3
+    (1.0, TWO_PI / math.sqrt(5), None),  # golden-ratio pair: irrational twist
+])
+def test_pinkall_closure(c, period, cover):
+    res = pinkall_hopf_torus(c, 64, 32)
+    assert res.closed == (cover is not None)
+    assert res.chart.spec.periodic_u == res.closed
+    assert res.chart.cover_count == (cover or 1)
+    assert res.closing_period == pytest.approx(period, rel=1e-15)
+    assert res.chart.spec.Lu == pytest.approx((cover or 1) * period, rel=1e-15)
+    # frame monodromy: gamma(T) = e^{i phase} gamma(0)
+    p = res.chart.params
+    a = np.sqrt([p["a1_sq"], p["a2_sq"]])
+    gam_t = a * np.exp(1j * np.array([p["lambda1"], p["lambda2"]]) * res.closing_period)
+    assert np.abs(gam_t - np.exp(1j * res.lift_monodromy_phase) * a).max() < 1e-12
+
+
 def test_pinkall_at_zero_curvature_is_clifford():
     res = pinkall_hopf_torus(0.0, 64, 64)
-    assert res.closed
-    assert res.closing_period == pytest.approx(np.pi, rel=1e-15)
     assert res.lift_monodromy_phase == pytest.approx(np.pi, rel=1e-15)
-    assert res.chart.cover_count == 2
     rep = analyze(res.chart, euclidean=False)
     assert rep.passed
     assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-8)
@@ -66,29 +83,16 @@ def test_pinkall_at_zero_curvature_is_clifford():
 
 
 def test_pinkall_three_halves_closed_form():
-    res = pinkall_hopf_torus(1.5, 80, 48)
-    p = res.chart.params
+    p = pinkall_hopf_torus(1.5, 80, 48).chart.params
     assert p["lambda1"] == pytest.approx(2.0, rel=1e-15)
     assert p["lambda2"] == pytest.approx(-0.5, rel=1e-15)
     assert p["a1_sq"] == pytest.approx(0.2, rel=1e-14)
     assert p["a2_sq"] == pytest.approx(0.8, rel=1e-14)
-    assert res.closed
-    assert res.closing_period == pytest.approx(4 * np.pi / 5, rel=1e-15)
-    assert res.chart.cover_count == 5
-    # frame monodromy: gamma(T) = e^{i phase} gamma(0)
-    l1, l2 = p["lambda1"], p["lambda2"]
-    a1, a2 = math.sqrt(p["a1_sq"]), math.sqrt(p["a2_sq"])
-    t = res.closing_period
-    gam_t = np.array([a1 * np.exp(1j * l1 * t), a2 * np.exp(1j * l2 * t)])
-    gam_0 = np.array([a1, a2])
-    assert np.abs(gam_t - np.exp(1j * res.lift_monodromy_phase) * gam_0).max() < 1e-8
 
 
 def test_pinkall_irrational_twist_reports_open():
     res = pinkall_hopf_torus(1.0, 64, 32)  # lambda = golden ratio pair
     assert not res.closed
-    assert not res.chart.spec.periodic_u
-    assert res.chart.cover_count == 1
     rep = analyze(res.chart, euclidean=False)
     assert rep.entry("flat_normal").L_inf < 1e-4  # rank-1 normal bundle
 
