@@ -102,15 +102,9 @@ def _norm_field(vec: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(herm_norm_sq(vec), 0.0))
 
 
-def _willmore_vector(inv: InvariantField) -> np.ndarray:
-    """D_zbar D_zbar kappa + (conj s / 2) kappa."""
-    return normal_D(inv.frame, inv.Dzbar_kappa, bar=True) \
-        + 0.5 * np.conj(inv.s)[..., None] * inv.kappa
-
-
 def willmore_residual(inv: InvariantField) -> np.ndarray:
     """|D_zbar D_zbar kappa + (conj s / 2) kappa| pointwise."""
-    return _norm_field(_willmore_vector(inv))
+    return _norm_field(inv.willmore_vector)
 
 
 def s_willmore_residual(inv: InvariantField) -> np.ndarray:
@@ -192,7 +186,7 @@ def codazzi_gauss_residuals(inv: InvariantField) -> tuple[np.ndarray, np.ndarray
         - 3.0 * cmink_inner(inv.kappa, dz_kappa_bar)
         - cmink_inner(inv.Dz_kappa, np.conj(inv.kappa))
     )
-    w_expr = _willmore_vector(inv)
+    w_expr = inv.willmore_vector
     im_part = ((w_expr - np.conj(w_expr)) / 2j).real
     codazzi = np.sqrt(np.maximum(mink_inner(im_part, im_part), 0.0))
     return gauss, codazzi

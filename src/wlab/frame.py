@@ -251,7 +251,10 @@ def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_frame(chart: Chart, validate: bool = True) -> FrameField:
-    """Full frame pipeline: canonical lift, projector, kappa, N, normal basis."""
+    """Full frame pipeline: canonical lift, projector, kappa, N, normal basis.
+
+    Raises ChartError when no live point keeps a full normal basis.
+    """
     if validate:
         validate_chart(chart)
     frame = canonical_lift(chart)
@@ -261,6 +264,8 @@ def build_frame(chart: Chart, validate: bool = True) -> FrameField:
     psi, ok = normal_basis(frame)
     frame.psi = psi
     frame.mask = frame.mask & ok
+    if not frame.mask.any():
+        raise ChartError("normal basis is rank-deficient at every live point")
     return frame
 
 

@@ -40,6 +40,7 @@ class InvariantField:
     kk_bar: np.ndarray       # <kappa, conj kappa>, real >= 0
     Dz_kappa: np.ndarray
     Dzbar_kappa: np.ndarray
+    willmore_vector: np.ndarray  # D_zbar D_zbar kappa + (conj s / 2) kappa
     theta: np.ndarray        # unwrapped half-phase of <kappa, kappa>
     theta_mask: np.ndarray   # False where unwrapping was inconsistent
     umbilic_mask: np.ndarray  # True at (near-)umbilic points
@@ -59,6 +60,8 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """Split Y_zz into Schwarzian and conformal Hopf differential.
 
     kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored.
+    The Willmore vector D_zbar D_zbar kappa + (conj s / 2) kappa is built
+    here once for the Willmore and Codazzi residuals.
     The tangential components of Y_zz vanish identically for canonical
     lifts; their measured size is recorded as `tangential_defect`, and the
     closure of the decomposition itself as `decomposition_defect`.
@@ -79,6 +82,8 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
 
     Dz_kappa = normal_D(frame, kappa)
     Dzbar_kappa = normal_D(frame, kappa, bar=True)
+    willmore_vector = normal_D(frame, Dzbar_kappa, bar=True) \
+        + 0.5 * np.conj(s)[..., None] * kappa
 
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)
@@ -91,6 +96,7 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
         kk_bar=kk_bar,
         Dz_kappa=Dz_kappa,
         Dzbar_kappa=Dzbar_kappa,
+        willmore_vector=willmore_vector,
         theta=theta,
         theta_mask=theta_ok,
         umbilic_mask=umbilic,
@@ -146,26 +152,32 @@ def ricci_residual(
 
     The commutator D_zbar D_z - D_z D_zbar applied to a normal section
     equals F psi with F = -(i/2) P [P_u, P_v] P built from the smooth
-    projector field, which is how it is evaluated here (the point-wise
-    Gram-Schmidt psi gauge is not differentiable, the projector is).  The
-    right-hand side is 2<psi,kappa> conj kappa - 2<psi,conj kappa> kappa;
-    `kappa_rhs` substitutes a different kappa there, for controlled
-    violation fixtures.
+    projector field (the point-wise Gram-Schmidt psi gauge is not
+    differentiable, the projector is).  F is never formed: with
+    c = P psi^T, F psi = -(i/2) P (P_u (P_v c) - P_v (P_u c)) is applied
+    to the stacked normal basis by batched matrix products.  P is real, so
+    P_u and P_v are kept real and differentiated one column at a time; no
+    complex (d, d) field is allocated.  The right-hand side is
+    2<psi,kappa> conj kappa - 2<psi,conj kappa> kappa; `kappa_rhs`
+    substitutes a different kappa there, for controlled violation
+    fixtures.
     """
     p = frame.P_perp
-    pu = diff_u(p, frame.spec)
-    pv = diff_v(p, frame.spec)
-    comm = np.einsum("uvab,uvbc->uvac", pu, pv) - np.einsum(
-        "uvab,uvbc->uvac", pv, pu
-    )
-    f_op = -0.5j * np.einsum("uvab,uvbc,uvcd->uvad", p, comm, p)
+    pu = np.empty_like(p)
+    pv = np.empty_like(p)
+    for b in range(frame.dim):
+        pu[..., b] = diff_u(p[..., b], frame.spec).real
+        pv[..., b] = diff_v(p[..., b], frame.spec).real
+    c = p @ np.swapaxes(frame.psi, -1, -2)  # (nu, nv, d, n-2)
+    comm_c = p @ (pu @ (pv @ c) - pv @ (pu @ c))  # P [P_u, P_v] P psi^T
+    del pu, pv
 
     kap = inv.kappa if kappa_rhs is None else kappa_rhs
     kap_c = np.conj(kap)
     out = np.zeros(frame.mask.shape)
     for a in range(frame.psi.shape[2]):
         psi_a = frame.psi[:, :, a, :].astype(complex)
-        lhs = np.einsum("uvab,uvb->uva", f_op, psi_a)
+        lhs = -0.5j * comm_c[..., a]
         rhs = 2.0 * cmink_inner(psi_a, kap)[..., None] * kap_c \
             - 2.0 * cmink_inner(psi_a, kap_c)[..., None] * kap
         out = np.maximum(out, np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0.0)))

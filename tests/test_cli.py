@@ -216,6 +216,16 @@ def test_chart_errors_exit_3_from_every_subcommand(
     assert message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_empty_normal_basis_mask_exits_3(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("wlab.frame.PSI_RANK_TOL", 1e9)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16})
+    assert main([command, cfg] + SUBCOMMANDS[command]) == 3
+    err = capsys.readouterr().err
+    assert "normal basis" in err and err.count("\n") == 1
+
+
 def test_wrong_param_type_is_chart_error(tmp_path, capsys):
     cfg = write_config(tmp_path, surface={"name": "pinkall_hopf_torus", "params": {"c": "abc"}})
     assert main(["analyze", cfg]) == 3

@@ -178,3 +178,10 @@ def test_degenerate_metric_masked():
     ch = Chart(spec, pts, ambient_n=3, name="degenerate")
     with pytest.raises(ChartError):
         validate_chart(ch)
+
+
+def test_rank_deficient_normal_basis_everywhere_is_chart_error(monkeypatch):
+    # no candidate clears the rank threshold, so every point loses its psi
+    monkeypatch.setattr("wlab.frame.PSI_RANK_TOL", 1e9)
+    with pytest.raises(ChartError, match="normal basis"):
+        build_frame(clifford(16, 16))

@@ -1,11 +1,20 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wlab.calculus import diff_u, diff_v
 from wlab.diagnostics import analyze
 from wlab.frame import Chart, build_frame
-from wlab.gallery import clifford, pinkall_hopf_torus, round_sphere, veronese
+from wlab.gallery import (
+    build_surface,
+    clifford,
+    include_in_higher_sphere,
+    pinkall_hopf_torus,
+    round_sphere,
+    veronese,
+)
 from wlab.invariants import (
     hopf_schwarzian,
     normal_D,
@@ -87,10 +96,56 @@ def test_ricci_residual_veronese(veronese_inv):
     assert ricci_residual(frame, inv)[frame.mask].max() < 1e-4
 
 
-def test_ricci_controlled_violation(veronese_inv):
+def _cp2_chart(nu, nv):
+    return build_surface("homogeneous_cp2_hopf", nu, nv, {"lambdas": [-1.0, 0.5, 2.0]})
+
+
+def _frame_inv(chart):
+    frame = build_frame(chart)
+    return frame, hopf_schwarzian(frame)
+
+
+def dense_ricci_residual(frame, inv, kappa_rhs=None):
+    """Reference: the dense operator F = -(i/2) P [P_u, P_v] P applied to psi."""
+    p = frame.P_perp
+    pu = diff_u(p, frame.spec)
+    pv = diff_v(p, frame.spec)
+    comm = np.einsum("uvab,uvbc->uvac", pu, pv) - np.einsum("uvab,uvbc->uvac", pv, pu)
+    f_op = -0.5j * np.einsum("uvab,uvbc,uvcd->uvad", p, comm, p)
+    kap = inv.kappa if kappa_rhs is None else kappa_rhs
+    kap_c = np.conj(kap)
+    out = np.zeros(frame.mask.shape)
+    for a in range(frame.psi.shape[2]):
+        psi_a = frame.psi[:, :, a, :].astype(complex)
+        lhs = np.einsum("uvab,uvb->uva", f_op, psi_a)
+        rhs = 2 * cmink_inner(psi_a, kap)[..., None] * kap_c \
+            - 2 * cmink_inner(psi_a, kap_c)[..., None] * kap
+        out = np.maximum(out, np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0)))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: include_in_higher_sphere(clifford(64, 64), 7),
+    lambda: _cp2_chart(96, 48),
+    lambda: veronese(96, 48),
+], ids=["clifford_s7", "cp2_torus", "veronese"])
+def test_ricci_matches_dense_operator(build):
+    frame, inv = _frame_inv(build())
+    for kappa_rhs in (None, 2.0 * inv.kappa):
+        ref = dense_ricci_residual(frame, inv, kappa_rhs)
+        assert np.abs(ricci_residual(frame, inv, kappa_rhs) - ref).max() < 1e-12
+
+
+def test_ricci_without_normal_directions_is_zero():
+    frame, inv = _frame_inv(round_sphere(32, 16, ambient_n=2))
+    assert frame.psi.shape[2] == 0
+    res = ricci_residual(frame, inv)
+    assert res.shape == frame.mask.shape and not res.any()
+
+
+def _assert_controlled_violation(frame, inv, rel, tol):
     # RHS is quadratic in kappa: replacing kappa by 2 kappa on the RHS only
     # makes the commutator defect 3 |RHS(kappa)|
-    frame, inv = veronese_inv
     broken = ricci_residual(frame, inv, kappa_rhs=2.0 * inv.kappa)
     rhs_norm = np.zeros(frame.mask.shape)
     kap, kap_c = inv.kappa, np.conj(inv.kappa)
@@ -101,7 +156,31 @@ def test_ricci_controlled_violation(veronese_inv):
         rhs_norm = np.maximum(rhs_norm, np.sqrt(np.maximum(herm_norm_sq(rhs), 0)))
     m = frame.mask
     assert rhs_norm[m].max() > 1e-3
-    assert np.abs(broken - 3.0 * rhs_norm)[m].max() < 1e-2 * rhs_norm[m].max() + 1e-4
+    assert np.abs(broken - 3.0 * rhs_norm)[m].max() < rel * rhs_norm[m].max() + tol
+
+
+def test_ricci_controlled_violation(veronese_inv):
+    _assert_controlled_violation(*veronese_inv, rel=1e-2, tol=1e-4)
+
+
+def test_ricci_controlled_violation_spectral_s7():
+    # Clifford in S^7 has a flat normal bundle, so RHS = 0 and 2 kappa would
+    # violate nothing; the CP^2 torus in S^7 is spectral and non-flat
+    frame, inv = _frame_inv(include_in_higher_sphere(_cp2_chart(64, 32), 7))
+    _assert_controlled_violation(frame, inv, rel=0.0, tol=1e-10)
+
+
+def test_ricci_peak_memory_stays_near_projector_size():
+    # the real P_u, P_v and the (d, n-2) products peak near 4.2x P_perp; one
+    # complex (nu, nv, d, d) temporary more costs 2x, so the bound catches it
+    frame, inv = _frame_inv(include_in_higher_sphere(clifford(128, 128), 7))
+    tracemalloc.start()
+    try:
+        ricci_residual(frame, inv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * frame.P_perp.nbytes
 
 
 def test_willmore_energy_clifford(clifford_inv):
