@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_z, diff_zbar
+from .calculus import GridSpec, diff_u, diff_v, diff_z, diff_zbar
 from .lorentz import mink_inner, cmink_inner, herm_norm_sq, signature
 
 UNIT_TOL = 1e-12
@@ -114,9 +114,9 @@ class FrameField:
 
     `P_perp` is the (d, d) field projecting R^{n+2}_1 (and its
     complexification) onto V^perp along V.  `psi` holds n-2 orthonormal
-    spacelike vectors spanning V^perp; the point-wise Gram-Schmidt gauge
-    carries no smoothness across grid points, so all derived diagnostics
-    are built from gauge-invariant pairings instead of psi components.
+    spacelike vectors spanning V^perp, pivoted point by point in
+    `normal_basis`; that gauge is not smooth, so diagnostics use only
+    pairings and basis sums that do not depend on it, never psi components.
     """
 
     chart: Chart
@@ -184,24 +184,45 @@ def canonical_lift(chart: Chart, prescale: Optional[np.ndarray] = None) -> Frame
     )
 
 
-def _v_basis(frame: FrameField) -> np.ndarray:
-    """Real basis of V: (nu, nv, 4, d) = [Y, Re Y_z, Im Y_z, Y_zzbar]."""
-    return np.stack(
-        [frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2
-    )
+def _v_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
+    """Real basis B of V, (nu, nv, 4, d) = [Y, Re Y_z, Im Y_z, Y_zzbar], and
+    the inverse of its 4x4 Minkowski Gram matrix G."""
+    b = np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2)
+    return b, np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, signature(frame.dim)))
 
 
 def perp_projector(frame: FrameField) -> np.ndarray:
     """(d, d) field projecting onto V^perp along V, via the Gram solve."""
-    b = _v_basis(frame)
+    b, ginv = _v_basis(frame)
     q = signature(frame.dim)
-    gram = np.einsum("uvik,uvjk,k->uvij", b, b, q)
-    ginv = np.linalg.inv(gram)
     proj_v = np.einsum("uvia,uvij,uvjb,b->uvab", b, ginv, b, q)
     p = -proj_v
     idx = np.arange(frame.dim)
     p[..., idx, idx] += 1.0
     return p
+
+
+def normal_commutator(frame: FrameField) -> np.ndarray:
+    """P [P_u, P_v] P applied to each normal basis vector: (nu, nv, n-2, d).
+
+    With B the rows [Y, Re Y_z, Im Y_z, Y_zzbar] spanning V and G their
+    Gram matrix, P = 1 - B^T G^-1 B Q.  As P P_u P = 0 (Kato, Perturbation
+    Theory for Linear Operators, ch. II), P_v takes psi in V^perp into V,
+    to -B^T G^-1 B_v Q psi, and P P_u acts on V through B_u alone:
+    P P_u P_v psi = P B_u^T G^-1 B_v Q psi.  B_u and B_v are Y_z, Y_zz
+    and Y_zzbar recombined, except the derivatives of Y_zzbar, so two axis
+    derivatives replace differentiating the (d, d) projector.
+    """
+    yz, yzz, yzzbar = frame.Y_z, frame.Y_zz, frame.Y_zzbar
+    b_u = np.stack([2.0 * yz.real, yzz.real + yzzbar, yzz.imag,
+                    diff_u(yzzbar, frame.spec).real], axis=-1)  # B_u^T
+    b_v = np.stack([-2.0 * yz.imag, -yzz.imag, yzz.real - yzzbar,
+                    diff_v(yzzbar, frame.spec).real], axis=-1)  # B_v^T
+    ginv = _v_basis(frame)[1]
+    psi_q = np.swapaxes(frame.psi * signature(frame.dim), -1, -2)  # Q psi^T
+    g_u = ginv @ (np.swapaxes(b_u, -1, -2) @ psi_q)  # G^-1 B_u Q psi^T
+    g_v = ginv @ (np.swapaxes(b_v, -1, -2) @ psi_q)
+    return np.swapaxes(frame.P_perp @ (b_u @ g_v - b_v @ g_u), -1, -2)
 
 
 def normal_project(frame: FrameField, field_vec: np.ndarray) -> np.ndarray:
@@ -220,33 +241,30 @@ def frame_N(frame: FrameField, kappa_norm: np.ndarray) -> np.ndarray:
 
 
 def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal spacelike basis of V^perp by pivoted deflation.
+    """Orthonormal spacelike basis of V^perp by pivoted Gram-Schmidt.
 
-    Candidates are the V^perp projections of the ambient standard basis
-    (the columns of P_perp); at each step the largest-norm remaining
-    candidate is normalized and deflated from the rest.  Returns
-    (psi, ok_mask); points where fewer than n-2 independent directions
-    survive are flagged in ok_mask.
+    The candidates are the columns P e_j of P_perp.  P is self-adjoint for
+    the Minkowski pairing, so candidate j, deflated by the picks psi_m so
+    far, is P e_j - sum_m q_j psi_mj psi_m with squared norm q_j P_jj -
+    sum_m psi_mj^2; only the largest is formed and normalized.  Returns
+    (psi, ok_mask); ok_mask is False where fewer than n-2 candidates clear
+    PSI_RANK_TOL.
     """
-    nu, nv, d, _ = frame.P_perp.shape
-    n_normal = d - 4
+    p = frame.P_perp
+    nu, nv, d, _ = p.shape
     q = signature(d)
-    cand = np.moveaxis(frame.P_perp, -1, 2).copy()  # (nu, nv, d, d): candidates along axis 2
-    alive = np.ones((nu, nv, d), dtype=bool)
-    psi = np.zeros((nu, nv, n_normal, d))
+    sq = q * np.diagonal(p, axis1=-2, axis2=-1)
+    psi = np.zeros((nu, nv, d - 4, d))
     ok = np.ones((nu, nv), dtype=bool)
-    for k in range(n_normal):
-        sq = np.einsum("uvjk,uvjk,k->uvj", cand, cand, q)
-        sq = np.where(alive, sq, -np.inf)
-        j = np.argmax(sq, axis=-1)
-        best = np.take_along_axis(sq, j[..., None], axis=-1)[..., 0]
+    for k in range(d - 4):
+        j = np.argmax(sq, axis=-1)[..., None]
+        best = np.take_along_axis(sq, j, axis=-1)[..., 0]
         ok &= best > PSI_RANK_TOL
-        vec = np.take_along_axis(cand, j[..., None, None], axis=2)[:, :, 0, :]
-        vec = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[..., None]
-        psi[:, :, k, :] = vec
-        np.put_along_axis(alive, j[..., None], False, axis=-1)
-        coef = np.einsum("uvjk,uvk,k->uvj", cand, vec, q)
-        cand -= coef[..., None] * vec[:, :, None, :]
+        psi_j = np.take_along_axis(psi[:, :, :k], j[..., None], axis=-1)[..., 0]
+        vec = np.take_along_axis(p, j[..., None], axis=-1)[..., 0] \
+            - q[j] * np.einsum("uvm,uvmk->uvk", psi_j, psi[:, :, :k])
+        psi[:, :, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[..., None]
+        sq -= psi[:, :, k] ** 2
     return psi, ok
 
 

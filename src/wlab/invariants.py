@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_z, diff_zbar, diff_u, diff_v, integrate
-from .frame import Chart, FrameField, normal_project
-from .lorentz import cmink_inner, herm_norm_sq
+from .frame import Chart, FrameField, normal_commutator, normal_project
+from .lorentz import cmink_inner, herm_norm_sq, mink_inner
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
@@ -148,40 +148,21 @@ def unwrap_half_phase(kk: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.nd
 def ricci_residual(
     frame: FrameField, inv: InvariantField, kappa_rhs: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Pointwise max over the normal basis of |R^D psi - curvature terms|.
+    """Pointwise root-sum-square over the normal basis of |F psi - RHS|.
 
-    The commutator D_zbar D_z - D_z D_zbar applied to a normal section
-    equals F psi with F = -(i/2) P [P_u, P_v] P built from the smooth
-    projector field (the point-wise Gram-Schmidt psi gauge is not
-    differentiable, the projector is).  F is never formed: with
-    c = P psi^T, F psi = -(i/2) P (P_u (P_v c) - P_v (P_u c)) is applied
-    to the stacked normal basis by batched matrix products.  P is real, so
-    P_u and P_v are kept real and differentiated one column at a time; no
-    complex (d, d) field is allocated.  The right-hand side is
-    2<psi,kappa> conj kappa - 2<psi,conj kappa> kappa; `kappa_rhs`
+    F = -(i/2) P [P_u, P_v] P is the commutator D_zbar D_z - D_z D_zbar on
+    normal sections, built from the smooth projector field (the point-wise
+    psi gauge is not differentiable); `frame.normal_commutator` applies
+    P [P_u, P_v] P to psi.  RHS = 2<psi,kappa> conj kappa - 2<psi,conj
+    kappa> kappa = 4i Im(<psi,kappa> conj kappa) for real psi; `kappa_rhs`
     substitutes a different kappa there, for controlled violation
-    fixtures.
+    fixtures.  F psi - RHS is linear in psi, so the root-sum-square over
+    the orthonormal basis does not depend on its gauge.
     """
-    p = frame.P_perp
-    pu = np.empty_like(p)
-    pv = np.empty_like(p)
-    for b in range(frame.dim):
-        pu[..., b] = diff_u(p[..., b], frame.spec).real
-        pv[..., b] = diff_v(p[..., b], frame.spec).real
-    c = p @ np.swapaxes(frame.psi, -1, -2)  # (nu, nv, d, n-2)
-    comm_c = p @ (pu @ (pv @ c) - pv @ (pu @ c))  # P [P_u, P_v] P psi^T
-    del pu, pv
-
-    kap = inv.kappa if kappa_rhs is None else kappa_rhs
-    kap_c = np.conj(kap)
-    out = np.zeros(frame.mask.shape)
-    for a in range(frame.psi.shape[2]):
-        psi_a = frame.psi[:, :, a, :].astype(complex)
-        lhs = -0.5j * comm_c[..., a]
-        rhs = 2.0 * cmink_inner(psi_a, kap)[..., None] * kap_c \
-            - 2.0 * cmink_inner(psi_a, kap_c)[..., None] * kap
-        out = np.maximum(out, np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0.0)))
-    return out
+    kap = (inv.kappa if kappa_rhs is None else kappa_rhs)[:, :, None, :]
+    defect = 0.5 * normal_commutator(frame)  # i (F psi - RHS), real
+    defect += 4.0 * (cmink_inner(frame.psi, kap)[..., None] * np.conj(kap)).imag
+    return np.sqrt(np.maximum(mink_inner(defect, defect).sum(axis=-1), 0.0))
 
 
 def willmore_energy_conformal(inv: InvariantField) -> float:
@@ -207,9 +188,10 @@ def select_projection_pole(chart: Chart) -> np.ndarray:
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     axes = np.concatenate([np.eye(pts.shape[1]), -np.eye(pts.shape[1])])
     cand = np.concatenate([axes, cand])
-    # |p - x|^2 = 2 - 2 p.x  on the unit sphere
-    dots = cand @ pts.T
-    min_d = np.sqrt(np.maximum(2.0 - 2.0 * dots.max(axis=1), 0.0))
+    # |p - x|^2 = 2 - 2 p.x on the unit sphere; no (cand, pts) matrix is formed
+    max_dot = np.max([(cand @ pts[i:i + 4096].T).max(axis=1)
+                      for i in range(0, len(pts), 4096)], axis=0)
+    min_d = np.sqrt(np.maximum(2.0 - 2.0 * max_dot, 0.0))
     best = int(np.argmax(min_d))
     if min_d[best] < POLE_MIN_DISTANCE:
         raise ValueError(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wlab.calculus import GridSpec
+import wlab.calculus as calculus
 import wlab.diagnostics as diagnostics
 from wlab.diagnostics import (
     RESIDUALS,
@@ -29,6 +30,7 @@ from wlab.gallery import (
     apply_mobius,
     clifford,
     homogeneous_cp2_hopf,
+    include_in_higher_sphere,
     round_sphere,
     solve_cp2_amplitudes,
     veronese,
@@ -327,6 +329,21 @@ def test_field_norms_empty_mask():
     spec = GridSpec(8, 8, 1.0, 1.0, True, True)
     linf, l2, frac = field_norms(np.ones((8, 8)), spec, np.zeros((8, 8), bool))
     assert math.isnan(linf) and math.isnan(l2) and frac == 1.0
+
+
+def test_axis_derivative_count_does_not_depend_on_codimension(monkeypatch):
+    diff_axis = calculus._diff_axis
+    counts = []
+
+    def counted(*args):
+        counts[-1] += 1
+        return diff_axis(*args)
+
+    monkeypatch.setattr(calculus, "_diff_axis", counted)
+    for n in (3, 7, 10):
+        counts.append(0)
+        analyze(include_in_higher_sphere(clifford(128, 128), n))
+    assert len(set(counts)) == 1, counts
 
 
 def test_nan_at_live_point_fails(clifford_data, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from wlab.frame import (
     canonical_lift,
     frame_residuals,
     light_cone_lift,
+    normal_basis,
     validate_chart,
 )
-from wlab.gallery import clifford, round_sphere, veronese
+from wlab.gallery import clifford, include_in_higher_sphere, round_sphere, veronese
 from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import cmink_inner, mink_inner, signature
 
@@ -136,6 +139,18 @@ def test_normal_basis_veronese_orthogonal_to_frame():
     res = frame_residuals(fr)
     assert res["psi_gram-id"] < 1e-10
     assert res["<psi.Y>"] < 1e-8 and res["<psi.Y_z>"] < 1e-8
+
+
+def test_normal_basis_peak_memory_stays_near_projector_size():
+    # psi alone is (n-2)/d of P_perp; a copy of the (d, d) candidates is 1x more
+    frame = build_frame(include_in_higher_sphere(clifford(128, 128), 7))
+    tracemalloc.start()
+    try:
+        normal_basis(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * frame.P_perp.nbytes
 
 
 def full_frame_gram_det(frame):
