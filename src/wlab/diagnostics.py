@@ -10,7 +10,7 @@ flat_normal               <kappa, conj kappa> - |<kappa, kappa>|
 isothermic                |theta_z zbar| for the half-phase theta of <kappa,kappa>
 gauss                     s_zbar/2 - 3<kappa, D_z conj kappa> - <D_z kappa, conj kappa>
 codazzi                   norm of Im(D_zbar D_zbar kappa + (conj s/2) kappa)
-ricci                     root-sum-square over psi of |F psi - RHS(kappa)|
+ricci                     |(D_zbar D_z - D_z D_zbar) kappa - RHS(kappa)|
 omega_abs                 |Omega|, Omega = <D_zbar k, k>^2 - <D_zbar k, D_zbar k><k,k>
 omega_holomorphy          |d_zbar Omega|
 ========================  ====================================================

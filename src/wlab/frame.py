@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_u, diff_v, diff_z, diff_zbar
+from .calculus import GridSpec, diff_z, diff_zbar
 from .lorentz import mink_inner, cmink_inner, herm_norm_sq, signature
 
 UNIT_TOL = 1e-12
@@ -116,7 +116,7 @@ class FrameField:
     complexification) onto V^perp along V.  `psi` holds n-2 orthonormal
     spacelike vectors spanning V^perp, pivoted point by point in
     `normal_basis`; that gauge is not smooth, so diagnostics use only
-    pairings and basis sums that do not depend on it, never psi components.
+    pairings that do not depend on it, never psi components.
     """
 
     chart: Chart
@@ -184,45 +184,24 @@ def canonical_lift(chart: Chart, prescale: Optional[np.ndarray] = None) -> Frame
     )
 
 
-def _v_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
-    """Real basis B of V, (nu, nv, 4, d) = [Y, Re Y_z, Im Y_z, Y_zzbar], and
-    the inverse of its 4x4 Minkowski Gram matrix G."""
-    b = np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2)
-    return b, np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, signature(frame.dim)))
+def _v_basis(frame: FrameField) -> np.ndarray:
+    """Real basis of V: (nu, nv, 4, d) = [Y, Re Y_z, Im Y_z, Y_zzbar]."""
+    return np.stack(
+        [frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2
+    )
 
 
 def perp_projector(frame: FrameField) -> np.ndarray:
     """(d, d) field projecting onto V^perp along V, via the Gram solve."""
-    b, ginv = _v_basis(frame)
+    b = _v_basis(frame)
     q = signature(frame.dim)
+    gram = np.einsum("uvik,uvjk,k->uvij", b, b, q)
+    ginv = np.linalg.inv(gram)
     proj_v = np.einsum("uvia,uvij,uvjb,b->uvab", b, ginv, b, q)
     p = -proj_v
     idx = np.arange(frame.dim)
     p[..., idx, idx] += 1.0
     return p
-
-
-def normal_commutator(frame: FrameField) -> np.ndarray:
-    """P [P_u, P_v] P applied to each normal basis vector: (nu, nv, n-2, d).
-
-    With B the rows [Y, Re Y_z, Im Y_z, Y_zzbar] spanning V and G their
-    Gram matrix, P = 1 - B^T G^-1 B Q.  As P P_u P = 0 (Kato, Perturbation
-    Theory for Linear Operators, ch. II), P_v takes psi in V^perp into V,
-    to -B^T G^-1 B_v Q psi, and P P_u acts on V through B_u alone:
-    P P_u P_v psi = P B_u^T G^-1 B_v Q psi.  B_u and B_v are Y_z, Y_zz
-    and Y_zzbar recombined, except the derivatives of Y_zzbar, so two axis
-    derivatives replace differentiating the (d, d) projector.
-    """
-    yz, yzz, yzzbar = frame.Y_z, frame.Y_zz, frame.Y_zzbar
-    b_u = np.stack([2.0 * yz.real, yzz.real + yzzbar, yzz.imag,
-                    diff_u(yzzbar, frame.spec).real], axis=-1)  # B_u^T
-    b_v = np.stack([-2.0 * yz.imag, -yzz.imag, yzz.real - yzzbar,
-                    diff_v(yzzbar, frame.spec).real], axis=-1)  # B_v^T
-    ginv = _v_basis(frame)[1]
-    psi_q = np.swapaxes(frame.psi * signature(frame.dim), -1, -2)  # Q psi^T
-    g_u = ginv @ (np.swapaxes(b_u, -1, -2) @ psi_q)  # G^-1 B_u Q psi^T
-    g_v = ginv @ (np.swapaxes(b_v, -1, -2) @ psi_q)
-    return np.swapaxes(frame.P_perp @ (b_u @ g_v - b_v @ g_u), -1, -2)
 
 
 def normal_project(frame: FrameField, field_vec: np.ndarray) -> np.ndarray:

@@ -21,12 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_z, diff_zbar, diff_u, diff_v, integrate
-from .frame import Chart, FrameField, normal_commutator, normal_project
-from .lorentz import cmink_inner, herm_norm_sq, mink_inner
+from .frame import Chart, FrameField, normal_project
+from .lorentz import cmink_inner, herm_norm_sq
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
 POLE_MIN_DISTANCE = 0.1
+# chart points per block in the pole search: its (candidates, points)
+# matrix of dot products is formed one block at a time
+POLE_SEARCH_BLOCK = 4096
 
 
 @dataclass
@@ -148,21 +151,26 @@ def unwrap_half_phase(kk: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.nd
 def ricci_residual(
     frame: FrameField, inv: InvariantField, kappa_rhs: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Pointwise root-sum-square over the normal basis of |F psi - RHS|.
+    """Pointwise |R^D kappa - RHS|: the Ricci equation applied to kappa.
 
-    F = -(i/2) P [P_u, P_v] P is the commutator D_zbar D_z - D_z D_zbar on
-    normal sections, built from the smooth projector field (the point-wise
-    psi gauge is not differentiable); `frame.normal_commutator` applies
-    P [P_u, P_v] P to psi.  RHS = 2<psi,kappa> conj kappa - 2<psi,conj
-    kappa> kappa = 4i Im(<psi,kappa> conj kappa) for real psi; `kappa_rhs`
-    substitutes a different kappa there, for controlled violation
-    fixtures.  F psi - RHS is linear in psi, so the root-sum-square over
-    the orthonormal basis does not depend on its gauge.
+    R^D = D_zbar D_z - D_z D_zbar is the curvature of the normal connection
+    D = P_perp d on V^perp_C.  It is taken by differentiating the smooth
+    normal sections D_z kappa and D_zbar kappa once more, so the check
+    costs four axis derivatives in any codimension and reads neither the
+    point-wise psi gauge nor a derivative of P_perp.  The Ricci equation
+    gives R^D v = 2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for
+    v = kappa this vanishes exactly where the normal bundle is flat.
+    `kappa_rhs` substitutes a different kappa on the right-hand side (v
+    stays kappa), for controlled violation fixtures.
     """
-    kap = (inv.kappa if kappa_rhs is None else kappa_rhs)[:, :, None, :]
-    defect = 0.5 * normal_commutator(frame)  # i (F psi - RHS), real
-    defect += 4.0 * (cmink_inner(frame.psi, kap)[..., None] * np.conj(kap)).imag
-    return np.sqrt(np.maximum(mink_inner(defect, defect).sum(axis=-1), 0.0))
+    if frame.dim == 4:  # V^perp = 0: kappa is projector roundoff, not a section
+        return np.zeros(frame.mask.shape)
+    kap = inv.kappa if kappa_rhs is None else kappa_rhs
+    kap_c = np.conj(kap)
+    defect = normal_D(frame, inv.Dz_kappa, bar=True) - normal_D(frame, inv.Dzbar_kappa)
+    defect -= 2.0 * cmink_inner(inv.kappa, kap)[..., None] * kap_c \
+        - 2.0 * cmink_inner(inv.kappa, kap_c)[..., None] * kap
+    return np.sqrt(np.maximum(herm_norm_sq(defect), 0.0))
 
 
 def willmore_energy_conformal(inv: InvariantField) -> float:
@@ -188,9 +196,9 @@ def select_projection_pole(chart: Chart) -> np.ndarray:
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     axes = np.concatenate([np.eye(pts.shape[1]), -np.eye(pts.shape[1])])
     cand = np.concatenate([axes, cand])
-    # |p - x|^2 = 2 - 2 p.x on the unit sphere; no (cand, pts) matrix is formed
-    max_dot = np.max([(cand @ pts[i:i + 4096].T).max(axis=1)
-                      for i in range(0, len(pts), 4096)], axis=0)
+    # |p - x|^2 = 2 - 2 p.x  on the unit sphere
+    max_dot = np.max([(cand @ pts[i:i + POLE_SEARCH_BLOCK].T).max(axis=1)
+                      for i in range(0, len(pts), POLE_SEARCH_BLOCK)], axis=0)
     min_d = np.sqrt(np.maximum(2.0 - 2.0 * max_dot, 0.0))
     best = int(np.argmax(min_d))
     if min_d[best] < POLE_MIN_DISTANCE:
