@@ -126,27 +126,6 @@ def flat_normal_residual(inv: InvariantField) -> np.ndarray:
     return inv.kk_bar - np.abs(inv.kk)
 
 
-def flat_normal_scalar(kappa: np.ndarray) -> np.ndarray:
-    """Same criterion on bare complex vectors with the Euclidean pairing
-    (synthetic normal-bundle fixtures)."""
-    kk_bar = np.einsum("...k,...k->...", kappa, np.conj(kappa)).real
-    kk = np.einsum("...k,...k->...", kappa, kappa)
-    return kk_bar - np.abs(kk)
-
-
-def ricci_rhs_max(kappa: np.ndarray) -> np.ndarray:
-    """max over basis vectors e_a of |2<e_a,k> conj k - 2<e_a, conj k> k|,
-    Euclidean pairing; the brute-force flatness criterion from the normal
-    curvature."""
-    kap = np.asarray(kappa)
-    out = np.zeros(kap.shape[:-1])
-    for a in range(kap.shape[-1]):
-        rhs = 2.0 * kap[..., a, None] * np.conj(kap) - 2.0 * np.conj(kap)[..., a, None] * kap
-        nrm = np.sqrt(np.einsum("...k,...k->...", rhs, np.conj(rhs)).real)
-        out = np.maximum(out, nrm)
-    return out
-
-
 def phase_laplacian_residual(theta: np.ndarray, spec: GridSpec) -> np.ndarray:
     """|d_z d_zbar theta| = |(theta_uu + theta_vv)| / 4."""
     return np.abs(diff_zbar(diff_z(theta, spec), spec))
@@ -205,11 +184,11 @@ def reduction_span_check(frame: FrameField, inv: InvariantField) -> tuple[int, i
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
     lift_rank = span_rank(frame.Y[m])
     ddk = normal_D(frame, inv.Dz_kappa, bar=True)
-    jets = []
-    for f in (inv.kappa, inv.Dz_kappa, ddk):
-        jets.append(f[m].real)
-        jets.append(f[m].imag)
-    kappa_jet_rank = span_rank(np.concatenate(jets, axis=0))
+    jets = np.empty((3, 2, int(m.sum()), frame.dim))  # span_rank stacks the rows
+    for jet, f in zip(jets, (inv.kappa, inv.Dz_kappa, ddk)):
+        part = f[m]
+        jet[0], jet[1] = part.real, part.imag
+    kappa_jet_rank = span_rank(jets)
     return lift_rank, kappa_jet_rank
 
 
@@ -358,6 +337,8 @@ def analyze(
 ) -> DiagnosticsReport:
     """Full pipeline: frame -> invariants -> residuals -> report."""
     validate_chart(chart)
+    # reads only the chart: its transients peak before the frame's fields exist
+    w_euc = willmore_energy_euclidean(chart) if euclidean else None
     frame = build_frame(chart, validate=False)
     inv = hopf_schwarzian(frame)
     tol = default_tolerances(chart, tolerances)
@@ -403,7 +384,7 @@ def analyze(
         "domain_truncated": not spec.fully_periodic,
     }
     if euclidean:
-        energies["W_euclidean"] = willmore_energy_euclidean(chart)
+        energies["W_euclidean"] = w_euc
 
     lift_rank, jet_rank = reduction_span_check(frame, inv)
     ranks = {"lift_rank": lift_rank, "kappa_jet_rank": jet_rank}

@@ -13,9 +13,12 @@ bundle.  The frame vector N in V is pinned by
     <N, Y_z> = <N, Y_zbar> = <N, N> = 0,   <N, Y> = -1,
 
 and is computed as N = 2 Y_zzbar + 2 <kappa, conj kappa> Y once the normal
-part of Y_zz is known.  The projector onto V^perp is solved from the 4x4
-Gram system of the V basis, which stays invertible at umbilic points
-because <Y, Y_zzbar> = -1/2.
+part of Y_zz is known.  With b_i the four basis vectors above, g^{ij} the
+inverse of their Gram matrix and Q = diag(-1, 1, ..., 1), the projector
+onto V^perp along V is P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram
+matrix stays invertible at umbilic points because <Y, Y_zzbar> = -1/2.
+P is built from these 16 rank-one terms and only ever applied to
+vectors, never differentiated.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ CONFORMAL_TOL_SPECTRAL = 1e-8
 CONFORMAL_TOL_FD = 1e-3
 DEGENERATE_METRIC_TOL = 1e-14
 PSI_RANK_TOL = 1e-8
+PROJECTOR_BLOCK = 512  # grid points per block of `perp_projector`'s sums
 
 
 class ChartError(ValueError):
@@ -73,17 +77,9 @@ class Chart:
         return self.ambient_n + 2
 
 
-def conformality_ratio(chart: Chart) -> np.ndarray:
-    """Pointwise |<x_z, x_z>| / <x_z, conj x_z> (Euclidean bilinear pairing)."""
-    xz = diff_z(chart.points, chart.spec)
-    num = np.abs(np.einsum("uvk,uvk->uv", xz, xz))
-    den = np.einsum("uvk,uvk->uv", xz, np.conj(xz)).real
-    return num / np.maximum(den, 1e-300)
-
-
 def validate_chart(chart: Chart) -> dict:
-    """Check finiteness, unit norm and conformality; raise ChartError on
-    violation.
+    """Check finiteness, unit norm, a non-degenerate metric and
+    conformality; raise ChartError on violation.
 
     Returns the measured statistics.  The conformality tolerance is
     CONFORMAL_TOL_SPECTRAL on fully periodic (spectral) charts and
@@ -99,7 +95,11 @@ def validate_chart(chart: Chart) -> dict:
     conformal_tol = (
         CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD
     )
-    ratio = conformality_ratio(chart)
+    xz = diff_z(chart.points, chart.spec)
+    den = np.einsum("uvk,uvk->uv", xz, np.conj(xz)).real
+    if not (chart.mask & (den > DEGENERATE_METRIC_TOL)).any():
+        raise ChartError("chart metric is degenerate everywhere")
+    ratio = np.abs(np.einsum("uvk,uvk->uv", xz, xz)) / np.maximum(den, 1e-300)
     worst = float(ratio[chart.mask].max())
     if worst > conformal_tol:
         raise ChartError(
@@ -113,10 +113,11 @@ class FrameField:
     """Canonical lift, its derivatives, kappa, N, and an orthonormal V^perp basis.
 
     `P_perp` is the (d, d) field projecting R^{n+2}_1 (and its
-    complexification) onto V^perp along V.  `psi` holds n-2 orthonormal
-    spacelike vectors spanning V^perp, pivoted point by point in
-    `normal_basis`; that gauge is not smooth, so diagnostics use only
-    pairings that do not depend on it, never psi components.
+    complexification) onto V^perp along V; it is applied to vectors, never
+    differentiated.  `psi` holds n-2 orthonormal spacelike vectors
+    spanning V^perp, pivoted point by point in `normal_basis`; that gauge
+    is not smooth, so diagnostics use only pairings that do not depend on
+    it, never psi components.
     """
 
     chart: Chart
@@ -192,16 +193,31 @@ def _v_basis(frame: FrameField) -> np.ndarray:
 
 
 def perp_projector(frame: FrameField) -> np.ndarray:
-    """(d, d) field projecting onto V^perp along V, via the Gram solve."""
+    """(d, d) field projecting onto V^perp along V, via the Gram solve.
+
+    The rank-one terms are summed per PROJECTOR_BLOCK of points, over (i, j)
+    in row-major order into a zeroed block: the order and rounding of the
+    einsum "uvia,uvij,uvjb,b->uvab", so the result is bit-identical to it.
+    """
     b = _v_basis(frame)
     q = signature(frame.dim)
-    gram = np.einsum("uvik,uvjk,k->uvij", b, b, q)
-    ginv = np.linalg.inv(gram)
-    proj_v = np.einsum("uvia,uvij,uvjb,b->uvab", b, ginv, b, q)
-    p = -proj_v
-    idx = np.arange(frame.dim)
-    p[..., idx, idx] += 1.0
-    return p
+    ginv = np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, q)).reshape(-1, 4, 4)
+    nu, nv, _, d = b.shape
+    b = b.reshape(-1, 4, d)
+    p = np.empty((nu * nv, d, d))
+    idx = np.arange(d)
+    for start in range(0, nu * nv, PROJECTOR_BLOCK):
+        rows = slice(start, start + PROJECTOR_BLOCK)
+        blk = p[rows]
+        bg = b[rows, :, None, :] * ginv[rows, :, :, None]  # b_ia g^ij: (m, i, j, a)
+        bq = b[rows] * q  # Q b_j; the signs +-1 are exact
+        blk[...] = 0.0
+        for i in range(4):
+            for j in range(4):
+                blk += bg[:, i, j, :, None] * bq[:, j, None, :]
+        np.negative(blk, out=blk)
+        blk[:, idx, idx] += 1.0
+    return p.reshape(nu, nv, d, d)
 
 
 def normal_project(frame: FrameField, field_vec: np.ndarray) -> np.ndarray:

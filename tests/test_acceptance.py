@@ -15,10 +15,8 @@ import pytest
 from wlab.diagnostics import (
     analyze,
     convergence_L_inf,
-    flat_normal_scalar,
     reduction_span_check,
     remark62_residual,
-    ricci_rhs_max,
     six_form_scalar,
 )
 from wlab.calculus import GridSpec
@@ -36,6 +34,8 @@ from wlab.gallery import (
 )
 from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import random_mobius
+
+from flatness_oracles import flat_normal_scalar, ricci_rhs_max
 
 TWO_PI = 2 * np.pi
 RESIDUAL_NAMES = [

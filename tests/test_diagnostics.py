@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,17 +16,15 @@ from wlab.diagnostics import (
     default_tolerances,
     field_norms,
     flat_normal_residual,
-    flat_normal_scalar,
     phase_laplacian_residual,
     reduction_span_check,
     remark62_residual,
-    ricci_rhs_max,
     s_willmore_residual,
     six_form,
     six_form_scalar,
     willmore_residual,
 )
-from wlab.frame import Chart, build_frame
+from wlab.frame import Chart, ChartError, build_frame, light_cone_lift
 from wlab.gallery import (
     apply_mobius,
     clifford,
@@ -37,6 +36,8 @@ from wlab.gallery import (
 )
 from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import random_mobius
+
+from flatness_oracles import flat_normal_scalar, ricci_rhs_max
 
 TWO_PI = 2 * np.pi
 
@@ -344,6 +345,31 @@ def test_axis_derivative_count_does_not_depend_on_codimension(monkeypatch):
         counts.append(0)
         analyze(include_in_higher_sphere(clifford(128, 128), n))
     assert len(set(counts)) == 1, counts
+
+
+def test_analyze_peak_memory_in_s7():
+    # the frame's held fields are about 26x Y; the Euclidean energy's
+    # transients (18x) must not stack on them, nor six complex slices of
+    # the kappa jet on the rank check's matrix (54.5x when they did)
+    chart = include_in_higher_sphere(clifford(128, 128), 7)
+    y_bytes = light_cone_lift(chart).nbytes
+    tracemalloc.start()
+    try:
+        analyze(chart)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * y_bytes
+
+
+def test_analyze_rejects_a_constant_chart_as_a_chart_error():
+    # conformality alone passes it (0/0); the Euclidean energy, which runs
+    # before the frame, would fail its metric solve with a LinAlgError
+    spec = GridSpec(16, 16, TWO_PI, TWO_PI, True, True)
+    pts = np.zeros((16, 16, 4))
+    pts[..., 0] = 1.0
+    with pytest.raises(ChartError, match="degenerate everywhere"):
+        analyze(Chart(spec, pts, ambient_n=3))
 
 
 def test_nan_at_live_point_fails(clifford_data, monkeypatch):

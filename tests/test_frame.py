@@ -5,16 +5,26 @@ import pytest
 
 from wlab.calculus import GridSpec
 from wlab.frame import (
+    PROJECTOR_BLOCK,
     Chart,
     ChartError,
+    _v_basis,
     build_frame,
     canonical_lift,
     frame_residuals,
     light_cone_lift,
     normal_basis,
+    perp_projector,
     validate_chart,
 )
-from wlab.gallery import clifford, include_in_higher_sphere, round_sphere, veronese
+from wlab.gallery import (
+    build_surface,
+    clifford,
+    include_in_higher_sphere,
+    pinkall_hopf_torus,
+    round_sphere,
+    veronese,
+)
 from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import cmink_inner, mink_inner, signature
 
@@ -151,6 +161,53 @@ def test_normal_basis_peak_memory_stays_near_projector_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * frame.P_perp.nbytes
+
+
+def einsum_perp_projector(frame):
+    """I - sum_ij b_i g^ij (Q b_j)^T as one 4-operand einsum: the oracle
+    whose rounding `perp_projector` reproduces block by block."""
+    b = _v_basis(frame)
+    q = signature(frame.dim)
+    ginv = np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, q))
+    p = -np.einsum("uvia,uvij,uvjb,b->uvab", b, ginv, b, q)
+    idx = np.arange(frame.dim)
+    p[..., idx, idx] += 1.0
+    return p
+
+
+@pytest.mark.parametrize(
+    "make_chart, dim",
+    [
+        (lambda: pinkall_hopf_torus(1.5, 48, 24).chart, 5),
+        (lambda: veronese(48, 24), 6),
+        (lambda: build_surface("homogeneous_cp2_hopf", 48, 24, {"lambdas": [-1.0, 0.5, 2.0]}), 7),
+        (lambda: include_in_higher_sphere(clifford(32, 32), 7), 9),
+        (lambda: include_in_higher_sphere(clifford(24, 24), 10), 12),
+        # 2 PROJECTOR_BLOCK + 32 points: two full blocks and a partial one
+        (lambda: include_in_higher_sphere(clifford(PROJECTOR_BLOCK // 16 + 1, 32), 7), 9),
+    ],
+    ids=["pinkall_d5", "veronese_fd_d6", "cp2_d7", "clifford_s7_d9", "clifford_s10_d12",
+         "partial_block_d9"],
+)
+def test_perp_projector_is_bit_identical_to_einsum(make_chart, dim):
+    frame = canonical_lift(make_chart())
+    assert frame.dim == dim
+    p = perp_projector(frame)
+    assert np.array_equal(p, einsum_perp_projector(frame))
+
+
+def test_perp_projector_peak_memory_stays_near_its_output():
+    # the output is 1x and the V basis and Gram inverse add 4(d + 4)/d^2 of
+    # it (0.64x at d = 9); one more (nu, nv, d, d) field, such as a named
+    # einsum sum negated into a copy, adds 1x
+    frame = canonical_lift(include_in_higher_sphere(clifford(128, 128), 7))
+    tracemalloc.start()
+    try:
+        p = perp_projector(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * p.nbytes
 
 
 def full_frame_gram_det(frame):
