@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .parallel import split
+
 FD_ORDER = 6
 # one-sided FD rows contaminate a margin this wide; residual norms skip it
 BOUNDARY_MARGIN = 3
@@ -148,17 +150,35 @@ def _spectral_wavenumbers(n: int, length: float) -> np.ndarray:
 
 
 def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool) -> np.ndarray:
+    """Derivative along one grid axis.
+
+    A periodic axis is transformed line by line, split over the lines of
+    the other axis; each line's FFTs do not depend on the split, so the
+    result is bit-identical for any number of parts.  A BLAS product rounds
+    by the shape of its operands, so the finite-difference product is
+    never split.
+    """
     if f.shape[axis] != n:
         raise ValueError(f"field has {f.shape[axis]} points on axis {axis}, grid has {n}")
-    if periodic:
-        k = _spectral_wavenumbers(n, length)
-        shape = [1] * f.ndim
-        shape[axis] = n
-        fhat = np.fft.fft(f, axis=axis)
-        return np.fft.ifft(1j * k.reshape(shape) * fhat, axis=axis)
-    d = _fd_matrix(n, length / (n - 1))
-    out = np.tensordot(d, np.moveaxis(f, axis, 0), axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    if not periodic:
+        d = _fd_matrix(n, length / (n - 1))
+        out = np.tensordot(d, np.moveaxis(f, axis, 0), axes=(1, 0))
+        return np.moveaxis(out, 0, axis)
+    shape = [1] * f.ndim
+    shape[axis] = n
+    ik = 1j * _spectral_wavenumbers(n, length).reshape(shape)
+    out = np.empty(f.shape, dtype=complex)
+    other = 1 - axis
+
+    def part(lo, hi):
+        lines = (slice(None),) * other + (slice(lo, hi),)
+        fhat = out[lines]
+        np.fft.fft(f[lines], axis=axis, out=fhat)
+        np.multiply(ik, fhat, out=fhat)
+        np.fft.ifft(fhat, axis=axis, out=fhat)
+
+    split(part, f.shape[other])
+    return out
 
 
 def diff_u(f: np.ndarray, spec: GridSpec) -> np.ndarray:

@@ -22,15 +22,20 @@ A run config is a JSON object:
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error,
 3 chart error (construction failed, or non-unit, non-finite or
 non-conformal points), 4 analysis error; every subcommand maps failures
-the same way, through `run_analysis`.  WLAB_THREADS caps the worker
-threads used by convergence sweeps (default: all cores).
+the same way, through `run_analysis`.
+
+WLAB_THREADS (a positive integer; default: all cores) caps the threads of
+one run: a single `analyze` splits its per-point kernels and periodic
+axis transforms into that many contiguous parts, with results
+bit-identical for every value (see `wlab.parallel`), and a convergence
+sweep analyzes that many sizes at once, each serially.  Any other value
+is a config error (exit 2) for every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +54,7 @@ from .diagnostics import (
 from .frame import Chart, ChartError
 from .gallery import GALLERY, apply_mobius, build_surface, include_in_higher_sphere
 from .lorentz import random_mobius
+from .parallel import thread_cap
 
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
@@ -208,16 +214,6 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("WLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     code, report, _ = run_analysis(cfg)
@@ -242,7 +238,7 @@ def cmd_convergence(args) -> int:
         print("need at least 3 sizes", file=sys.stderr)
         return EXIT_CONFIG
 
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(sizes))) as pool:
+    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(sizes))) as pool:
         runs = list(pool.map(lambda n: run_analysis(cfg, n, n), sizes))
     for code, result, _ in runs:
         if code:
@@ -296,12 +292,11 @@ def cmd_fields(args) -> int:
     spec = chart.spec
     uu, vv = spec.meshgrid()
     out_path = args.out or _configured_path(cfg, "fields")
-    rows = [["u", "v"] + RESIDUAL_CSV_COLUMNS]
-    flat = {c: np.asarray(report.fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
-    for i, (u, v) in enumerate(zip(uu.ravel(), vv.ravel())):
-        rows.append([repr(float(u)), repr(float(v))]
-                    + [repr(float(flat[c][i])) for c in RESIDUAL_CSV_COLUMNS])
-    text = "\n".join(",".join(r) for r in rows) + "\n"
+    columns = [uu, vv] + [report.fields[c] for c in RESIDUAL_CSV_COLUMNS]
+    cells = [map(repr, np.asarray(col, dtype=float).ravel().tolist()) for col in columns]
+    lines = [",".join(["u", "v"] + RESIDUAL_CSV_COLUMNS)]
+    lines.extend(map(",".join, zip(*cells)))
+    text = "\n".join(lines) + "\n"
     _emit(text, out_path)
     return 0
 
@@ -347,10 +342,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, f"config error: {exc}")
+    try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, f"config error: {exc}")
 
 
 if __name__ == "__main__":

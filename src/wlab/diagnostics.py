@@ -184,11 +184,8 @@ def reduction_span_check(frame: FrameField, inv: InvariantField) -> tuple[int, i
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
     lift_rank = span_rank(frame.Y[m])
     ddk = normal_D(frame, inv.Dz_kappa, bar=True)
-    jets = np.empty((3, 2, int(m.sum()), frame.dim))  # span_rank stacks the rows
-    for jet, f in zip(jets, (inv.kappa, inv.Dz_kappa, ddk)):
-        part = f[m]
-        jet[0], jet[1] = part.real, part.imag
-    kappa_jet_rank = span_rank(jets)
+    jets = (f[m] for f in (inv.kappa, inv.Dz_kappa, ddk))
+    kappa_jet_rank = span_rank(part for jet in jets for part in (jet.real, jet.imag))
     return lift_rank, kappa_jet_rank
 
 

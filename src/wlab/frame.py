@@ -30,6 +30,7 @@ import numpy as np
 
 from .calculus import GridSpec, diff_z, diff_zbar
 from .lorentz import mink_inner, cmink_inner, herm_norm_sq, signature
+from .parallel import split
 
 UNIT_TOL = 1e-12
 CONFORMAL_TOL_SPECTRAL = 1e-8
@@ -40,6 +41,7 @@ CONFORMAL_TOL_FD = 1e-3
 DEGENERATE_METRIC_TOL = 1e-14
 PSI_RANK_TOL = 1e-8
 PROJECTOR_BLOCK = 512  # grid points per block of `perp_projector`'s sums
+BASIS_BLOCK = 4096  # grid points per block of `normal_basis`'s pivoting
 
 
 class ChartError(ValueError):
@@ -195,34 +197,46 @@ def _v_basis(frame: FrameField) -> np.ndarray:
 def perp_projector(frame: FrameField) -> np.ndarray:
     """(d, d) field projecting onto V^perp along V, via the Gram solve.
 
-    The rank-one terms are summed per PROJECTOR_BLOCK of points, over (i, j)
-    in row-major order into a zeroed block: the order and rounding of the
-    einsum "uvia,uvij,uvjb,b->uvab", so the result is bit-identical to it.
+    The Gram inverse and the rank-one terms are taken per PROJECTOR_BLOCK of
+    points; the terms are summed over (i, j) in row-major order into a
+    zeroed block: the order and rounding of the einsum
+    "uvia,uvij,uvjb,b->uvab", so the result is bit-identical to it.
     """
     b = _v_basis(frame)
     q = signature(frame.dim)
-    ginv = np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, q)).reshape(-1, 4, 4)
     nu, nv, _, d = b.shape
     b = b.reshape(-1, 4, d)
     p = np.empty((nu * nv, d, d))
     idx = np.arange(d)
-    for start in range(0, nu * nv, PROJECTOR_BLOCK):
-        rows = slice(start, start + PROJECTOR_BLOCK)
-        blk = p[rows]
-        bg = b[rows, :, None, :] * ginv[rows, :, :, None]  # b_ia g^ij: (m, i, j, a)
-        bq = b[rows] * q  # Q b_j; the signs +-1 are exact
-        blk[...] = 0.0
-        for i in range(4):
-            for j in range(4):
-                blk += bg[:, i, j, :, None] * bq[:, j, None, :]
-        np.negative(blk, out=blk)
-        blk[:, idx, idx] += 1.0
+
+    def part(lo, hi):
+        for start in range(lo, hi, PROJECTOR_BLOCK):
+            rows = slice(start, start + PROJECTOR_BLOCK)
+            blk, b_blk = p[rows], b[rows]
+            ginv = np.linalg.inv(np.einsum("pik,pjk,k->pij", b_blk, b_blk, q))
+            bg = b_blk[:, :, None, :] * ginv[:, :, :, None]  # b_ia g^ij: (m, i, j, a)
+            bq = b_blk * q  # Q b_j; the signs +-1 are exact
+            blk[...] = 0.0
+            for i in range(4):
+                for j in range(4):
+                    blk += bg[:, i, j, :, None] * bq[:, j, None, :]
+            np.negative(blk, out=blk)
+            blk[:, idx, idx] += 1.0
+
+    split(part, nu * nv, PROJECTOR_BLOCK)
     return p.reshape(nu, nv, d, d)
 
 
 def normal_project(frame: FrameField, field_vec: np.ndarray) -> np.ndarray:
     """Project an ambient (complex) vector field onto V^perp_C pointwise."""
-    return np.einsum("uvab,uvb->uva", frame.P_perp, field_vec)
+    p = frame.P_perp
+    out = np.empty(field_vec.shape, dtype=np.result_type(p, field_vec))
+
+    def part(lo, hi):
+        np.einsum("uvab,uvb->uva", p[lo:hi], field_vec[lo:hi], out=out[lo:hi])
+
+    split(part, len(out))
+    return out
 
 
 def frame_N(frame: FrameField, kappa_norm: np.ndarray) -> np.ndarray:
@@ -241,26 +255,35 @@ def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
     The candidates are the columns P e_j of P_perp.  P is self-adjoint for
     the Minkowski pairing, so candidate j, deflated by the picks psi_m so
     far, is P e_j - sum_m q_j psi_mj psi_m with squared norm q_j P_jj -
-    sum_m psi_mj^2; only the largest is formed and normalized.  Returns
-    (psi, ok_mask); ok_mask is False where fewer than n-2 candidates clear
-    PSI_RANK_TOL.
+    sum_m psi_mj^2; only the largest is formed and normalized.  Points are
+    pivoted BASIS_BLOCK at a time, so the work arrays stay block-sized.
+    Returns (psi, ok_mask); ok_mask is False where fewer than n-2
+    candidates clear PSI_RANK_TOL.
     """
-    p = frame.P_perp
-    nu, nv, d, _ = p.shape
+    nu, nv, d, _ = frame.P_perp.shape
+    p = frame.P_perp.reshape(-1, d, d)
     q = signature(d)
-    sq = q * np.diagonal(p, axis1=-2, axis2=-1)
-    psi = np.zeros((nu, nv, d - 4, d))
-    ok = np.ones((nu, nv), dtype=bool)
-    for k in range(d - 4):
-        j = np.argmax(sq, axis=-1)[..., None]
-        best = np.take_along_axis(sq, j, axis=-1)[..., 0]
-        ok &= best > PSI_RANK_TOL
-        psi_j = np.take_along_axis(psi[:, :, :k], j[..., None], axis=-1)[..., 0]
-        vec = np.take_along_axis(p, j[..., None], axis=-1)[..., 0] \
-            - q[j] * np.einsum("uvm,uvmk->uvk", psi_j, psi[:, :, :k])
-        psi[:, :, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[..., None]
-        sq -= psi[:, :, k] ** 2
-    return psi, ok
+    psi = np.zeros((nu * nv, d - 4, d))
+    ok = np.ones(nu * nv, dtype=bool)
+
+    def part(lo, hi):
+        for start in range(lo, hi, BASIS_BLOCK):
+            rows = slice(start, start + BASIS_BLOCK)
+            p_blk, psi_blk = p[rows], psi[rows]
+            sq = q * np.diagonal(p_blk, axis1=-2, axis2=-1)
+            for k in range(d - 4):
+                j = np.argmax(sq, axis=-1)[:, None]
+                best = np.take_along_axis(sq, j, axis=-1)[:, 0]
+                ok[rows] &= best > PSI_RANK_TOL
+                picked = psi_blk[:, :k]
+                psi_j = np.take_along_axis(picked, j[..., None], axis=-1)[..., 0]
+                vec = np.take_along_axis(p_blk, j[..., None], axis=-1)[..., 0] \
+                    - q[j] * np.einsum("pm,pmk->pk", psi_j, picked)
+                psi_blk[:, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[:, None]
+                sq -= psi_blk[:, k] ** 2
+
+    split(part, nu * nv, BASIS_BLOCK)
+    return psi.reshape(nu, nv, d - 4, d), ok.reshape(nu, nv)
 
 
 def build_frame(chart: Chart, validate: bool = True) -> FrameField:

@@ -60,22 +60,34 @@ def herm_norm_sq(v: np.ndarray) -> np.ndarray:
     return cmink_inner(v, np.conj(v)).real
 
 
-def span_rank(points: np.ndarray, tol: float = 1e-8) -> int:
+def span_rank(blocks, tol: float = 1e-8) -> int:
     """Rank of the linear span of a set of vectors.
 
     Parameters
     ----------
-    points : array (m, dim) or anything reshapeable to it
-        Stacked vectors (rows).
+    blocks : array (m, dim), or an iterable of such arrays
+        Stacked vectors (rows); each array may be anything reshapeable to
+        (m_k, dim).  The set is the rows of all blocks together.
     tol : float
         Relative singular-value threshold: singular values above
         tol * sigma_max count toward the rank.
+
+    The singular values are those of the stacked R factors of the blocks'
+    QR decompositions, which equal those of the stacked rows (the R step of
+    TSQR, Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34,
+    2012); only one block is copied at a time.
     """
-    pts = np.asarray(points, dtype=float)
-    pts = pts.reshape(-1, pts.shape[-1])
-    if pts.shape[0] == 0:
+    if isinstance(blocks, np.ndarray):
+        blocks = [blocks]
+    factors = []
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        block = block.reshape(-1, block.shape[-1])
+        if len(block):
+            factors.append(np.linalg.qr(block, mode="r"))
+    if not factors:
         raise ValueError("span_rank needs at least one vector")
-    s = np.linalg.svd(pts, compute_uv=False)
+    s = np.linalg.svd(np.concatenate(factors), compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))

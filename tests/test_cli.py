@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wlab.cli import ConfigError, main, validate_config
+from wlab.cli import RESIDUAL_CSV_COLUMNS, ConfigError, main, run_analysis, validate_config
 from wlab.frame import Chart
 from wlab.gallery import clifford
 
@@ -101,6 +101,21 @@ def test_fields_dump(tmp_path):
     assert len(lines) == 1 + 16 * 16
     kkbar = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.abs(kkbar - 0.125).max() < 1e-9
+
+
+def test_fields_csv_matches_a_row_loop(tmp_path):
+    cfg = write_config(tmp_path, surface={"name": "veronese", "params": {}},
+                       grid={"nu": 32, "nv": 16})
+    out = tmp_path / "fields.csv"
+    assert main(["fields", cfg, "--out", str(out)]) == 0
+    _, report, chart = run_analysis(validate_config(json.loads(open(cfg).read())))
+    uu, vv = chart.spec.meshgrid()
+    flat = {c: np.asarray(report.fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
+    rows = [["u", "v"] + RESIDUAL_CSV_COLUMNS]
+    for i, (u, v) in enumerate(zip(uu.ravel(), vv.ravel())):
+        rows.append([repr(float(u)), repr(float(v))]
+                    + [repr(float(flat[c][i])) for c in RESIDUAL_CSV_COLUMNS])
+    assert out.read_text() == "\n".join(",".join(r) for r in rows) + "\n"
 
 
 def test_convergence_table(tmp_path, capsys):
@@ -230,3 +245,20 @@ def test_wrong_param_type_is_chart_error(tmp_path, capsys):
     cfg = write_config(tmp_path, surface={"name": "pinkall_hopf_torus", "params": {"c": "abc"}})
     assert main(["analyze", cfg]) == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS) + ["gallery"])
+def test_malformed_thread_cap_exits_2_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    monkeypatch.setenv("WLAB_THREADS", value)
+    monkeypatch.chdir(tmp_path)
+    if command == "gallery":
+        argv = ["gallery", "list"]
+    else:
+        argv = [command, write_config(tmp_path, grid={"nu": 16, "nv": 16})] + SUBCOMMANDS[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "WLAB_THREADS" in captured.err and captured.err.count("\n") == 1

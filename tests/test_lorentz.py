@@ -73,6 +73,23 @@ def test_span_rank_empty():
         span_rank(np.zeros((0, 5)))
 
 
+def test_span_rank_of_blocks_matches_the_single_matrix_call():
+    # singular values 1, 1e-2, ..., 1e-12: every threshold between two of
+    # them must count the same rank from the blocks as from the whole
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.normal(size=(90, 7)))
+    v, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+    pts = u @ np.diag(10.0 ** -np.arange(0, 14, 2)) @ v
+    # uneven blocks, one shorter than the dimension and one empty
+    blocks = [pts[:3], pts[3:3], pts[3:50], pts[50:]]
+    for rank, tol in enumerate(10.0 ** -np.arange(1, 15, 2), start=1):
+        assert span_rank(pts, tol) == rank
+        assert span_rank(blocks, tol) == rank
+        assert span_rank(iter(blocks), tol) == rank
+    with pytest.raises(ValueError):
+        span_rank([pts[:0], pts[3:3]])
+
+
 def test_clifford_lifts_span_five_dimensions():
     # lifts sqrt2 (1, x) of the product torus involve the five functions
     # {1, cos u, sin u, cos v, sin v}, so their span is exactly 5-dimensional
