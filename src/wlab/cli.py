@@ -19,7 +19,7 @@ A run config is a JSON object:
       "seed": 0
     }
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error,
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage error,
 3 chart error (construction failed, or non-unit, non-finite or
 non-conformal points), 4 analysis error; every subcommand maps failures
 the same way, through `run_analysis`.
@@ -232,11 +232,9 @@ def cmd_convergence(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
-        print("--sizes must be a comma-separated list of integers", file=sys.stderr)
-        return EXIT_CONFIG
-    if len(sizes) < 3:
-        print("need at least 3 sizes", file=sys.stderr)
-        return EXIT_CONFIG
+        sizes = []
+    if len(set(sizes)) < 3 or min(sizes) < 8:
+        return _fail(EXIT_CONFIG, "--sizes must list at least 3 distinct integers >= 8")
 
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(sizes))) as pool:
         runs = list(pool.map(lambda n: run_analysis(cfg, n, n), sizes))
@@ -274,9 +272,6 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    if args.action != "list":
-        print(f"unknown gallery action {args.action!r}", file=sys.stderr)
-        return EXIT_CONFIG
     for name in sorted(GALLERY):
         print(name)
         for pname, doc in GALLERY[name]["params"].items():
@@ -313,8 +308,14 @@ def _configured_path(cfg: dict, kind: str):
     return None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error and, like every failure, one line
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wlab",
         description="conformal-geometry diagnostics for surfaces in spheres",
     )

@@ -16,8 +16,8 @@ omega_holomorphy          |d_zbar Omega|
 ========================  ====================================================
 
 All scalars are built from pairings of kappa and its normal derivatives,
-never from components in the point-wise psi gauge, so they are invariant
-under re-gauging of the normal frame.
+never from components in a normal basis, so no choice of orthonormal
+normal frame enters them; `analyze` builds none.
 
 `RESIDUALS` is the one list of these criteria: tolerances, report
 entries, convergence tables and the CSV columns are all read from it.

@@ -18,7 +18,9 @@ inverse of their Gram matrix and Q = diag(-1, 1, ..., 1), the projector
 onto V^perp along V is P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram
 matrix stays invertible at umbilic points because <Y, Y_zzbar> = -1/2.
 P is built from these 16 rank-one terms and only ever applied to
-vectors, never differentiated.
+vectors, never differentiated.  The pipeline needs no orthonormal basis of
+V^perp: every criterion pairs kappa and its normal derivatives, which no
+choice of normal frame changes.  `normal_basis` builds one on demand.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ CONFORMAL_TOL_FD = 1e-3
 DEGENERATE_METRIC_TOL = 1e-14
 PSI_RANK_TOL = 1e-8
 PROJECTOR_BLOCK = 512  # grid points per block of `perp_projector`'s sums
-BASIS_BLOCK = 4096  # grid points per block of `normal_basis`'s pivoting
 
 
 class ChartError(ValueError):
@@ -112,29 +113,23 @@ def validate_chart(chart: Chart) -> dict:
 
 @dataclass
 class FrameField:
-    """Canonical lift, its derivatives, kappa, N, and an orthonormal V^perp basis.
+    """Canonical lift, its derivatives, kappa, N and the V^perp projector.
 
     `P_perp` is the (d, d) field projecting R^{n+2}_1 (and its
     complexification) onto V^perp along V; it is applied to vectors, never
-    differentiated.  `psi` holds n-2 orthonormal spacelike vectors
-    spanning V^perp, pivoted point by point in `normal_basis`; that gauge
-    is not smooth, so diagnostics use only pairings that do not depend on
-    it, never psi components.
+    differentiated.  Y_zbar is conj(Y_z) and is not stored.
     """
 
     chart: Chart
     spec: GridSpec
     Y: np.ndarray          # (nu, nv, d) real
     Y_z: np.ndarray        # complex
-    Y_zbar: np.ndarray     # complex
     Y_zz: np.ndarray       # complex
     Y_zzbar: np.ndarray    # real
-    rho: np.ndarray        # <Y0_z, Y0_zbar>, the raw conformal factor
     mask: np.ndarray
     kappa: Optional[np.ndarray] = None   # V^perp_C part of Y_zz, complex
     N: Optional[np.ndarray] = None       # real
     P_perp: Optional[np.ndarray] = None  # (nu, nv, d, d) real
-    psi: Optional[np.ndarray] = None     # (nu, nv, n-2, d) real
 
     @property
     def dim(self) -> int:
@@ -179,10 +174,8 @@ def canonical_lift(chart: Chart, prescale: Optional[np.ndarray] = None) -> Frame
         spec=spec,
         Y=Y,
         Y_z=Y_z,
-        Y_zbar=np.conj(Y_z),
         Y_zz=Y_zz,
         Y_zzbar=Y_zzbar,
-        rho=rho,
         mask=mask,
     )
 
@@ -250,58 +243,44 @@ def frame_N(frame: FrameField, kappa_norm: np.ndarray) -> np.ndarray:
 
 
 def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal spacelike basis of V^perp by pivoted Gram-Schmidt.
+    """Orthonormal spacelike basis psi of V^perp by pivoted Gram-Schmidt.
 
-    The candidates are the columns P e_j of P_perp.  P is self-adjoint for
-    the Minkowski pairing, so candidate j, deflated by the picks psi_m so
-    far, is P e_j - sum_m q_j psi_mj psi_m with squared norm q_j P_jj -
-    sum_m psi_mj^2; only the largest is formed and normalized.  Points are
-    pivoted BASIS_BLOCK at a time, so the work arrays stay block-sized.
-    Returns (psi, ok_mask); ok_mask is False where fewer than n-2
-    candidates clear PSI_RANK_TOL.
+    Built on demand only: the pivoted gauge is not smooth across grid
+    points, and no criterion reads it.  The candidates are the columns
+    P e_j of P_perp.  P is self-adjoint for the Minkowski pairing, so
+    candidate j, deflated by the picks psi_m so far, is P e_j - sum_m q_j
+    psi_mj psi_m with squared norm q_j P_jj - sum_m psi_mj^2; only the
+    largest is formed and normalized.  Returns (psi, ok_mask): psi is
+    (nu, nv, n-2, d), and ok_mask is False where fewer than n-2 candidates
+    clear PSI_RANK_TOL.
     """
     nu, nv, d, _ = frame.P_perp.shape
     p = frame.P_perp.reshape(-1, d, d)
     q = signature(d)
     psi = np.zeros((nu * nv, d - 4, d))
     ok = np.ones(nu * nv, dtype=bool)
-
-    def part(lo, hi):
-        for start in range(lo, hi, BASIS_BLOCK):
-            rows = slice(start, start + BASIS_BLOCK)
-            p_blk, psi_blk = p[rows], psi[rows]
-            sq = q * np.diagonal(p_blk, axis1=-2, axis2=-1)
-            for k in range(d - 4):
-                j = np.argmax(sq, axis=-1)[:, None]
-                best = np.take_along_axis(sq, j, axis=-1)[:, 0]
-                ok[rows] &= best > PSI_RANK_TOL
-                picked = psi_blk[:, :k]
-                psi_j = np.take_along_axis(picked, j[..., None], axis=-1)[..., 0]
-                vec = np.take_along_axis(p_blk, j[..., None], axis=-1)[..., 0] \
-                    - q[j] * np.einsum("pm,pmk->pk", psi_j, picked)
-                psi_blk[:, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[:, None]
-                sq -= psi_blk[:, k] ** 2
-
-    split(part, nu * nv, BASIS_BLOCK)
+    sq = q * np.diagonal(p, axis1=-2, axis2=-1)
+    for k in range(d - 4):
+        j = np.argmax(sq, axis=-1)[:, None]
+        best = np.take_along_axis(sq, j, axis=-1)[:, 0]
+        ok &= best > PSI_RANK_TOL
+        picked = psi[:, :k]
+        psi_j = np.take_along_axis(picked, j[..., None], axis=-1)[..., 0]
+        vec = np.take_along_axis(p, j[..., None], axis=-1)[..., 0] \
+            - q[j] * np.einsum("pm,pmk->pk", psi_j, picked)
+        psi[:, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[:, None]
+        sq -= psi[:, k] ** 2
     return psi.reshape(nu, nv, d - 4, d), ok.reshape(nu, nv)
 
 
 def build_frame(chart: Chart, validate: bool = True) -> FrameField:
-    """Full frame pipeline: canonical lift, projector, kappa, N, normal basis.
-
-    Raises ChartError when no live point keeps a full normal basis.
-    """
+    """Full frame pipeline: canonical lift, projector, kappa and N."""
     if validate:
         validate_chart(chart)
     frame = canonical_lift(chart)
     frame.P_perp = perp_projector(frame)
     frame.kappa = normal_project(frame, frame.Y_zz)
     frame.N = frame_N(frame, herm_norm_sq(frame.kappa))
-    psi, ok = normal_basis(frame)
-    frame.psi = psi
-    frame.mask = frame.mask & ok
-    if not frame.mask.any():
-        raise ChartError("normal basis is rank-deficient at every live point")
     return frame
 
 
@@ -319,7 +298,7 @@ def frame_residuals(frame: FrameField) -> dict:
     res = {
         "<Y,Y>": worst(mink_inner(frame.Y, frame.Y)),
         "<Y_z,Y_z>": worst(cmink_inner(frame.Y_z, frame.Y_z)),
-        "<Y_z,Y_zbar>-1/2": worst(cmink_inner(frame.Y_z, frame.Y_zbar) - 0.5),
+        "<Y_z,Y_zbar>-1/2": worst(cmink_inner(frame.Y_z, np.conj(frame.Y_z)) - 0.5),
     }
     if frame.N is not None:
         res.update(
@@ -329,16 +308,16 @@ def frame_residuals(frame: FrameField) -> dict:
                 "<N,Y_z>": worst(cmink_inner(frame.N.astype(complex), frame.Y_z)),
             }
         )
-    if frame.psi is not None and frame.psi.shape[2] > 0:
+    if frame.N is not None and frame.dim > 4:
+        psi, _ = normal_basis(frame)
         q = signature(frame.dim)
-        gram = np.einsum("uvik,uvjk,k->uvij", frame.psi, frame.psi, q)
-        eye = np.eye(frame.psi.shape[2])
-        res["psi_gram-id"] = worst(gram - eye)
+        gram = np.einsum("uvik,uvjk,k->uvij", psi, psi, q)
+        res["psi_gram-id"] = worst(gram - np.eye(frame.dim - 4))
         for label, vec in (
             ("psi.Y", frame.Y.astype(complex)),
             ("psi.Y_z", frame.Y_z),
             ("psi.N", frame.N.astype(complex)),
         ):
-            pair = np.einsum("uvik,uvk,k->uvi", frame.psi.astype(complex), vec, q)
+            pair = np.einsum("uvik,uvk,k->uvi", psi.astype(complex), vec, q)
             res[f"<{label}>"] = worst(np.abs(pair).max(axis=-1))
     return res

@@ -80,7 +80,7 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     decomp = np.sqrt(np.maximum(herm_norm_sq(frame.Y_zz - recon), 0.0))
     tang = np.maximum(
         np.abs(2.0 * cmink_inner(frame.Y_zz, frame.Y_z)),
-        np.abs(2.0 * cmink_inner(frame.Y_zz, frame.Y_zbar)),
+        np.abs(2.0 * cmink_inner(frame.Y_zz, np.conj(frame.Y_z))),
     )
 
     Dz_kappa = normal_D(frame, kappa)
@@ -156,8 +156,8 @@ def ricci_residual(
     R^D = D_zbar D_z - D_z D_zbar is the curvature of the normal connection
     D = P_perp d on V^perp_C.  It is taken by differentiating the smooth
     normal sections D_z kappa and D_zbar kappa once more, so the check
-    costs four axis derivatives in any codimension and reads neither the
-    point-wise psi gauge nor a derivative of P_perp.  The Ricci equation
+    costs four axis derivatives in any codimension and reads neither a
+    normal basis nor a derivative of P_perp.  The Ricci equation
     gives R^D v = 2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for
     v = kappa this vanishes exactly where the normal bundle is flat.
     `kappa_rhs` substitutes a different kappa on the right-hand side (v
@@ -265,8 +265,8 @@ def structure_closure_residuals(frame: FrameField, inv: InvariantField) -> dict:
     """L_inf defects of the structure equations, reconstructed vs. direct.
 
     Checks d_z of Y_z, of N, and of a smooth normal section (the V^perp
-    projection of a constant ambient vector; the Gram-Schmidt psi gauge is
-    not differentiable so it cannot be differentiated directly).
+    projection of a constant ambient vector; a pivoted normal basis is not
+    smooth across grid points, so it cannot be differentiated directly).
     """
     m = frame.mask
     spec = frame.spec
@@ -281,7 +281,7 @@ def structure_closure_residuals(frame: FrameField, inv: InvariantField) -> dict:
     nz = diff_z(frame.N, spec)
     rhs_n = (
         -2.0 * inv.kk_bar[..., None] * frame.Y_z
-        - inv.s[..., None] * frame.Y_zbar
+        - inv.s[..., None] * np.conj(frame.Y_z)
         + 2.0 * inv.Dzbar_kappa
     )
     out["N_z"] = worst(nz - rhs_n)
@@ -294,7 +294,7 @@ def structure_closure_residuals(frame: FrameField, inv: InvariantField) -> dict:
     rhs_psi = (
         dz_sec
         + 2.0 * cmink_inner(section, inv.Dzbar_kappa)[..., None] * frame.Y
-        - 2.0 * cmink_inner(section, inv.kappa)[..., None] * frame.Y_zbar
+        - 2.0 * cmink_inner(section, inv.kappa)[..., None] * np.conj(frame.Y_z)
     )
     out["psi_z"] = worst(sz - rhs_psi)
     return out

@@ -135,6 +135,40 @@ def test_convergence_bad_sizes(tmp_path):
     assert main(["convergence", cfg, "--sizes", "16,32"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["4,5,6", "16,24,-32", "16,16,16"])
+def test_convergence_sizes_below_8_or_not_distinct_exit_2(tmp_path, capsys, sizes):
+    cfg = write_config(tmp_path)
+    assert main(["convergence", cfg, "--sizes", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sizes" in captured.err and captured.err.count("\n") == 1
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "required: command"),
+    (["gallery", "foo"], "invalid choice: 'foo'"),
+    (["analyze"], "required: config"),
+    (["fields"], "required: config"),
+    (["analyze", "missing.json"], "cannot read config"),
+    (["convergence", "cfg.json"], "required: --sizes"),
+])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
 def test_transform_pipeline(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -229,16 +263,6 @@ def test_chart_errors_exit_3_from_every_subcommand(
     assert main([command, cfg] + SUBCOMMANDS[command]) == 3
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
-def test_empty_normal_basis_mask_exits_3(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr("wlab.frame.PSI_RANK_TOL", 1e9)
-    monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16})
-    assert main([command, cfg] + SUBCOMMANDS[command]) == 3
-    err = capsys.readouterr().err
-    assert "normal basis" in err and err.count("\n") == 1
 
 
 def test_wrong_param_type_is_chart_error(tmp_path, capsys):

@@ -347,11 +347,10 @@ def test_axis_derivative_count_does_not_depend_on_codimension(monkeypatch):
     assert len(set(counts)) == 1, counts
 
 
-def test_analyze_peak_memory_in_s7():
-    # the frame's held fields are about 26x Y; the Euclidean energy's
-    # transients (18x) must not stack on them, nor the (6m, d) kappa-jet
-    # matrix and its SVD copy (46.8x when the rank check stacked the jets)
-    chart = include_in_higher_sphere(clifford(128, 128), 7)
+def analyze_peak_over_y(monkeypatch, threads, ambient_n):
+    """tracemalloc peak of analyze over Y.nbytes, Clifford 128^2 in S^n."""
+    monkeypatch.setenv("WLAB_THREADS", threads)
+    chart = include_in_higher_sphere(clifford(128, 128), ambient_n)
     y_bytes = light_cone_lift(chart).nbytes
     tracemalloc.start()
     try:
@@ -359,7 +358,22 @@ def test_analyze_peak_memory_in_s7():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 45 * y_bytes
+    return peak / y_bytes
+
+
+def test_analyze_peak_memory_in_s7(monkeypatch):
+    # the frame's held fields are about 18x Y (P_perp alone is 9x); the
+    # Euclidean energy's transients (18x) must not stack on them, nor the
+    # (6m, d) kappa-jet matrix and its SVD copy (46.8x when the rank check
+    # stacked the jets), nor a stored normal basis (41.7x with psi held)
+    for threads in ("1", "2"):
+        assert analyze_peak_over_y(monkeypatch, threads, 7) < 38, threads
+
+
+def test_analyze_peak_memory_in_s10(monkeypatch):
+    # P_perp is 12x Y here; a held psi of (n-2)/d of it read 47.3x
+    for threads in ("1", "2"):
+        assert analyze_peak_over_y(monkeypatch, threads, 10) < 40, threads
 
 
 def test_analyze_rejects_a_constant_chart_as_a_chart_error():

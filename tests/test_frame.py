@@ -54,13 +54,13 @@ def test_canonical_lift_clifford_closed_form():
     fr = canonical_lift(ch)
     expected = np.sqrt(2.0) * light_cone_lift(ch)
     assert np.abs(fr.Y - expected).max() < 1e-11
-    pairing = cmink_inner(fr.Y_z, fr.Y_zbar)
+    pairing = cmink_inner(fr.Y_z, np.conj(fr.Y_z))
     assert np.abs(pairing - 0.5).max() < 1e-10
 
 
 def test_canonical_lift_mercator_sphere():
     fr = canonical_lift(round_sphere(192, 32))
-    defect = np.abs(cmink_inner(fr.Y_z, fr.Y_zbar) - 0.5)[fr.mask].max()
+    defect = np.abs(cmink_inner(fr.Y_z, np.conj(fr.Y_z)) - 0.5)[fr.mask].max()
     assert defect < 1e-8
 
 
@@ -133,34 +133,41 @@ def test_frame_relations_hopf_charts():
 
 def test_normal_basis_clifford_is_surface_normal():
     ch = clifford(32, 32)
-    fr = build_frame(ch)
-    assert fr.psi.shape[2] == 1
+    psi, ok = normal_basis(build_frame(ch))
+    assert psi.shape[2] == 1 and ok.all()
     n = clifford_normal(ch)
     lifted = np.concatenate([np.zeros(n.shape[:2] + (1,)), n], axis=-1)
     # psi is +-(0, n); compare up to the sign of the pivoted Gram-Schmidt
-    dot = np.einsum("uvk,uvk->uv", fr.psi[:, :, 0, 1:], n)
-    diff = np.abs(fr.psi[:, :, 0, :] - np.sign(dot)[..., None] * lifted).max()
+    dot = np.einsum("uvk,uvk->uv", psi[:, :, 0, 1:], n)
+    diff = np.abs(psi[:, :, 0, :] - np.sign(dot)[..., None] * lifted).max()
     assert diff < 1e-10
 
 
 def test_normal_basis_veronese_orthogonal_to_frame():
     fr = build_frame(veronese(64, 32))
-    assert fr.psi.shape[2] == 2
+    assert normal_basis(fr)[0].shape[2] == 2
     res = frame_residuals(fr)
     assert res["psi_gram-id"] < 1e-10
     assert res["<psi.Y>"] < 1e-8 and res["<psi.Y_z>"] < 1e-8
 
 
-def test_normal_basis_peak_memory_stays_near_projector_size():
-    # psi alone is (n-2)/d of P_perp; a copy of the (d, d) candidates is 1x more
-    frame = build_frame(include_in_higher_sphere(clifford(128, 128), 7))
+def traced_peak(monkeypatch, threads, job):
+    """tracemalloc peak of job() under WLAB_THREADS=threads."""
+    monkeypatch.setenv("WLAB_THREADS", threads)
     tracemalloc.start()
     try:
-        normal_basis(frame)
-        _, peak = tracemalloc.get_traced_memory()
+        job()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * frame.P_perp.nbytes
+
+
+def test_normal_basis_peak_memory_stays_near_projector_size(monkeypatch):
+    # psi alone is (n-2)/d of P_perp; a copy of the (d, d) candidates is 1x more
+    frame = build_frame(include_in_higher_sphere(clifford(128, 128), 7))
+    for threads in ("1", "2"):
+        peak = traced_peak(monkeypatch, threads, lambda: normal_basis(frame))
+        assert peak < 1.5 * frame.P_perp.nbytes, threads
 
 
 def einsum_perp_projector(frame):
@@ -196,25 +203,23 @@ def test_perp_projector_is_bit_identical_to_einsum(make_chart, dim):
     assert np.array_equal(p, einsum_perp_projector(frame))
 
 
-def test_perp_projector_peak_memory_stays_near_its_output():
+def test_perp_projector_peak_memory_stays_near_its_output(monkeypatch):
     # the output is 1x and the V basis and Gram inverse add 4(d + 4)/d^2 of
     # it (0.64x at d = 9); one more (nu, nv, d, d) field, such as a named
     # einsum sum negated into a copy, adds 1x
     frame = canonical_lift(include_in_higher_sphere(clifford(128, 128), 7))
-    tracemalloc.start()
-    try:
-        p = perp_projector(frame)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * p.nbytes
+    p_bytes = frame.Y.nbytes * frame.dim
+    for threads in ("1", "2"):
+        peak = traced_peak(monkeypatch, threads, lambda: perp_projector(frame))
+        assert peak < 2.5 * p_bytes, threads
 
 
 def full_frame_gram_det(frame):
     """det of the Gram matrix of {Y, Re Y_z, Im Y_z, N, psi_3..psi_n};
     nonvanishing detects a genuine rank-(n+2) frame at each point."""
     vecs = np.concatenate(
-        [np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.N], axis=2), frame.psi],
+        [np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.N], axis=2),
+         normal_basis(frame)[0]],
         axis=2,
     )
     gram = np.einsum("uvik,uvjk,k->uvij", vecs, vecs, signature(frame.dim))
@@ -252,8 +257,12 @@ def test_degenerate_metric_masked():
         validate_chart(ch)
 
 
-def test_rank_deficient_normal_basis_everywhere_is_chart_error(monkeypatch):
-    # no candidate clears the rank threshold, so every point loses its psi
+def test_rank_threshold_marks_normal_basis_points_not_the_frame_mask(monkeypatch):
+    # no candidate clears the rank threshold: normal_basis flags every point,
+    # and the frame, which builds no basis, keeps the lift's mask
     monkeypatch.setattr("wlab.frame.PSI_RANK_TOL", 1e9)
-    with pytest.raises(ChartError, match="normal basis"):
-        build_frame(clifford(16, 16))
+    chart = clifford(16, 16)
+    frame = build_frame(chart)
+    _, ok = normal_basis(frame)
+    assert not ok.any()
+    assert np.array_equal(frame.mask, canonical_lift(chart).mask)

@@ -8,7 +8,7 @@ import pytest
 
 from wlab.cli import report_json
 from wlab.diagnostics import analyze
-from wlab.frame import BASIS_BLOCK, PROJECTOR_BLOCK, build_frame
+from wlab.frame import PROJECTOR_BLOCK, build_frame, normal_basis
 from wlab.gallery import build_surface, clifford, include_in_higher_sphere, pinkall_hopf_torus, veronese
 from wlab.parallel import split, thread_cap
 
@@ -77,7 +77,7 @@ def test_unset_thread_cap_means_all_cores(monkeypatch):
 def outputs(chart):
     frame = build_frame(chart)
     report = analyze(chart)
-    arrays = {"P_perp": frame.P_perp, "kappa": frame.kappa, "psi": frame.psi,
+    arrays = {"P_perp": frame.P_perp, "kappa": frame.kappa, "psi": normal_basis(frame)[0],
               "N": frame.N, "mask": frame.mask}
     arrays.update({f"fields.{k}": np.asarray(v) for k, v in report.fields.items()})
     return arrays, report_json(report)
@@ -97,8 +97,7 @@ CHARTS = {
     "cp2_d7": (lambda: build_surface("homogeneous_cp2_hopf", 48, 24,
                                      {"lambdas": [-1.0, 0.5, 2.0]}), 7),
     "clifford_s10_d12": (lambda: include_in_higher_sphere(clifford(32, 32), 10), 12),
-    # 8385 points: neither the parts nor PROJECTOR_BLOCK nor BASIS_BLOCK
-    # divide the grid, and normal_basis takes three uneven blocks
+    # 8385 points: neither the parts nor PROJECTOR_BLOCK divide the grid
     "odd_129x65_d9": (lambda: include_in_higher_sphere(clifford(129, 65), 7), 9),
 }
 
@@ -132,7 +131,6 @@ def test_analyze_off_the_main_thread_gives_the_same_bytes(monkeypatch):
 def test_more_parts_than_cores_under_rapid_switching(monkeypatch):
     # more parts than cores, switched every microsecond: each writes only its slice
     chart = CHARTS["odd_129x65_d9"][0]()
-    assert chart.spec.nu * chart.spec.nv > 2 * BASIS_BLOCK
     monkeypatch.setenv("WLAB_THREADS", "1")
     want = outputs(chart)
     monkeypatch.setenv("WLAB_THREADS", "7")
