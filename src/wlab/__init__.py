@@ -12,7 +12,7 @@ pass/fail verdicts.
 
 __version__ = "0.1.0"
 
-from .calculus import GridSpec, convergence_order, diff_z, diff_zbar, integrate
+from .calculus import GridSpec, convergence_order, diff_z, diff_zbar, integrate, wirtinger
 from .diagnostics import (
     DiagnosticsReport,
     analyze,

@@ -199,6 +199,15 @@ def diff_zbar(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     return 0.5 * (diff_u(f, spec) + 1j * diff_v(f, spec))
 
 
+def wirtinger(f: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dz f, d/dzbar f) from one diff_u and one diff_v, bit-identical to
+    `diff_z` / `diff_zbar`; d/dzbar f is formed in the buffer of i d/dv f."""
+    f_u = diff_u(f, spec)
+    i_f_v = 1j * diff_v(f, spec)
+    f_z = np.multiply(0.5, f_u - i_f_v)
+    return f_z, np.multiply(0.5, np.add(f_u, i_f_v, out=i_f_v), out=i_f_v)
+
+
 def integrate(f: np.ndarray, spec: GridSpec) -> complex:
     """Quadrature of a scalar field over the grid domain (du dv measure)."""
     f = np.asarray(f)
@@ -208,17 +217,17 @@ def integrate(f: np.ndarray, spec: GridSpec) -> complex:
     return complex(val) if np.iscomplexobj(f) else float(val)
 
 
-def convergence_order(residual_fn, sizes) -> float:
+def convergence_order(sizes, residuals) -> float:
     """Least-squares slope of log(residual) versus log(size).
 
-    `residual_fn` maps a grid size (int) to a positive residual.  A slope
+    `residuals` holds one positive residual per grid size (int).  A slope
     of -p means the residual decays like size^-p.  Warns (and still
     returns the slope) if the residuals fail to decrease.
     """
     sizes = list(sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 sizes to fit an order")
-    res = np.array([float(residual_fn(n)) for n in sizes], dtype=float)
+    res = np.asarray(residuals, dtype=float)
     if np.any(res <= 0):
         res = np.maximum(res, 1e-300)
     if not np.all(np.diff(res) < 0):

@@ -19,10 +19,10 @@ A run config is a JSON object:
       "seed": 0
     }
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage error,
-3 chart error (construction failed, or non-unit, non-finite or
-non-conformal points), 4 analysis error; every subcommand maps failures
-the same way, through `run_analysis`.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage
+error or an output that cannot be written, 3 chart error (construction
+failed, or non-unit, non-finite or non-conformal points), 4 analysis
+error; every subcommand maps failures the same way.
 
 WLAB_THREADS (a positive integer; default: all cores) caps the threads of
 one run: a single `analyze` splits its per-point kernels and periodic
@@ -39,6 +39,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -129,6 +130,12 @@ def validate_config(cfg: dict) -> dict:
             _check_mobius(val)
         else:
             raise ConfigError(f"unknown transform {key!r}")
+    outputs = cfg.get("outputs", [])
+    if not isinstance(outputs, list) or not all(
+            isinstance(o, dict) and set(o) == {"kind", "path"} and o["kind"] in ("report", "fields")
+            and isinstance(o["path"], str) and o["path"] for o in outputs):
+        raise ConfigError("config key 'outputs' must be a list of objects of 'kind' "
+                          "('report' or 'fields') and a non-empty string 'path'")
     seed = cfg.get("seed", 0)
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"config key 'seed' must be a non-negative integer, not {seed!r}")
@@ -137,7 +144,7 @@ def validate_config(cfg: dict) -> dict:
         "grid": {"nu": nu, "nv": nv},
         "tolerances": tol,
         "transforms": transforms,
-        "outputs": cfg.get("outputs", []),
+        "outputs": outputs,
         "seed": seed,
     }
 
@@ -207,11 +214,11 @@ def report_json(report: DiagnosticsReport) -> str:
 
 
 def _emit(text: str, path) -> None:
-    if path:
-        with open(path, "w") as fh:
+    try:
+        with open(path, "w") if path else nullcontext(sys.stdout) as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path or '<stdout>'!r}: {exc}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -252,7 +259,7 @@ def cmd_convergence(args) -> int:
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            slope = convergence_order(dict(zip(sizes, linfs)).__getitem__, sizes)
+            slope = convergence_order(sizes, linfs)
         table["fitted_order"][row.name] = {
             "slope": slope, "label": classify_order(slope, linfs)
         }
@@ -302,10 +309,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def _configured_path(cfg: dict, kind: str):
-    for out in cfg.get("outputs", []):
-        if isinstance(out, dict) and out.get("kind") == kind and out.get("path"):
-            return out["path"]
-    return None
+    return next((out["path"] for out in cfg["outputs"] if out["kind"] == kind), None)
 
 
 class _Parser(argparse.ArgumentParser):

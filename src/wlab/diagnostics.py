@@ -29,18 +29,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__ as _version
-from .calculus import GridSpec, diff_z, diff_zbar
+from .calculus import GridSpec, diff_z, diff_zbar, wirtinger
 from .frame import Chart, FrameField, build_frame, validate_chart
 from .invariants import (
     InvariantField,
     hopf_schwarzian,
-    normal_D,
     ricci_residual,
     willmore_energy_conformal,
     willmore_energy_euclidean,
@@ -155,18 +154,16 @@ def codazzi_gauss_residuals(inv: InvariantField) -> tuple[np.ndarray, np.ndarray
 
     gauss:   s_zbar / 2 - 3 <kappa, D_z conj kappa> - <D_z kappa, conj kappa>
     codazzi: norm of Im(D_zbar D_zbar kappa + (conj s / 2) kappa); the
-             imaginary part of a V^perp_C field is (W - conj W)/2i, a real
-             normal vector, so its Minkowski norm is gauge-invariant.
+             imaginary part of a V^perp_C field is a real normal vector,
+             so its Minkowski norm is gauge-invariant.
     """
     s_zbar = diff_zbar(inv.s, inv.spec)
-    dz_kappa_bar = np.conj(inv.Dzbar_kappa)  # D_z conj kappa
     gauss = np.abs(
         0.5 * s_zbar
-        - 3.0 * cmink_inner(inv.kappa, dz_kappa_bar)
+        - 3.0 * cmink_inner(inv.kappa, np.conj(inv.Dzbar_kappa))  # D_z conj kappa
         - cmink_inner(inv.Dz_kappa, np.conj(inv.kappa))
     )
-    w_expr = inv.willmore_vector
-    im_part = ((w_expr - np.conj(w_expr)) / 2j).real
+    im_part = inv.willmore_vector.imag
     codazzi = np.sqrt(np.maximum(mink_inner(im_part, im_part), 0.0))
     return gauss, codazzi
 
@@ -183,8 +180,7 @@ def reduction_span_check(frame: FrameField, inv: InvariantField) -> tuple[int, i
     if int(m.sum()) < MIN_RANK_SAMPLES:
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
     lift_rank = span_rank(frame.Y[m])
-    ddk = normal_D(frame, inv.Dz_kappa, bar=True)
-    jets = (f[m] for f in (inv.kappa, inv.Dz_kappa, ddk))
+    jets = (f[m] for f in (inv.kappa, inv.Dz_kappa, inv.Dzbar_Dz_kappa))
     kappa_jet_rank = span_rank(part for jet in jets for part in (jet.real, jet.imag))
     return lift_rank, kappa_jet_rank
 
@@ -215,9 +211,8 @@ def remark62_residual(
             raise ValueError("k-field shape does not match the grid")
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=complex)
-    t_zbar = diff_zbar(theta, spec)
+    t_z, t_zbar = wirtinger(theta, spec)
     t_zbar2 = diff_zbar(t_zbar, spec)
-    t_z = diff_z(theta, spec)
     coeff = 1j * t_zbar2 - t_zbar**2 + 0.5 * np.conj(s)
     res1 = np.zeros((spec.nu, spec.nv))
     for k in ks:
@@ -272,17 +267,7 @@ class DiagnosticsReport:
             "seed": self.seed,
             "energies": self.energies,
             "ranks": self.ranks,
-            "residuals": [
-                {
-                    "name": e.name,
-                    "L_inf": e.L_inf,
-                    "L2": e.L2,
-                    "tolerance": e.tolerance,
-                    "verdict": e.verdict,
-                    "masked_fraction": e.masked_fraction,
-                }
-                for e in self.entries
-            ],
+            "residuals": [asdict(e) for e in self.entries],
             "passed": self.passed,
         }
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_z, diff_zbar
+from .calculus import GridSpec, diff_z, wirtinger
 from .lorentz import mink_inner, cmink_inner, herm_norm_sq, signature
 from .parallel import split
 
@@ -167,15 +167,14 @@ def canonical_lift(chart: Chart, prescale: Optional[np.ndarray] = None) -> Frame
     safe_rho = np.where(rho > DEGENERATE_METRIC_TOL, rho, 1.0)
     Y = y0 / np.sqrt(2.0 * safe_rho)[..., None]
     Y_z = diff_z(Y, spec)
-    Y_zz = diff_z(Y_z, spec)
-    Y_zzbar = diff_zbar(Y_z, spec).real  # imaginary part is pure commutator noise
+    Y_zz, Y_zzbar = wirtinger(Y_z, spec)
     return FrameField(
         chart=chart,
         spec=spec,
         Y=Y,
         Y_z=Y_z,
         Y_zz=Y_zz,
-        Y_zzbar=Y_zzbar,
+        Y_zzbar=Y_zzbar.real.copy(),  # Im is commutator noise; the copy frees it
         mask=mask,
     )
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_z, diff_zbar, diff_u, diff_v, integrate
+from .calculus import GridSpec, diff_z, diff_zbar, diff_u, diff_v, integrate, wirtinger
 from .frame import Chart, FrameField, normal_project
 from .lorentz import cmink_inner, herm_norm_sq
 
@@ -43,6 +43,8 @@ class InvariantField:
     kk_bar: np.ndarray       # <kappa, conj kappa>, real >= 0
     Dz_kappa: np.ndarray
     Dzbar_kappa: np.ndarray
+    Dzbar_Dz_kappa: np.ndarray
+    Dz_Dzbar_kappa: np.ndarray
     willmore_vector: np.ndarray  # D_zbar D_zbar kappa + (conj s / 2) kappa
     theta: np.ndarray        # unwrapped half-phase of <kappa, kappa>
     theta_mask: np.ndarray   # False where unwrapping was inconsistent
@@ -63,30 +65,30 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """Split Y_zz into Schwarzian and conformal Hopf differential.
 
     kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored.
-    The Willmore vector D_zbar D_zbar kappa + (conj s / 2) kappa is built
-    here once for the Willmore and Codazzi residuals.
+    Its normal 2-jet is taken here once: D_zbar D_z kappa and D_z D_zbar
+    kappa for the Ricci and rank checks, and the Willmore vector
+    D_zbar D_zbar kappa + (conj s / 2) kappa for the Willmore and Codazzi rows.
     The tangential components of Y_zz vanish identically for canonical
     lifts; their measured size is recorded as `tangential_defect`, and the
     closure of the decomposition itself as `decomposition_defect`.
     """
     kappa = frame.kappa
-    n_c = frame.N.astype(complex)
-    s = 2.0 * cmink_inner(frame.Y_zz, n_c)
+    s = 2.0 * cmink_inner(frame.Y_zz, frame.N)
     kk = cmink_inner(kappa, kappa)
     kk_bar = herm_norm_sq(kappa)
 
     m = frame.mask
-    recon = -0.5 * s[..., None] * frame.Y + kappa
-    decomp = np.sqrt(np.maximum(herm_norm_sq(frame.Y_zz - recon), 0.0))
+    decomp = np.sqrt(np.maximum(
+        herm_norm_sq(frame.Y_zz - (-0.5 * s[..., None] * frame.Y + kappa)), 0.0))
     tang = np.maximum(
         np.abs(2.0 * cmink_inner(frame.Y_zz, frame.Y_z)),
         np.abs(2.0 * cmink_inner(frame.Y_zz, np.conj(frame.Y_z))),
     )
 
-    Dz_kappa = normal_D(frame, kappa)
-    Dzbar_kappa = normal_D(frame, kappa, bar=True)
-    willmore_vector = normal_D(frame, Dzbar_kappa, bar=True) \
-        + 0.5 * np.conj(s)[..., None] * kappa
+    Dz_kappa, Dzbar_kappa = normal_D(frame, kappa)
+    Dzbar_Dz_kappa = normal_project(frame, diff_zbar(Dz_kappa, frame.spec))
+    Dz_Dzbar_kappa, willmore_vector = normal_D(frame, Dzbar_kappa)
+    willmore_vector += 0.5 * np.conj(s)[..., None] * kappa
 
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)
@@ -99,6 +101,8 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
         kk_bar=kk_bar,
         Dz_kappa=Dz_kappa,
         Dzbar_kappa=Dzbar_kappa,
+        Dzbar_Dz_kappa=Dzbar_Dz_kappa,
+        Dz_Dzbar_kappa=Dz_Dzbar_kappa,
         willmore_vector=willmore_vector,
         theta=theta,
         theta_mask=theta_ok,
@@ -108,14 +112,12 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     )
 
 
-def normal_D(frame: FrameField, section: np.ndarray, bar: bool = False) -> np.ndarray:
-    """Normal connection applied to a section of V^perp_C.
-
-    D_z v (or D_zbar v with bar=True) is the V^perp_C projection of the
-    grid derivative of v.
-    """
-    d = diff_zbar(section, frame.spec) if bar else diff_z(section, frame.spec)
-    return normal_project(frame, d)
+def normal_D(frame: FrameField, section: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D_z v, D_zbar v) for a section v of V^perp_C: the V^perp_C
+    projections of its Wirtinger derivatives."""
+    v_z, v_zbar = wirtinger(section, frame.spec)
+    v_z = normal_project(frame, v_z)  # rebinding frees the unprojected half
+    return v_z, normal_project(frame, v_zbar)
 
 
 def _wrap_half_pi(x: np.ndarray) -> np.ndarray:
@@ -154,10 +156,9 @@ def ricci_residual(
     """Pointwise |R^D kappa - RHS|: the Ricci equation applied to kappa.
 
     R^D = D_zbar D_z - D_z D_zbar is the curvature of the normal connection
-    D = P_perp d on V^perp_C.  It is taken by differentiating the smooth
-    normal sections D_z kappa and D_zbar kappa once more, so the check
-    costs four axis derivatives in any codimension and reads neither a
-    normal basis nor a derivative of P_perp.  The Ricci equation
+    D = P_perp d on V^perp_C.  Its left side is the normal 2-jet of kappa
+    that `hopf_schwarzian` stored, so the check is algebra: it reads
+    neither a normal basis nor a derivative of P_perp.  The Ricci equation
     gives R^D v = 2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for
     v = kappa this vanishes exactly where the normal bundle is flat.
     `kappa_rhs` substitutes a different kappa on the right-hand side (v
@@ -166,10 +167,10 @@ def ricci_residual(
     if frame.dim == 4:  # V^perp = 0: kappa is projector roundoff, not a section
         return np.zeros(frame.mask.shape)
     kap = inv.kappa if kappa_rhs is None else kappa_rhs
-    kap_c = np.conj(kap)
-    defect = normal_D(frame, inv.Dz_kappa, bar=True) - normal_D(frame, inv.Dzbar_kappa)
-    defect -= 2.0 * cmink_inner(inv.kappa, kap)[..., None] * kap_c \
-        - 2.0 * cmink_inner(inv.kappa, kap_c)[..., None] * kap
+    # right side first, then the stored left side minus it: two fields alive at once
+    defect = 2.0 * cmink_inner(inv.kappa, kap)[..., None] * np.conj(kap)
+    defect -= 2.0 * cmink_inner(inv.kappa, np.conj(kap))[..., None] * kap
+    defect = inv.Dzbar_Dz_kappa - inv.Dz_Dzbar_kappa - defect
     return np.sqrt(np.maximum(herm_norm_sq(defect), 0.0))
 
 
@@ -290,9 +291,8 @@ def structure_closure_residuals(frame: FrameField, inv: InvariantField) -> dict:
     w[-1] = 1.0
     section = np.einsum("uvab,b->uva", frame.P_perp, w).astype(complex)
     sz = diff_z(section, spec)
-    dz_sec = normal_D(frame, section)
     rhs_psi = (
-        dz_sec
+        normal_project(frame, sz)
         + 2.0 * cmink_inner(section, inv.Dzbar_kappa)[..., None] * frame.Y
         - 2.0 * cmink_inner(section, inv.kappa)[..., None] * np.conj(frame.Y_z)
     )

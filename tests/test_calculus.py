@@ -8,6 +8,7 @@ from wlab.calculus import (
     diff_z,
     diff_zbar,
     integrate,
+    wirtinger,
 )
 
 TWO_PI = 2 * np.pi
@@ -58,6 +59,21 @@ def test_fd_axis_order_six():
     assert err[1][4:-4].max() < 1e-8  # centered-stencil interior
 
 
+@pytest.mark.parametrize("periodic", [(True, True), (False, True), (False, False)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_wirtinger_halves_are_bit_identical_to_diff_z_and_diff_zbar(monkeypatch, periodic, dtype):
+    spec = GridSpec(40, 24, TWO_PI, 2.0, *periodic)
+    rng = np.random.default_rng(1)
+    f = rng.normal(size=(40, 24, 3)).astype(dtype)
+    if dtype is complex:
+        f += 1j * rng.normal(size=f.shape)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("WLAB_THREADS", threads)
+        f_z, f_zbar = wirtinger(f, spec)
+        assert np.array_equal(f_z, diff_z(f, spec)), threads
+        assert np.array_equal(f_zbar, diff_zbar(f, spec)), threads
+
+
 def test_operators_commute(torus_spec):
     u, v = torus_spec.meshgrid()
     f = np.exp(np.sin(u) + np.cos(2 * v))
@@ -96,18 +112,20 @@ def test_integrate_shape_mismatch(torus_spec):
 
 
 def test_convergence_order_algebraic():
-    slope = convergence_order(lambda n: n**-4.0, [16, 32, 64, 128])
+    sizes = [16, 32, 64, 128]
+    slope = convergence_order(sizes, [n**-4.0 for n in sizes])
     assert slope == pytest.approx(-4.0, abs=0.01)
 
 
 def test_convergence_order_superalgebraic():
-    slope = convergence_order(lambda n: np.exp(-n), [16, 32, 64])
+    sizes = [16, 32, 64]
+    slope = convergence_order(sizes, [np.exp(-n) for n in sizes])
     assert classify_order(slope) == "superalgebraic"
 
 
 def test_convergence_order_constant_warns():
     with pytest.warns(UserWarning):
-        slope = convergence_order(lambda n: 1.0, [16, 32, 64])
+        slope = convergence_order([16, 32, 64], [1.0, 1.0, 1.0])
     assert slope == pytest.approx(0.0, abs=0.01)
 
 
@@ -117,4 +135,4 @@ def test_convergence_floor_counts_as_converged():
 
 def test_convergence_needs_three_sizes():
     with pytest.raises(ValueError):
-        convergence_order(lambda n: 1.0 / n, [16, 32])
+        convergence_order([16, 32], [1.0 / 16, 1.0 / 32])

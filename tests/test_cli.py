@@ -249,6 +249,50 @@ SUBCOMMANDS = {
 }
 
 
+@pytest.mark.parametrize("outputs", [
+    5,
+    {"kind": "report", "path": "r.json"},
+    [5],
+    [{"kind": "report"}],
+    [{"kind": "report", "path": 7}],
+    [{"kind": "report", "path": True}],
+    [{"kind": "report", "path": ""}],
+    [{"kind": "plot", "path": "r.json"}],
+    [{"kind": ["report"], "path": "r.json"}],
+    [{"kind": "report", "path": "r.json", "mode": "a"}],
+])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_malformed_outputs_exit_2_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, outputs
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16}, outputs=outputs)
+    assert main([command, cfg] + SUBCOMMANDS[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output" in captured.err and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+@pytest.mark.parametrize("command, via", [
+    ("analyze", "--out"), ("analyze", "outputs"), ("fields", "--out"),
+    ("fields", "outputs"), ("convergence", "--out"),
+])
+def test_unwritable_output_exits_2_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, via, target
+):
+    monkeypatch.chdir(tmp_path)
+    outputs = [{"kind": "fields" if command == "fields" else "report", "path": target}]
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16},
+                       outputs=outputs if via == "outputs" else [])
+    argv = [command, cfg] + (["--sizes", "16,24,32"] if command == "convergence" else [])
+    argv += ["--out", target] if via == "--out" else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target!r}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 @pytest.mark.parametrize("build, message", [
     (_nan_chart, "non-finite"),
