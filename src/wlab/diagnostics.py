@@ -44,7 +44,7 @@ from .invariants import (
     willmore_energy_conformal,
     willmore_energy_euclidean,
 )
-from .lorentz import cmink_inner, herm_norm_sq, mink_inner, span_rank
+from .lorentz import cmink_inner, herm_norm, mink_inner, span_rank
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL_SPECTRAL = 1e-6
@@ -97,13 +97,9 @@ def convergence_L_inf(report: "DiagnosticsReport", key: str) -> float:
     return float(vals.max()) if vals.size else math.nan
 
 
-def _norm_field(vec: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(herm_norm_sq(vec), 0.0))
-
-
 def willmore_residual(inv: InvariantField) -> np.ndarray:
     """|D_zbar D_zbar kappa + (conj s / 2) kappa| pointwise."""
-    return _norm_field(inv.willmore_vector)
+    return herm_norm(inv.willmore_vector)
 
 
 def s_willmore_residual(inv: InvariantField) -> np.ndarray:
@@ -115,7 +111,7 @@ def s_willmore_residual(inv: InvariantField) -> np.ndarray:
     """
     kkb = np.where(inv.umbilic_mask, 1.0, inv.kk_bar)
     coef = cmink_inner(inv.Dzbar_kappa, np.conj(inv.kappa)) / kkb
-    return _norm_field(inv.Dzbar_kappa - coef[..., None] * inv.kappa)
+    return herm_norm(inv.Dzbar_kappa - coef[..., None] * inv.kappa)
 
 
 def flat_normal_residual(inv: InvariantField) -> np.ndarray:
@@ -174,13 +170,15 @@ def reduction_span_check(frame: FrameField, inv: InvariantField) -> tuple[int, i
     lift_rank k+2 witnesses containment in a conformal S^k; the kappa jet
     stacks real and imaginary parts of kappa, D_z kappa and
     D_zbar D_z kappa across the grid (flat-normal Willmore data spans at
-    most 4 dimensions).
+    most 4 dimensions).  A full mask takes the fields themselves, not
+    masked copies of them.
     """
     m = inv.mask
     if int(m.sum()) < MIN_RANK_SAMPLES:
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
-    lift_rank = span_rank(frame.Y[m])
-    jets = (f[m] for f in (inv.kappa, inv.Dz_kappa, inv.Dzbar_Dz_kappa))
+    full = m.all()
+    lift_rank = span_rank(frame.Y if full else frame.Y[m])
+    jets = (f if full else f[m] for f in (inv.kappa, inv.Dz_kappa, inv.Dzbar_Dz_kappa))
     kappa_jet_rank = span_rank(part for jet in jets for part in (jet.real, jet.imag))
     return lift_rank, kappa_jet_rank
 
@@ -315,12 +313,11 @@ def analyze(
     chart: Chart,
     tolerances: Optional[dict] = None,
     seed: int = 0,
-    euclidean: bool = True,
 ) -> DiagnosticsReport:
     """Full pipeline: frame -> invariants -> residuals -> report."""
     validate_chart(chart)
     # reads only the chart: its transients peak before the frame's fields exist
-    w_euc = willmore_energy_euclidean(chart) if euclidean else None
+    w_euc = willmore_energy_euclidean(chart)
     frame = build_frame(chart, validate=False)
     inv = hopf_schwarzian(frame)
     tol = default_tolerances(chart, tolerances)
@@ -333,7 +330,7 @@ def analyze(
         "res_willmore": willmore_residual(inv),
         "res_swillmore": s_willmore_residual(inv),
         "res_flat": flat_normal_residual(inv),
-        "res_ricci": ricci_residual(frame, inv),
+        "res_ricci": ricci_residual(inv),
     }
     fields["res_gauss"], fields["res_codazzi"] = codazzi_gauss_residuals(inv)
     omega, holo = six_form(inv)
@@ -342,8 +339,6 @@ def analyze(
     fields["kkbar"] = inv.kk_bar
     fields["abs_kk"] = np.abs(inv.kk)
     fields["theta"] = np.where(inv.theta_mask, inv.theta, np.nan)
-    fields["_mask"] = live
-    fields["_umbilic_mask"] = inv.umbilic_mask
 
     def entry(row: Residual) -> ResidualEntry:
         mask = masks[row.mask]
@@ -360,13 +355,11 @@ def analyze(
         fields["res_isothermic"] = np.full(live.shape, np.nan)
     entries = [entry(row) for row in RESIDUALS]
 
-    w_conf = willmore_energy_conformal(inv)
     energies = {
-        "W_conformal": w_conf,
+        "W_conformal": willmore_energy_conformal(inv),
         "domain_truncated": not spec.fully_periodic,
+        "W_euclidean": w_euc,
     }
-    if euclidean:
-        energies["W_euclidean"] = w_euc
 
     lift_rank, jet_rank = reduction_span_check(frame, inv)
     ranks = {"lift_rank": lift_rank, "kappa_jet_rank": jet_rank}

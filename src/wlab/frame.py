@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_z, wirtinger
-from .lorentz import mink_inner, cmink_inner, herm_norm_sq, signature
+from .lorentz import cmink_inner, herm_norm_sq, signature
 from .parallel import split
 
 UNIT_TOL = 1e-12
@@ -61,18 +61,18 @@ class Chart:
     spec: GridSpec
     points: np.ndarray  # (nu, nv, n+1)
     ambient_n: int
-    mask: np.ndarray = None  # (nu, nv) bool; True = usable for norms
     cover_count: int = 1
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    # (nu, nv) bool, True = usable for norms: the spec's interior mask
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.points.shape != (self.spec.nu, self.spec.nv, self.ambient_n + 1):
             raise ChartError(
                 f"points shape {self.points.shape} does not match grid/ambient"
             )
-        if self.mask is None:
-            self.mask = self.spec.interior_mask()
+        self.mask = self.spec.interior_mask()
 
     @property
     def dim(self) -> int:
@@ -121,7 +121,6 @@ class FrameField:
     """
 
     chart: Chart
-    spec: GridSpec
     Y: np.ndarray          # (nu, nv, d) real
     Y_z: np.ndarray        # complex
     Y_zz: np.ndarray       # complex
@@ -132,6 +131,10 @@ class FrameField:
     P_perp: Optional[np.ndarray] = None  # (nu, nv, d, d) real
 
     @property
+    def spec(self) -> GridSpec:
+        return self.chart.spec
+
+    @property
     def dim(self) -> int:
         return self.Y.shape[-1]
 
@@ -139,8 +142,8 @@ class FrameField:
 def light_cone_lift(chart: Chart) -> np.ndarray:
     """Y0 = (1, x): the tautological lift, with <Y0, Y0> = 0 exactly."""
     norms = np.linalg.norm(chart.points, axis=-1)
-    if np.abs(norms - 1.0).max() > UNIT_TOL:
-        raise ChartError("chart points are not unit vectors")
+    if not np.abs(norms - 1.0).max() <= UNIT_TOL:  # NaN compares False: rejected
+        raise ChartError("chart points are not finite unit vectors")
     nu, nv, _ = chart.points.shape
     y0 = np.empty((nu, nv, chart.dim))
     y0[..., 0] = 1.0
@@ -148,17 +151,14 @@ def light_cone_lift(chart: Chart) -> np.ndarray:
     return y0
 
 
-def canonical_lift(chart: Chart, prescale: Optional[np.ndarray] = None) -> FrameField:
+def canonical_lift(chart: Chart) -> FrameField:
     """Scale the light-cone lift so that <Y_z, Y_zbar> = 1/2.
 
-    `prescale` multiplies Y0 by an arbitrary positive field first; the
-    result is unchanged up to discretization error (the canonical lift is
-    scale-fixing), which is exactly what the regression test exercises.
+    The result does not depend on the scale of the lift it starts from, up
+    to discretization error: the canonical lift is scale-fixing.
     """
     spec = chart.spec
     y0 = light_cone_lift(chart)
-    if prescale is not None:
-        y0 = y0 * prescale[..., None]
     y0_z = diff_z(y0, spec)
     rho = cmink_inner(y0_z, np.conj(y0_z)).real
     mask = chart.mask & (rho > DEGENERATE_METRIC_TOL)
@@ -170,7 +170,6 @@ def canonical_lift(chart: Chart, prescale: Optional[np.ndarray] = None) -> Frame
     Y_zz, Y_zzbar = wirtinger(Y_z, spec)
     return FrameField(
         chart=chart,
-        spec=spec,
         Y=Y,
         Y_z=Y_z,
         Y_zz=Y_zz,
@@ -282,41 +281,3 @@ def build_frame(chart: Chart, validate: bool = True) -> FrameField:
     frame.N = frame_N(frame, herm_norm_sq(frame.kappa))
     return frame
 
-
-def frame_residuals(frame: FrameField) -> dict:
-    """Max violations of the defining frame relations over the mask.
-
-    On spectral charts every entry sits at roundoff; on finite-difference
-    charts they scale with the truncation error of the grid derivatives.
-    """
-    m = frame.mask
-
-    def worst(x):
-        return float(np.abs(np.asarray(x))[m].max())
-
-    res = {
-        "<Y,Y>": worst(mink_inner(frame.Y, frame.Y)),
-        "<Y_z,Y_z>": worst(cmink_inner(frame.Y_z, frame.Y_z)),
-        "<Y_z,Y_zbar>-1/2": worst(cmink_inner(frame.Y_z, np.conj(frame.Y_z)) - 0.5),
-    }
-    if frame.N is not None:
-        res.update(
-            {
-                "<N,Y>+1": worst(mink_inner(frame.N, frame.Y) + 1.0),
-                "<N,N>": worst(mink_inner(frame.N, frame.N)),
-                "<N,Y_z>": worst(cmink_inner(frame.N.astype(complex), frame.Y_z)),
-            }
-        )
-    if frame.N is not None and frame.dim > 4:
-        psi, _ = normal_basis(frame)
-        q = signature(frame.dim)
-        gram = np.einsum("uvik,uvjk,k->uvij", psi, psi, q)
-        res["psi_gram-id"] = worst(gram - np.eye(frame.dim - 4))
-        for label, vec in (
-            ("psi.Y", frame.Y.astype(complex)),
-            ("psi.Y_z", frame.Y_z),
-            ("psi.N", frame.N.astype(complex)),
-        ):
-            pair = np.einsum("uvik,uvk,k->uvi", psi.astype(complex), vec, q)
-            res[f"<{label}>"] = worst(np.abs(pair).max(axis=-1))
-    return res

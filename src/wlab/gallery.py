@@ -140,9 +140,13 @@ class CurveSpec:
 @dataclass
 class HopfChartResult:
     chart: Chart
-    closed: bool
     closing_period: float
     lift_monodromy_phase: float
+
+    @property
+    def closed(self) -> bool:
+        """The chart is the periodic cover of a closed curve."""
+        return self.chart.spec.periodic_u
 
 
 def _realify(cplx_vecs: np.ndarray) -> np.ndarray:
@@ -227,7 +231,7 @@ def _homogeneous_lift(
     if t_window is not None:
         period, q, params = t_window, None, {**params, "t_window": t_window}
     chart = _hopf_chart(gamma, period, q, nu, nv, name, params)
-    return HopfChartResult(chart, q is not None, t_close, phase)
+    return HopfChartResult(chart, t_close, phase)
 
 
 def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
@@ -405,7 +409,7 @@ def hopf_from_curvature(
     }
     chart = _hopf_chart(gamma_direct if q is None else gamma_extended, t_period, q,
                         nu, nv, "hopf_from_curvature", params)
-    return HopfChartResult(chart, q is not None, t_period, phase % TWO_PI)
+    return HopfChartResult(chart, t_period, phase % TWO_PI)
 
 
 def remark_energy(curve_or_c, t_close: float) -> float:
@@ -433,9 +437,8 @@ def include_in_higher_sphere(chart: Chart, n_target: int) -> Chart:
     pts = np.zeros(chart.points.shape[:2] + (n_target + 1,))
     pts[..., : chart.ambient_n + 1] = chart.points
     return Chart(
-        chart.spec, pts, ambient_n=n_target, mask=chart.mask.copy(),
-        cover_count=chart.cover_count, name=chart.name,
-        params={**chart.params, "included_n": n_target},
+        chart.spec, pts, ambient_n=n_target, cover_count=chart.cover_count,
+        name=chart.name, params={**chart.params, "included_n": n_target},
     )
 
 
@@ -457,9 +460,8 @@ def apply_mobius(chart: Chart, mob: MobiusMap) -> Chart:
     # the identity map reproduces the chart bit-exactly
     x = w[..., 1:] / t_comp[..., None]
     return Chart(
-        chart.spec, x, ambient_n=chart.ambient_n, mask=chart.mask.copy(),
-        cover_count=chart.cover_count, name=chart.name,
-        params={**chart.params, "mobius": True},
+        chart.spec, x, ambient_n=chart.ambient_n, cover_count=chart.cover_count,
+        name=chart.name, params={**chart.params, "mobius": True},
     )
 
 

@@ -16,13 +16,12 @@ stereographically projects the chart to R^n and integrates H^2 - K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_z, diff_zbar, diff_u, diff_v, integrate, wirtinger
+from .calculus import GridSpec, diff_zbar, diff_u, diff_v, integrate, wirtinger
 from .frame import Chart, FrameField, normal_project
-from .lorentz import cmink_inner, herm_norm_sq
+from .lorentz import cmink_inner, herm_norm, herm_norm_sq
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
@@ -78,8 +77,7 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     kk_bar = herm_norm_sq(kappa)
 
     m = frame.mask
-    decomp = np.sqrt(np.maximum(
-        herm_norm_sq(frame.Y_zz - (-0.5 * s[..., None] * frame.Y + kappa)), 0.0))
+    decomp = herm_norm(frame.Y_zz - (-0.5 * s[..., None] * frame.Y + kappa))
     tang = np.maximum(
         np.abs(2.0 * cmink_inner(frame.Y_zz, frame.Y_z)),
         np.abs(2.0 * cmink_inner(frame.Y_zz, np.conj(frame.Y_z))),
@@ -150,9 +148,7 @@ def unwrap_half_phase(kk: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.nd
     return theta, ok
 
 
-def ricci_residual(
-    frame: FrameField, inv: InvariantField, kappa_rhs: Optional[np.ndarray] = None
-) -> np.ndarray:
+def ricci_residual(inv: InvariantField) -> np.ndarray:
     """Pointwise |R^D kappa - RHS|: the Ricci equation applied to kappa.
 
     R^D = D_zbar D_z - D_z D_zbar is the curvature of the normal connection
@@ -161,17 +157,15 @@ def ricci_residual(
     neither a normal basis nor a derivative of P_perp.  The Ricci equation
     gives R^D v = 2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for
     v = kappa this vanishes exactly where the normal bundle is flat.
-    `kappa_rhs` substitutes a different kappa on the right-hand side (v
-    stays kappa), for controlled violation fixtures.
     """
-    if frame.dim == 4:  # V^perp = 0: kappa is projector roundoff, not a section
-        return np.zeros(frame.mask.shape)
-    kap = inv.kappa if kappa_rhs is None else kappa_rhs
+    if inv.frame.dim == 4:  # V^perp = 0: kappa is projector roundoff, not a section
+        return np.zeros(inv.mask.shape)
+    kap = inv.kappa
     # right side first, then the stored left side minus it: two fields alive at once
-    defect = 2.0 * cmink_inner(inv.kappa, kap)[..., None] * np.conj(kap)
-    defect -= 2.0 * cmink_inner(inv.kappa, np.conj(kap))[..., None] * kap
+    defect = 2.0 * cmink_inner(kap, kap)[..., None] * np.conj(kap)
+    defect -= 2.0 * cmink_inner(kap, np.conj(kap))[..., None] * kap
     defect = inv.Dzbar_Dz_kappa - inv.Dz_Dzbar_kappa - defect
-    return np.sqrt(np.maximum(herm_norm_sq(defect), 0.0))
+    return herm_norm(defect)
 
 
 def willmore_energy_conformal(inv: InvariantField) -> float:
@@ -261,40 +255,3 @@ def willmore_energy_euclidean(chart: Chart) -> float:
     dens = (h2 - k_gauss) * np.sqrt(det)
     return float(integrate(dens, spec)) / chart.cover_count
 
-
-def structure_closure_residuals(frame: FrameField, inv: InvariantField) -> dict:
-    """L_inf defects of the structure equations, reconstructed vs. direct.
-
-    Checks d_z of Y_z, of N, and of a smooth normal section (the V^perp
-    projection of a constant ambient vector; a pivoted normal basis is not
-    smooth across grid points, so it cannot be differentiated directly).
-    """
-    m = frame.mask
-    spec = frame.spec
-
-    def worst(vec):
-        return float(np.sqrt(np.maximum(herm_norm_sq(vec), 0.0))[m].max())
-
-    out = {}
-    rhs_yzz = -0.5 * inv.s[..., None] * frame.Y + inv.kappa
-    out["Y_zz"] = worst(frame.Y_zz - rhs_yzz)
-
-    nz = diff_z(frame.N, spec)
-    rhs_n = (
-        -2.0 * inv.kk_bar[..., None] * frame.Y_z
-        - inv.s[..., None] * np.conj(frame.Y_z)
-        + 2.0 * inv.Dzbar_kappa
-    )
-    out["N_z"] = worst(nz - rhs_n)
-
-    w = np.zeros(frame.dim)
-    w[-1] = 1.0
-    section = np.einsum("uvab,b->uva", frame.P_perp, w).astype(complex)
-    sz = diff_z(section, spec)
-    rhs_psi = (
-        normal_project(frame, sz)
-        + 2.0 * cmink_inner(section, inv.Dzbar_kappa)[..., None] * frame.Y
-        - 2.0 * cmink_inner(section, inv.kappa)[..., None] * np.conj(frame.Y_z)
-    )
-    out["psi_z"] = worst(sz - rhs_psi)
-    return out

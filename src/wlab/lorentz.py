@@ -60,6 +60,12 @@ def herm_norm_sq(v: np.ndarray) -> np.ndarray:
     return cmink_inner(v, np.conj(v)).real
 
 
+def herm_norm(v: np.ndarray) -> np.ndarray:
+    """sqrt <v, conj v>, with the roundoff-negative values of null and
+    near-null vectors clipped to 0."""
+    return np.sqrt(np.maximum(herm_norm_sq(v), 0.0))
+
+
 def span_rank(blocks, tol: float = 1e-8) -> int:
     """Rank of the linear span of a set of vectors.
 
@@ -110,16 +116,6 @@ class MobiusMap:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Apply to vectors stored along the last axis."""
         return np.einsum("ij,...j->...i", self.matrix, vectors)
-
-    def inverse(self) -> "MobiusMap":
-        # For M in O(n+1,1): M^{-1} = G M^T G with G the signature matrix.
-        q = signature(self.dim)
-        return MobiusMap(q[:, None] * self.matrix.T * q[None, :])
-
-    def form_defect(self) -> float:
-        """max |M^T G M - G|, the violation of the group constraint."""
-        g = np.diag(signature(self.dim))
-        return float(np.abs(self.matrix.T @ g @ self.matrix - g).max())
 
 
 def random_mobius(n: int, seed: int, magnitude: float) -> MobiusMap:

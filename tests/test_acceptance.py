@@ -115,7 +115,7 @@ def k2_control_reports():
 
     def run(n):
         res = homogeneous_cp2_hopf(lam, amps, n, 24, t_window=4 * np.pi)
-        return analyze(res.chart, euclidean=False)
+        return analyze(res.chart)
 
     return {n: run(n) for n in (32, 64, 128, 256)}
 
@@ -130,12 +130,12 @@ def test_criterion_04_nonflat_controls(veronese_report, k2_control_reports):
     Fits run on the deep interior, clear of the one-sided-stencil band.
     """
     tol = veronese_report.entry("flat_normal").tolerance
-    masked = veronese_report.fields["_mask"] & ~veronese_report.fields["_umbilic_mask"]
+    masked = veronese_report.masks["res_flat"]
     assert veronese_report.fields["res_flat"][masked].min() > 10 * tol
 
     sizes = [32, 64, 128]
     ver = [
-        convergence_L_inf(analyze(veronese(n, 24), euclidean=False), "res_willmore")
+        convergence_L_inf(analyze(veronese(n, 24)), "res_willmore")
         for n in sizes
     ]
     slope_v = np.polyfit(np.log(sizes), np.log(ver), 1)[0]
@@ -143,7 +143,7 @@ def test_criterion_04_nonflat_controls(veronese_report, k2_control_reports):
 
     k2_64 = k2_control_reports[64]
     tol2 = k2_64.entry("flat_normal").tolerance
-    m2 = k2_64.fields["_mask"] & ~k2_64.fields["_umbilic_mask"]
+    m2 = k2_64.masks["res_flat"]
     assert k2_64.fields["res_flat"][m2].min() > 10 * tol2
 
     ref = convergence_L_inf(k2_control_reports[256], "res_willmore")
@@ -169,10 +169,10 @@ def test_criterion_05_reduction_rank_witnesses(clifford_report):
         assert lift_rank == 5, seed
 
     assert clifford_report.ranks["kappa_jet_rank"] <= 4
-    hopf_clifford = analyze(pinkall_hopf_torus(0.0, 64, 64).chart, euclidean=False)
+    hopf_clifford = analyze(pinkall_hopf_torus(0.0, 64, 64).chart)
     assert hopf_clifford.ranks["kappa_jet_rank"] <= 4
 
-    sphere = analyze(round_sphere(64, 24), euclidean=False)
+    sphere = analyze(round_sphere(64, 24))
     assert sphere.ranks["lift_rank"] == 4
     _ok("5 (lift rank 5 under scrambling; jet rank <= 4; sphere rank 4)")
 
@@ -182,10 +182,10 @@ def test_criterion_06_mobius_invariance_suite():
     cases = [clifford(64, 64), pinkall_hopf_torus(1.5, 192, 96).chart]
     worst = 0.0
     for chart in cases:
-        base = analyze(chart, euclidean=False)
+        base = analyze(chart)
         for seed in range(1, 6):
             moved = apply_mobius(chart, random_mobius(chart.ambient_n, seed, 1.0))
-            rep = analyze(moved, euclidean=False)
+            rep = analyze(moved)
             dw = abs(rep.energies["W_conformal"] - base.energies["W_conformal"])
             assert dw < 1e-7, (chart.name, seed)
             worst = max(worst, dw)

@@ -169,7 +169,7 @@ def test_isothermic_quadratic_phase():
 def test_isothermic_skipped_on_non_flat():
     # theta is undefined off flat normal bundles: the failed flat_normal
     # verdict empties the isothermic mask
-    rep = analyze(veronese(64, 32), euclidean=False)
+    rep = analyze(veronese(64, 32))
     assert rep.entry("flat_normal").verdict == "fail"
     iso = rep.entry("isothermic")
     assert iso.verdict == "skipped" and iso.masked_fraction == 1.0
@@ -204,8 +204,8 @@ def test_six_form_is_mobius_invariant():
     lam = [-1.0, 0.5, 2.0]
     chart = homogeneous_cp2_hopf(lam, solve_cp2_amplitudes(lam), 96, 48).chart
     moved = apply_mobius(chart, random_mobius(5, 1, 0.3))
-    base = analyze(chart, euclidean=False)
-    image = analyze(moved, euclidean=False)
+    base = analyze(chart)
+    image = analyze(moved)
     m = base.masks["omega_abs"] & image.masks["omega_abs"]
     assert np.abs(image.fields["omega_abs"] - base.fields["omega_abs"])[m].max() < 1e-9
 
@@ -303,12 +303,12 @@ def test_grid_origin_shift_invariance():
     # spectral operators are shift-equivariant, so rolling a periodic chart
     # moves every field without changing norms or energies
     base_chart = clifford(32, 32)
-    base = analyze(base_chart, euclidean=False)
+    base = analyze(base_chart)
     shifted = Chart(
         base_chart.spec, np.roll(base_chart.points, (5, 11), axis=(0, 1)),
         ambient_n=3, name="clifford",
     )
-    rep = analyze(shifted, euclidean=False)
+    rep = analyze(shifted)
     assert abs(rep.energies["W_conformal"] - base.energies["W_conformal"]) < 1e-10
     for e in base.entries:
         if not np.isnan(e.L_inf):
@@ -319,7 +319,7 @@ def test_grid_origin_shift_invariance():
 
 def test_report_norm_inequality(clifford_data):
     frame, _ = clifford_data
-    rep = analyze(frame.chart, euclidean=False)
+    rep = analyze(frame.chart)
     area = math.sqrt(4 * np.pi**2)
     for entry in rep.entries:
         if not math.isnan(entry.L2):
@@ -395,7 +395,7 @@ def test_nan_at_live_point_fails(clifford_data, monkeypatch):
     holo = np.zeros(frame.mask.shape)
     holo[tuple(np.argwhere(frame.mask)[0])] = np.nan
     monkeypatch.setattr(diagnostics, "six_form", lambda inv: (np.zeros_like(holo), holo))
-    rep = analyze(frame.chart, euclidean=False)
+    rep = analyze(frame.chart)
     assert rep.entry("omega_abs").verdict == "pass"
     assert rep.entry("omega_holomorphy").verdict == "fail"
     assert rep.passed is False
@@ -408,7 +408,7 @@ def test_residual_table_drives_every_name_list(tmp_path):
 
     names = [row.name for row in RESIDUALS]
     chart = clifford(16, 16)
-    rep = analyze(chart, euclidean=False)
+    rep = analyze(chart)
     assert [e.name for e in rep.entries] == names
     assert list(default_tolerances(chart)) == names
     assert list(rep.masks) == [row.field for row in RESIDUALS]

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wlab.frame
 from wlab.calculus import GridSpec
 from wlab.frame import (
     PROJECTOR_BLOCK,
@@ -11,13 +12,13 @@ from wlab.frame import (
     _v_basis,
     build_frame,
     canonical_lift,
-    frame_residuals,
     light_cone_lift,
     normal_basis,
     perp_projector,
     validate_chart,
 )
 from wlab.gallery import (
+    apply_mobius,
     build_surface,
     clifford,
     include_in_higher_sphere,
@@ -26,7 +27,9 @@ from wlab.gallery import (
     veronese,
 )
 from wlab.invariants import hopf_schwarzian
-from wlab.lorentz import cmink_inner, mink_inner, signature
+from wlab.lorentz import cmink_inner, mink_inner, random_mobius, signature
+
+from frame_oracles import frame_residuals
 
 
 def clifford_normal(chart):
@@ -49,6 +52,19 @@ def test_light_cone_lift_rejects_non_unit():
         light_cone_lift(ch)
 
 
+def test_nan_point_is_a_chart_error_in_lift_and_mobius_map():
+    # a NaN norm compares False against the unit tolerance, so the check
+    # must reject it rather than let NaN into Y or the moved chart
+    ch = clifford(16, 16)
+    ch.points[3, 5, 1] = np.nan
+    with pytest.raises(ChartError, match="finite unit"):
+        light_cone_lift(ch)
+    with pytest.raises(ChartError, match="finite unit"):
+        canonical_lift(ch)
+    with pytest.raises(ChartError, match="finite unit"):
+        apply_mobius(ch, random_mobius(3, 1, 0.3))
+
+
 def test_canonical_lift_clifford_closed_form():
     ch = clifford(32, 32)
     fr = canonical_lift(ch)
@@ -64,12 +80,14 @@ def test_canonical_lift_mercator_sphere():
     assert defect < 1e-8
 
 
-def test_canonical_lift_is_scale_fixing():
+def test_canonical_lift_is_scale_fixing(monkeypatch):
     ch = clifford(32, 32)
     u, v = ch.spec.meshgrid()
     prescale = np.exp(0.3 * np.sin(u) - 0.2 * np.cos(2 * v))
     a = canonical_lift(ch)
-    b = canonical_lift(ch, prescale=prescale)
+    monkeypatch.setattr(wlab.frame, "light_cone_lift",
+                        lambda chart: light_cone_lift(chart) * prescale[..., None])
+    b = canonical_lift(ch)
     assert np.abs(a.Y - b.Y).max() < 1e-9
 
 
@@ -81,6 +99,13 @@ def test_non_conformal_chart_rejected():
     ch = Chart(spec, pts, ambient_n=2, name="spherical")
     with pytest.raises(ChartError, match="not conformal"):
         validate_chart(ch)
+
+
+def test_chart_mask_is_the_interior_mask_and_not_settable():
+    ch = round_sphere(32, 16)
+    assert np.array_equal(ch.mask, ch.spec.interior_mask())
+    with pytest.raises(TypeError):
+        Chart(ch.spec, ch.points, ambient_n=4, mask=ch.mask)
 
 
 def test_non_finite_chart_rejected():

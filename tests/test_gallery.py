@@ -73,7 +73,7 @@ def test_pinkall_closure(c, period, cover):
 def test_pinkall_at_zero_curvature_is_clifford():
     res = pinkall_hopf_torus(0.0, 64, 64)
     assert res.lift_monodromy_phase == pytest.approx(np.pi, rel=1e-15)
-    rep = analyze(res.chart, euclidean=False)
+    rep = analyze(res.chart)
     assert rep.passed
     assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-8)
     # arc-length coordinates double the invariant density of the half-angle
@@ -93,7 +93,7 @@ def test_pinkall_three_halves_closed_form():
 def test_pinkall_irrational_twist_reports_open():
     res = pinkall_hopf_torus(1.0, 64, 32)  # lambda = golden ratio pair
     assert not res.closed
-    rep = analyze(res.chart, euclidean=False)
+    rep = analyze(res.chart)
     assert rep.entry("flat_normal").L_inf < 1e-4  # rank-1 normal bundle
 
 
@@ -129,7 +129,7 @@ def test_frame_ode_geodesic_gives_clifford_invariants():
     curve = CurveSpec(k1=0.0, k2=0.0, t_period=np.pi, ambient_complex_dim=2)
     res = hopf_from_curvature(curve, 48, 48)
     assert res.closed and res.chart.cover_count == 2
-    rep = analyze(res.chart, euclidean=False)
+    rep = analyze(res.chart)
     assert rep.passed
     assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-6)
 
@@ -182,8 +182,8 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
     amps = np.array([math.sqrt(0.2), math.sqrt(0.8), 0.0])
     res = homogeneous_cp2_hopf([2.0, -0.5, 0.3], amps, 80, 32)
     ref = pinkall_hopf_torus(1.5, 80, 32)
-    rep = analyze(res.chart, euclidean=False)
-    ref_rep = analyze(ref.chart, euclidean=False)
+    rep = analyze(res.chart)
+    ref_rep = analyze(ref.chart)
     assert rep.energies["W_conformal"] == pytest.approx(
         ref_rep.energies["W_conformal"], rel=1e-10
     )
@@ -207,7 +207,7 @@ def test_homogeneous_generic_triple_not_flat():
     w = willmore_energy_conformal(inv)
     assert w == pytest.approx(w_expected, rel=1e-10)
     # the integrability rows hold on any genuine immersion
-    rep = analyze(res.chart, euclidean=False)
+    rep = analyze(res.chart)
     for name in ("gauss", "codazzi", "ricci"):
         assert rep.entry(name).verdict == "pass", name
 
@@ -223,7 +223,7 @@ def test_homogeneous_window_chart_is_fd():
 # --- veronese and round sphere ----------------------------------------------
 
 def test_veronese_reference_values():
-    rep = analyze(veronese(96, 32), euclidean=False)
+    rep = analyze(veronese(96, 32))
     assert rep.entry("willmore").L_inf < 1e-3
     assert rep.ranks["lift_rank"] == 6
     assert rep.entry("flat_normal").verdict == "fail"  # non-flat control
@@ -246,8 +246,8 @@ def test_identity_mobius_is_exact():
 
 
 def test_inclusion_preserves_diagnostics():
-    base = analyze(clifford(32, 32), euclidean=False)
-    padded = analyze(include_in_higher_sphere(clifford(32, 32), 5), euclidean=False)
+    base = analyze(clifford(32, 32))
+    padded = analyze(include_in_higher_sphere(clifford(32, 32), 5))
     assert abs(base.energies["W_conformal"] - padded.energies["W_conformal"]) < 1e-10
     for e in base.entries:
         other = padded.entry(e.name)
@@ -257,7 +257,7 @@ def test_inclusion_preserves_diagnostics():
 
 def test_random_mobius_preserves_energy():
     mob = random_mobius(3, seed=1, magnitude=1.0)
-    rep = analyze(apply_mobius(clifford(64, 64), mob), euclidean=False)
+    rep = analyze(apply_mobius(clifford(64, 64), mob))
     assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-7)
 
 

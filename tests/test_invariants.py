@@ -23,11 +23,12 @@ from wlab.invariants import (
     normal_D,
     ricci_residual,
     select_projection_pole,
-    structure_closure_residuals,
     willmore_energy_conformal,
     willmore_energy_euclidean,
 )
 from wlab.lorentz import cmink_inner, herm_norm_sq
+
+from frame_oracles import structure_closure_residuals
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +93,12 @@ def test_normal_D_linearity():
 
 def test_ricci_residual_clifford(clifford_inv):
     frame, inv = clifford_inv
-    assert ricci_residual(frame, inv)[frame.mask].max() < 1e-8
+    assert ricci_residual(inv)[frame.mask].max() < 1e-8
 
 
 def test_ricci_residual_veronese(veronese_inv):
     frame, inv = veronese_inv
-    assert ricci_residual(frame, inv)[frame.mask].max() < 1e-4
+    assert ricci_residual(inv)[frame.mask].max() < 1e-4
 
 
 def _cp2_chart(nu, nv):
@@ -125,6 +126,21 @@ def dense_ricci_residual(frame, inv, kappa_rhs=None):
     return np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0))
 
 
+def ricci_residual_2kappa_rhs(inv):
+    """`ricci_residual` with 2 kappa on the right-hand side only.  The right
+    side is quadratic in kappa, so this is 4 |J/4 - RHS(kappa)| for the
+    stored jet J; scaling by a power of two is exact."""
+    quarter = replace(inv, Dzbar_Dz_kappa=inv.Dzbar_Dz_kappa / 4,
+                      Dz_Dzbar_kappa=inv.Dz_Dzbar_kappa / 4)
+    return 4 * ricci_residual(quarter)
+
+
+def ricci_pairs(inv):
+    """(kappa_rhs of the dense oracle, the matching residual) for the
+    plain and the 2 kappa right-hand side."""
+    return ((None, ricci_residual(inv)), (2.0 * inv.kappa, ricci_residual_2kappa_rhs(inv)))
+
+
 # the oracle differentiates P, ricci_residual the sections D_z kappa and
 # D_zbar kappa: on spectral charts they agree to roundoff, which the two
 # extra derivatives lift to about 4e-12; on the FD chart to truncation only,
@@ -136,17 +152,17 @@ def dense_ricci_residual(frame, inv, kappa_rhs=None):
 ], ids=["clifford_s7", "cp2_torus", "veronese"])
 def test_ricci_matches_dense_operator(build, tol):
     frame, inv = _frame_inv(build())
-    for kappa_rhs in (None, 2.0 * inv.kappa):
+    for kappa_rhs, res in ricci_pairs(inv):
         ref = dense_ricci_residual(frame, inv, kappa_rhs)
-        assert np.abs(ricci_residual(frame, inv, kappa_rhs) - ref).max() < tol
+        assert np.abs(res - ref).max() < tol
 
 
 def test_ricci_dense_operator_gap_falls_under_fd_refinement():
     def gaps(nu):
         frame, inv = _frame_inv(veronese(nu, 48))
         return [
-            np.abs(ricci_residual(frame, inv, k) - dense_ricci_residual(frame, inv, k)).max()
-            for k in (None, 2.0 * inv.kappa)
+            np.abs(res - dense_ricci_residual(frame, inv, k)).max()
+            for k, res in ricci_pairs(inv)
         ]
 
     for coarse, fine in zip(gaps(96), gaps(192)):
@@ -154,13 +170,13 @@ def test_ricci_dense_operator_gap_falls_under_fd_refinement():
 
 
 def test_ricci_flags_an_under_resolved_fd_chart():
-    # no kappa_rhs: the defect is the grid's own truncation, which the
-    # differentiated left side carries and the kappa expression does not
-    coarse = analyze(veronese(24, 12), euclidean=False).entry("ricci")
+    # the defect is the grid's own truncation, which the differentiated
+    # left side carries and the kappa expression does not
+    coarse = analyze(veronese(24, 12)).entry("ricci")
     assert coarse.verdict == "fail" and coarse.L_inf > 1.2 * coarse.tolerance
     sizes = [32, 64, 128]
     linfs = [
-        convergence_L_inf(analyze(veronese(n, 24), euclidean=False), "res_ricci")
+        convergence_L_inf(analyze(veronese(n, 24)), "res_ricci")
         for n in sizes
     ]
     slope = convergence_order(sizes, linfs)
@@ -170,14 +186,14 @@ def test_ricci_flags_an_under_resolved_fd_chart():
 def test_ricci_without_normal_directions_is_zero():
     frame, inv = _frame_inv(round_sphere(32, 16, ambient_n=2))
     assert frame.dim == 4
-    res = ricci_residual(frame, inv)
+    res = ricci_residual(inv)
     assert res.shape == frame.mask.shape and not res.any()
 
 
 def _assert_controlled_violation(frame, inv, rel, tol):
     # RHS is quadratic in kappa: replacing kappa by 2 kappa on the RHS only
     # makes the curvature defect 3 |RHS(kappa)|
-    broken = ricci_residual(frame, inv, kappa_rhs=2.0 * inv.kappa)
+    broken = ricci_residual_2kappa_rhs(inv)
     kap, kap_c = inv.kappa, np.conj(inv.kappa)
     rhs = 2 * cmink_inner(kap, kap)[..., None] * kap_c \
         - 2 * cmink_inner(kap, kap_c)[..., None] * kap
@@ -221,7 +237,7 @@ def test_ricci_peak_memory_stays_near_projector_size():
     frame, inv = _frame_inv(include_in_higher_sphere(clifford(128, 128), 7))
     tracemalloc.start()
     try:
-        ricci_residual(frame, inv)
+        ricci_residual(inv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,13 +316,13 @@ def rescaled(chart, factor):
     s = chart.spec
     spec = replace(s, Lu=s.Lu / factor, Lv=s.Lv / factor, u0=s.u0 / factor, v0=s.v0 / factor)
     return Chart(spec, chart.points.copy(), ambient_n=chart.ambient_n,
-                 mask=chart.mask.copy(), cover_count=chart.cover_count, name=chart.name)
+                 cover_count=chart.cover_count, name=chart.name)
 
 
 def test_coordinate_rescaling_preserves_energy():
-    base = analyze(clifford(48, 48), euclidean=False)
+    base = analyze(clifford(48, 48))
     for lam in (2.0, 0.5):
-        rep = analyze(rescaled(clifford(48, 48), lam), euclidean=False)
+        rep = analyze(rescaled(clifford(48, 48), lam))
         assert abs(rep.energies["W_conformal"] - base.energies["W_conformal"]) < 1e-8
         # pointwise invariant density carries the |dz|^2 weight
         assert np.abs(
