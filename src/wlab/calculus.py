@@ -25,6 +25,7 @@ from .parallel import split
 FD_ORDER = 6
 # one-sided FD rows contaminate a margin this wide; residual norms skip it
 BOUNDARY_MARGIN = 3
+BLOCK_POINTS = 2048  # grid points per block of the blockwise in-place loops
 
 
 @dataclass(frozen=True)
@@ -189,23 +190,42 @@ def diff_v(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _diff_axis(np.asarray(f), 1, spec.nv, spec.Lv, spec.periodic_v)
 
 
+def row_blocks(lo: int, hi: int, nv: int) -> list[slice]:
+    """Slices covering grid rows lo..hi, each of about BLOCK_POINTS points."""
+    step = max(1, BLOCK_POINTS // nv)
+    return [slice(start, min(start + step, hi)) for start in range(lo, hi, step)]
+
+
+def _times_i(f_v: np.ndarray) -> np.ndarray:
+    """1j * f_v, formed in the buffer of f_v when it is complex."""
+    return np.multiply(1j, f_v, out=f_v if np.iscomplexobj(f_v) else None)
+
+
 def diff_z(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     """d/dz = (d/du - i d/dv)/2.  Result is complex."""
-    return 0.5 * (diff_u(f, spec) - 1j * diff_v(f, spec))
+    f_u = diff_u(f, spec)
+    i_f_v = _times_i(diff_v(f, spec))
+    return np.multiply(0.5, np.subtract(f_u, i_f_v, out=i_f_v), out=i_f_v)
 
 
 def diff_zbar(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     """d/dzbar = (d/du + i d/dv)/2.  Result is complex."""
-    return 0.5 * (diff_u(f, spec) + 1j * diff_v(f, spec))
+    f_u = diff_u(f, spec)
+    i_f_v = _times_i(diff_v(f, spec))
+    return np.multiply(0.5, np.add(f_u, i_f_v, out=i_f_v), out=i_f_v)
 
 
 def wirtinger(f: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(d/dz f, d/dzbar f) from one diff_u and one diff_v, bit-identical to
-    `diff_z` / `diff_zbar`; d/dzbar f is formed in the buffer of i d/dv f."""
-    f_u = diff_u(f, spec)
-    i_f_v = 1j * diff_v(f, spec)
-    f_z = np.multiply(0.5, f_u - i_f_v)
-    return f_z, np.multiply(0.5, np.add(f_u, i_f_v, out=i_f_v), out=i_f_v)
+    `diff_z` / `diff_zbar`.  They are formed in the buffers of d/du f and
+    i d/dv f, a block of rows at a time, so only a block of d/dz f is extra."""
+    f_u = diff_u(f, spec).astype(complex, copy=False)
+    i_f_v = _times_i(diff_v(f, spec))
+    for rows in row_blocks(0, spec.nu, spec.nv):
+        f_z = f_u[rows] - i_f_v[rows]
+        np.add(f_u[rows], i_f_v[rows], out=i_f_v[rows])
+        f_u[rows] = f_z
+    return np.multiply(0.5, f_u, out=f_u), np.multiply(0.5, i_f_v, out=i_f_v)
 
 
 def integrate(f: np.ndarray, spec: GridSpec) -> complex:

@@ -36,13 +36,15 @@ import numpy as np
 
 from . import __version__ as _version
 from .calculus import GridSpec, diff_z, diff_zbar, wirtinger
-from .frame import Chart, FrameField, build_frame, validate_chart
+from .frame import Chart, build_frame, normal_project, validate_chart
 from .invariants import (
     InvariantField,
     hopf_schwarzian,
+    normal_D,
     ricci_residual,
     willmore_energy_conformal,
     willmore_energy_euclidean,
+    willmore_vector,
 )
 from .lorentz import cmink_inner, herm_norm, mink_inner, span_rank
 
@@ -97,12 +99,12 @@ def convergence_L_inf(report: "DiagnosticsReport", key: str) -> float:
     return float(vals.max()) if vals.size else math.nan
 
 
-def willmore_residual(inv: InvariantField) -> np.ndarray:
+def willmore_residual(willmore_vector: np.ndarray) -> np.ndarray:
     """|D_zbar D_zbar kappa + (conj s / 2) kappa| pointwise."""
-    return herm_norm(inv.willmore_vector)
+    return herm_norm(willmore_vector)
 
 
-def s_willmore_residual(inv: InvariantField) -> np.ndarray:
+def s_willmore_residual(inv: InvariantField, dzbar_kappa: np.ndarray) -> np.ndarray:
     """Norm of the part of D_zbar kappa orthogonal to the line of kappa.
 
     Zero exactly when D_zbar kappa = mu kappa for some function mu.
@@ -110,8 +112,8 @@ def s_willmore_residual(inv: InvariantField) -> np.ndarray:
     callers mask those.
     """
     kkb = np.where(inv.umbilic_mask, 1.0, inv.kk_bar)
-    coef = cmink_inner(inv.Dzbar_kappa, np.conj(inv.kappa)) / kkb
-    return herm_norm(inv.Dzbar_kappa - coef[..., None] * inv.kappa)
+    coef = cmink_inner(dzbar_kappa, np.conj(inv.kappa)) / kkb
+    return herm_norm(dzbar_kappa - coef[..., None] * inv.kappa)
 
 
 def flat_normal_residual(inv: InvariantField) -> np.ndarray:
@@ -126,14 +128,14 @@ def phase_laplacian_residual(theta: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.abs(diff_zbar(diff_z(theta, spec), spec))
 
 
-def six_form(inv: InvariantField) -> tuple[np.ndarray, np.ndarray]:
+def six_form(inv: InvariantField, dzbar_kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The holomorphic-form candidate Omega and its |d_zbar Omega|.
 
     Omega = <D_zbar kappa, kappa>^2 - <D_zbar kappa, D_zbar kappa>
     <kappa, kappa>; it vanishes identically whenever D_zbar kappa is
     parallel to kappa, and d_zbar Omega vanishes on Willmore data.
     """
-    omega = six_form_scalar(inv.kappa, inv.Dzbar_kappa)
+    omega = six_form_scalar(inv.kappa, dzbar_kappa)
     holo = np.abs(diff_zbar(omega, inv.spec))
     return omega, holo
 
@@ -145,42 +147,46 @@ def six_form_scalar(kappa: np.ndarray, dzbar_kappa: np.ndarray) -> np.ndarray:
     return dot(dzbar_kappa, kappa) ** 2 - dot(dzbar_kappa, dzbar_kappa) * dot(kappa, kappa)
 
 
-def codazzi_gauss_residuals(inv: InvariantField) -> tuple[np.ndarray, np.ndarray]:
-    """(gauss, codazzi) pointwise absolute defects of the integrability rows.
-
-    gauss:   s_zbar / 2 - 3 <kappa, D_z conj kappa> - <D_z kappa, conj kappa>
-    codazzi: norm of Im(D_zbar D_zbar kappa + (conj s / 2) kappa); the
-             imaginary part of a V^perp_C field is a real normal vector,
-             so its Minkowski norm is gauge-invariant.
-    """
+def gauss_residual(inv: InvariantField, dz_kappa: np.ndarray,
+                   dzbar_kappa: np.ndarray) -> np.ndarray:
+    """|s_zbar / 2 - 3 <kappa, D_z conj kappa> - <D_z kappa, conj kappa>|,
+    the pointwise defect of the Gauss row of the integrability system."""
     s_zbar = diff_zbar(inv.s, inv.spec)
-    gauss = np.abs(
+    return np.abs(
         0.5 * s_zbar
-        - 3.0 * cmink_inner(inv.kappa, np.conj(inv.Dzbar_kappa))  # D_z conj kappa
-        - cmink_inner(inv.Dz_kappa, np.conj(inv.kappa))
+        - 3.0 * cmink_inner(inv.kappa, np.conj(dzbar_kappa))  # D_z conj kappa
+        - cmink_inner(dz_kappa, np.conj(inv.kappa))
     )
-    im_part = inv.willmore_vector.imag
-    codazzi = np.sqrt(np.maximum(mink_inner(im_part, im_part), 0.0))
-    return gauss, codazzi
 
 
-def reduction_span_check(frame: FrameField, inv: InvariantField) -> tuple[int, int]:
-    """(lift_rank, kappa_jet_rank) from sampled singular values.
+def codazzi_residual(willmore_vector: np.ndarray) -> np.ndarray:
+    """Norm of Im(D_zbar D_zbar kappa + (conj s / 2) kappa), the Codazzi
+    row; the imaginary part of a V^perp_C field is a real normal vector,
+    so its Minkowski norm is gauge-invariant."""
+    im_part = willmore_vector.imag
+    return np.sqrt(np.maximum(mink_inner(im_part, im_part), 0.0))
 
-    lift_rank k+2 witnesses containment in a conformal S^k; the kappa jet
-    stacks real and imaginary parts of kappa, D_z kappa and
-    D_zbar D_z kappa across the grid (flat-normal Willmore data spans at
-    most 4 dimensions).  A full mask takes the fields themselves, not
+
+def codazzi_gauss_residuals(inv: InvariantField, dz_kappa: np.ndarray, dzbar_kappa: np.ndarray,
+                            willmore_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gauss, codazzi): both integrability rows, for a caller holding the
+    whole jet.  `analyze` takes each row at its own stage."""
+    return gauss_residual(inv, dz_kappa, dzbar_kappa), codazzi_residual(willmore_vector)
+
+
+def reduction_span_check(mask: np.ndarray, fields) -> int:
+    """Rank of the span of the vectors of `fields` over the points of `mask`.
+
+    A complex field adds its real and imaginary parts.  The lift's rank
+    k+2 witnesses containment in a conformal S^k; the kappa jet (kappa,
+    D_z kappa, D_zbar D_z kappa) of flat-normal Willmore data spans at
+    most 4 dimensions.  A full mask takes the fields themselves, not
     masked copies of them.
     """
-    m = inv.mask
-    if int(m.sum()) < MIN_RANK_SAMPLES:
+    if int(mask.sum()) < MIN_RANK_SAMPLES:
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
-    full = m.all()
-    lift_rank = span_rank(frame.Y if full else frame.Y[m])
-    jets = (f if full else f[m] for f in (inv.kappa, inv.Dz_kappa, inv.Dzbar_Dz_kappa))
-    kappa_jet_rank = span_rank(part for jet in jets for part in (jet.real, jet.imag))
-    return lift_rank, kappa_jet_rank
+    fields = (f if mask.all() else f[mask] for f in fields)
+    return span_rank(p for f in fields for p in ((f.real, f.imag) if np.iscomplexobj(f) else (f,)))
 
 
 def remark62_residual(
@@ -314,31 +320,49 @@ def analyze(
     tolerances: Optional[dict] = None,
     seed: int = 0,
 ) -> DiagnosticsReport:
-    """Full pipeline: frame -> invariants -> residuals -> report."""
+    """Full pipeline: frame -> invariants -> residuals -> report.
+
+    Each (nu, nv, d) field is deleted after its last reader: the lift once
+    kappa, s and the lift rank exist, each field of kappa's normal jet once
+    its residuals and rank block are taken, P_perp after the last projection.
+    """
     validate_chart(chart)
     # reads only the chart: its transients peak before the frame's fields exist
     w_euc = willmore_energy_euclidean(chart)
+    spec = chart.spec
+
     frame = build_frame(chart, validate=False)
     inv = hopf_schwarzian(frame)
     tol = default_tolerances(chart, tolerances)
-    spec = chart.spec
+    live = inv.mask
+    lift_rank = reduction_span_check(live, [frame.Y])
+    p_perp = frame.P_perp
+    del frame  # Y, its derivatives and N
 
-    live = frame.mask
-    masks = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
-
+    dz, dzbar = normal_D(p_perp, inv.kappa, spec)
     fields = {
-        "res_willmore": willmore_residual(inv),
-        "res_swillmore": s_willmore_residual(inv),
-        "res_flat": flat_normal_residual(inv),
-        "res_ricci": ricci_residual(inv),
+        "res_swillmore": s_willmore_residual(inv, dzbar),
+        "res_gauss": gauss_residual(inv, dz, dzbar),
     }
-    fields["res_gauss"], fields["res_codazzi"] = codazzi_gauss_residuals(inv)
-    omega, holo = six_form(inv)
+    omega, fields["omega_holomorphy"] = six_form(inv, dzbar)
     fields["omega_abs"] = np.abs(omega)
-    fields["omega_holomorphy"] = holo
+    dzbar_dz = normal_project(p_perp, diff_zbar(dz, spec))
+    jet_rank = reduction_span_check(live, [inv.kappa, dz, dzbar_dz])
+    del dz
+    dz_dzbar, willmore = normal_D(p_perp, dzbar, spec)
+    del dzbar, p_perp
+    fields["res_ricci"] = ricci_residual(inv, dzbar_dz, dz_dzbar)
+    del dzbar_dz, dz_dzbar
+    willmore = willmore_vector(inv, willmore)
+    fields["res_willmore"] = willmore_residual(willmore)
+    fields["res_codazzi"] = codazzi_residual(willmore)
+    del willmore
+
+    fields["res_flat"] = flat_normal_residual(inv)
     fields["kkbar"] = inv.kk_bar
     fields["abs_kk"] = np.abs(inv.kk)
     fields["theta"] = np.where(inv.theta_mask, inv.theta, np.nan)
+    masks = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
 
     def entry(row: Residual) -> ResidualEntry:
         mask = masks[row.mask]
@@ -360,8 +384,6 @@ def analyze(
         "domain_truncated": not spec.fully_periodic,
         "W_euclidean": w_euc,
     }
-
-    lift_rank, jet_rank = reduction_span_check(frame, inv)
     ranks = {"lift_rank": lift_rank, "kappa_jet_rank": jet_rank}
 
     passed = all(e.verdict in ("pass", "skipped") for e in entries)

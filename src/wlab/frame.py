@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_z, wirtinger
+from .calculus import GridSpec, diff_z, row_blocks, wirtinger
 from .lorentz import cmink_inner, herm_norm_sq, signature
 from .parallel import split
 
@@ -178,66 +178,54 @@ def canonical_lift(chart: Chart) -> FrameField:
     )
 
 
-def _v_basis(frame: FrameField) -> np.ndarray:
-    """Real basis of V: (nu, nv, 4, d) = [Y, Re Y_z, Im Y_z, Y_zzbar]."""
-    return np.stack(
-        [frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2
-    )
-
-
 def perp_projector(frame: FrameField) -> np.ndarray:
     """(d, d) field projecting onto V^perp along V, via the Gram solve.
 
-    The Gram inverse and the rank-one terms are taken per PROJECTOR_BLOCK of
-    points; the terms are summed over (i, j) in row-major order into a
-    zeroed block: the order and rounding of the einsum
-    "uvia,uvij,uvjb,b->uvab", so the result is bit-identical to it.
+    Per PROJECTOR_BLOCK of points: the basis [Y, Re Y_z, Im Y_z, Y_zzbar],
+    its Gram inverse, and the 16 terms (b_ia g^ij)(q_b b_jb) added in (i, j)
+    row-major order into a zeroed (d, d, points) buffer: the products and
+    the order of the einsum "uvia,uvij,uvjb,b->uvab", bit for bit, with
+    every inner loop over contiguous points.
     """
-    b = _v_basis(frame)
     q = signature(frame.dim)
-    nu, nv, _, d = b.shape
-    b = b.reshape(-1, 4, d)
+    nu, nv, d = frame.Y.shape
+    y, y_z, y_zzbar = (f.reshape(-1, d) for f in (frame.Y, frame.Y_z, frame.Y_zzbar))
     p = np.empty((nu * nv, d, d))
     idx = np.arange(d)
 
     def part(lo, hi):
         for start in range(lo, hi, PROJECTOR_BLOCK):
             rows = slice(start, start + PROJECTOR_BLOCK)
-            blk, b_blk = p[rows], b[rows]
-            ginv = np.linalg.inv(np.einsum("pik,pjk,k->pij", b_blk, b_blk, q))
-            bg = b_blk[:, :, None, :] * ginv[:, :, :, None]  # b_ia g^ij: (m, i, j, a)
-            bq = b_blk * q  # Q b_j; the signs +-1 are exact
-            blk[...] = 0.0
+            b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]], axis=1)
+            ginv = np.linalg.inv(np.einsum("pik,pjk,k->pij", b, b, q))
+            b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (i, a, points)
+            ginv = np.ascontiguousarray(ginv.transpose(1, 2, 0))  # (i, j, points)
+            bg = b[:, None] * ginv[:, :, None]  # b_ia g^ij: (i, j, a, points)
+            bq = b * q[:, None]  # Q b_j; the signs +-1 are exact
+            acc = np.zeros((d, d, b.shape[-1]))
+            term = np.empty_like(acc)
             for i in range(4):
                 for j in range(4):
-                    blk += bg[:, i, j, :, None] * bq[:, j, None, :]
-            np.negative(blk, out=blk)
+                    np.add(acc, np.multiply(bg[i, j, :, None], bq[j, None], out=term), out=acc)
+            blk = p[rows]
+            np.negative(acc.transpose(2, 0, 1), out=blk)
             blk[:, idx, idx] += 1.0
 
     split(part, nu * nv, PROJECTOR_BLOCK)
     return p.reshape(nu, nv, d, d)
 
 
-def normal_project(frame: FrameField, field_vec: np.ndarray) -> np.ndarray:
-    """Project an ambient (complex) vector field onto V^perp_C pointwise."""
-    p = frame.P_perp
-    out = np.empty(field_vec.shape, dtype=np.result_type(p, field_vec))
+def normal_project(p_perp: np.ndarray, field_vec: np.ndarray) -> np.ndarray:
+    """Project a complex vector field onto V^perp_C pointwise by the
+    (nu, nv, d, d) projector field p_perp, in place, a block of rows at a
+    time: field_vec is overwritten and returned."""
 
     def part(lo, hi):
-        np.einsum("uvab,uvb->uva", p[lo:hi], field_vec[lo:hi], out=out[lo:hi])
+        for rows in row_blocks(lo, hi, field_vec.shape[1]):
+            field_vec[rows] = np.einsum("uvab,uvb->uva", p_perp[rows], field_vec[rows])
 
-    split(part, len(out))
-    return out
-
-
-def frame_N(frame: FrameField, kappa_norm: np.ndarray) -> np.ndarray:
-    """N = 2 Y_zzbar + 2 <kappa, conj kappa> Y.
-
-    This inverts the structure relation Y_zzbar = -<kappa, conj kappa> Y
-    + N/2 and lands on the unique vector with <N,Y_z> = <N,Y_zbar> =
-    <N,N> = 0 and <N,Y> = -1.
-    """
-    return 2.0 * frame.Y_zzbar + 2.0 * kappa_norm[..., None] * frame.Y
+    split(part, len(field_vec))
+    return field_vec
 
 
 def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +265,7 @@ def build_frame(chart: Chart, validate: bool = True) -> FrameField:
         validate_chart(chart)
     frame = canonical_lift(chart)
     frame.P_perp = perp_projector(frame)
-    frame.kappa = normal_project(frame, frame.Y_zz)
-    frame.N = frame_N(frame, herm_norm_sq(frame.kappa))
+    frame.kappa = normal_project(frame.P_perp, frame.Y_zz.copy())
+    frame.N = 2.0 * frame.Y_zzbar + 2.0 * herm_norm_sq(frame.kappa)[..., None] * frame.Y
     return frame
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import GridSpec, diff_zbar, diff_u, diff_v, integrate, wirtinger
+from .calculus import GridSpec, diff_u, diff_v, integrate, row_blocks, wirtinger
 from .frame import Chart, FrameField, normal_project
 from .lorentz import cmink_inner, herm_norm, herm_norm_sq
 
@@ -33,18 +33,16 @@ POLE_SEARCH_BLOCK = 4096
 
 @dataclass
 class InvariantField:
-    """Per-point conformal invariants attached to a frame."""
+    """Per-point conformal invariants of a chart: kappa, s and the scalars
+    the report reads.  `analyze` holds kappa's normal derivatives apart,
+    each only until its last reader."""
 
-    frame: FrameField
+    chart: Chart
+    mask: np.ndarray         # the frame mask
     kappa: np.ndarray        # (nu, nv, d) complex, in V^perp_C
     s: np.ndarray            # (nu, nv) complex Schwarzian
     kk: np.ndarray           # <kappa, kappa>, complex
     kk_bar: np.ndarray       # <kappa, conj kappa>, real >= 0
-    Dz_kappa: np.ndarray
-    Dzbar_kappa: np.ndarray
-    Dzbar_Dz_kappa: np.ndarray
-    Dz_Dzbar_kappa: np.ndarray
-    willmore_vector: np.ndarray  # D_zbar D_zbar kappa + (conj s / 2) kappa
     theta: np.ndarray        # unwrapped half-phase of <kappa, kappa>
     theta_mask: np.ndarray   # False where unwrapping was inconsistent
     umbilic_mask: np.ndarray  # True at (near-)umbilic points
@@ -53,23 +51,17 @@ class InvariantField:
 
     @property
     def spec(self) -> GridSpec:
-        return self.frame.spec
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.frame.mask
+        return self.chart.spec
 
 
 def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """Split Y_zz into Schwarzian and conformal Hopf differential.
 
-    kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored.
-    Its normal 2-jet is taken here once: D_zbar D_z kappa and D_z D_zbar
-    kappa for the Ricci and rank checks, and the Willmore vector
-    D_zbar D_zbar kappa + (conj s / 2) kappa for the Willmore and Codazzi rows.
-    The tangential components of Y_zz vanish identically for canonical
-    lifts; their measured size is recorded as `tangential_defect`, and the
-    closure of the decomposition itself as `decomposition_defect`.
+    kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored; s =
+    2 <Y_zz, N>.  The tangential components of Y_zz vanish identically for
+    canonical lifts; their measured size is recorded as
+    `tangential_defect`, and the closure of the decomposition itself as
+    `decomposition_defect`.  These are the last readers of Y_zz and N.
     """
     kappa = frame.kappa
     s = 2.0 * cmink_inner(frame.Y_zz, frame.N)
@@ -77,31 +69,23 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     kk_bar = herm_norm_sq(kappa)
 
     m = frame.mask
-    decomp = herm_norm(frame.Y_zz - (-0.5 * s[..., None] * frame.Y + kappa))
-    tang = np.maximum(
-        np.abs(2.0 * cmink_inner(frame.Y_zz, frame.Y_z)),
-        np.abs(2.0 * cmink_inner(frame.Y_zz, np.conj(frame.Y_z))),
-    )
-
-    Dz_kappa, Dzbar_kappa = normal_D(frame, kappa)
-    Dzbar_Dz_kappa = normal_project(frame, diff_zbar(Dz_kappa, frame.spec))
-    Dz_Dzbar_kappa, willmore_vector = normal_D(frame, Dzbar_kappa)
-    willmore_vector += 0.5 * np.conj(s)[..., None] * kappa
+    decomp, tang = np.empty(m.shape), np.empty(m.shape)
+    for rows in row_blocks(0, *m.shape):  # no defect term is ever a whole field
+        y_zz, y_z = frame.Y_zz[rows], frame.Y_z[rows]
+        decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * frame.Y[rows] + kappa[rows]))
+        tang[rows] = np.maximum(np.abs(2.0 * cmink_inner(y_zz, y_z)),
+                                np.abs(2.0 * cmink_inner(y_zz, np.conj(y_z))))
 
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)
 
     return InvariantField(
-        frame=frame,
+        chart=frame.chart,
+        mask=m,
         kappa=kappa,
         s=s,
         kk=kk,
         kk_bar=kk_bar,
-        Dz_kappa=Dz_kappa,
-        Dzbar_kappa=Dzbar_kappa,
-        Dzbar_Dz_kappa=Dzbar_Dz_kappa,
-        Dz_Dzbar_kappa=Dz_Dzbar_kappa,
-        willmore_vector=willmore_vector,
         theta=theta,
         theta_mask=theta_ok,
         umbilic_mask=umbilic,
@@ -110,12 +94,19 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     )
 
 
-def normal_D(frame: FrameField, section: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D_z v, D_zbar v) for a section v of V^perp_C: the V^perp_C
-    projections of its Wirtinger derivatives."""
-    v_z, v_zbar = wirtinger(section, frame.spec)
-    v_z = normal_project(frame, v_z)  # rebinding frees the unprojected half
-    return v_z, normal_project(frame, v_zbar)
+def normal_D(p_perp: np.ndarray, section: np.ndarray,
+             spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(D_z v, D_zbar v) for a section v of V^perp_C: its Wirtinger
+    derivatives, projected in place by the (d, d) projector field p_perp."""
+    v_z, v_zbar = wirtinger(section, spec)
+    return normal_project(p_perp, v_z), normal_project(p_perp, v_zbar)
+
+
+def willmore_vector(inv: InvariantField, dzbar_dzbar_kappa: np.ndarray) -> np.ndarray:
+    """D_zbar D_zbar kappa + (conj s / 2) kappa, formed in the buffer of the
+    D_zbar D_zbar kappa it is given."""
+    dzbar_dzbar_kappa += 0.5 * np.conj(inv.s)[..., None] * inv.kappa
+    return dzbar_dzbar_kappa
 
 
 def _wrap_half_pi(x: np.ndarray) -> np.ndarray:
@@ -148,23 +139,24 @@ def unwrap_half_phase(kk: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.nd
     return theta, ok
 
 
-def ricci_residual(inv: InvariantField) -> np.ndarray:
+def ricci_residual(inv: InvariantField, dzbar_dz_kappa: np.ndarray,
+                   dz_dzbar_kappa: np.ndarray) -> np.ndarray:
     """Pointwise |R^D kappa - RHS|: the Ricci equation applied to kappa.
 
     R^D = D_zbar D_z - D_z D_zbar is the curvature of the normal connection
     D = P_perp d on V^perp_C.  Its left side is the normal 2-jet of kappa
-    that `hopf_schwarzian` stored, so the check is algebra: it reads
-    neither a normal basis nor a derivative of P_perp.  The Ricci equation
-    gives R^D v = 2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for
-    v = kappa this vanishes exactly where the normal bundle is flat.
+    it is given, so the check is algebra: it reads neither a normal basis
+    nor a derivative of P_perp.  The Ricci equation gives R^D v =
+    2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for v = kappa this
+    vanishes exactly where the normal bundle is flat.
     """
-    if inv.frame.dim == 4:  # V^perp = 0: kappa is projector roundoff, not a section
+    if inv.kappa.shape[-1] == 4:  # V^perp = 0: kappa is projector roundoff, not a section
         return np.zeros(inv.mask.shape)
     kap = inv.kappa
-    # right side first, then the stored left side minus it: two fields alive at once
+    # right side first, then the left side minus it: two fields alive at once
     defect = 2.0 * cmink_inner(kap, kap)[..., None] * np.conj(kap)
     defect -= 2.0 * cmink_inner(kap, np.conj(kap))[..., None] * kap
-    defect = inv.Dzbar_Dz_kappa - inv.Dz_Dzbar_kappa - defect
+    defect = dzbar_dz_kappa - dz_dzbar_kappa - defect
     return herm_norm(defect)
 
 
@@ -175,7 +167,7 @@ def willmore_energy_conformal(inv: InvariantField) -> float:
     are not fully periodic this is the energy of the truncated domain.
     """
     w = 4.0 * float(integrate(inv.kk_bar, inv.spec))
-    return w / inv.frame.chart.cover_count
+    return w / inv.chart.cover_count
 
 
 def select_projection_pole(chart: Chart) -> np.ndarray:

@@ -5,11 +5,34 @@ structure equations or the Mobius group from the stored fields and
 reports its worst violation.  The pipeline itself never reads them.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from wlab.calculus import diff_z
+from wlab.calculus import diff_z, diff_zbar
 from wlab.frame import normal_basis, normal_project
+from wlab.invariants import normal_D, willmore_vector
 from wlab.lorentz import MobiusMap, herm_norm, mink_inner, signature
+
+
+class KappaJet(NamedTuple):
+    """The normal 2-jet of kappa, every field alive at once."""
+
+    Dz_kappa: np.ndarray
+    Dzbar_kappa: np.ndarray
+    Dzbar_Dz_kappa: np.ndarray
+    Dz_Dzbar_kappa: np.ndarray
+    willmore_vector: np.ndarray  # D_zbar D_zbar kappa + (conj s / 2) kappa
+
+
+def kappa_jet(frame, inv) -> KappaJet:
+    """kappa's normal 2-jet from the steps `analyze` takes, which holds
+    each field only until its last reader."""
+    p, spec = frame.P_perp, frame.spec
+    dz, dzbar = normal_D(p, inv.kappa, spec)
+    dzbar_dz = normal_project(p, diff_zbar(dz, spec))
+    dz_dzbar, dzbar_dzbar = normal_D(p, dzbar, spec)
+    return KappaJet(dz, dzbar, dzbar_dz, dz_dzbar, willmore_vector(inv, dzbar_dzbar))
 
 
 def frame_residuals(frame) -> dict:
@@ -51,7 +74,19 @@ def frame_residuals(frame) -> dict:
     return res
 
 
-def structure_closure_residuals(frame, inv) -> dict:
+def einsum_perp_projector(frame):
+    """I - sum_ij b_i g^ij (Q b_j)^T as one 4-operand einsum: the oracle
+    whose rounding `perp_projector` reproduces block by block."""
+    b = np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2)
+    q = signature(frame.dim)
+    ginv = np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, q))
+    p = -np.einsum("uvia,uvij,uvjb,b->uvab", b, ginv, b, q)
+    idx = np.arange(frame.dim)
+    p[..., idx, idx] += 1.0
+    return p
+
+
+def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
     """L_inf defects of the structure equations, reconstructed vs. direct.
 
     Checks d_z of Y_z, of N, and of a smooth normal section (the V^perp
@@ -72,7 +107,7 @@ def structure_closure_residuals(frame, inv) -> dict:
     rhs_n = (
         -2.0 * inv.kk_bar[..., None] * frame.Y_z
         - inv.s[..., None] * np.conj(frame.Y_z)
-        + 2.0 * inv.Dzbar_kappa
+        + 2.0 * jet.Dzbar_kappa
     )
     out["N_z"] = worst(nz - rhs_n)
 
@@ -81,8 +116,8 @@ def structure_closure_residuals(frame, inv) -> dict:
     section = np.einsum("uvab,b->uva", frame.P_perp, w).astype(complex)
     sz = diff_z(section, spec)
     rhs_psi = (
-        normal_project(frame, sz)
-        + 2.0 * mink_inner(section, inv.Dzbar_kappa)[..., None] * frame.Y
+        normal_project(frame.P_perp, sz.copy())
+        + 2.0 * mink_inner(section, jet.Dzbar_kappa)[..., None] * frame.Y
         - 2.0 * mink_inner(section, inv.kappa)[..., None] * np.conj(frame.Y_z)
     )
     out["psi_z"] = worst(sz - rhs_psi)

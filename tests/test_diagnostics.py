@@ -13,9 +13,11 @@ from wlab.diagnostics import (
     RESIDUALS,
     analyze,
     codazzi_gauss_residuals,
+    codazzi_residual,
     default_tolerances,
     field_norms,
     flat_normal_residual,
+    gauss_residual,
     phase_laplacian_residual,
     reduction_span_check,
     remark62_residual,
@@ -38,6 +40,7 @@ from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import random_mobius
 
 from flatness_oracles import flat_normal_scalar, ricci_rhs_max
+from frame_oracles import kappa_jet
 
 TWO_PI = 2 * np.pi
 
@@ -46,6 +49,11 @@ TWO_PI = 2 * np.pi
 def clifford_data():
     frame = build_frame(clifford(48, 48))
     return frame, hopf_schwarzian(frame)
+
+
+@pytest.fixture(scope="module")
+def clifford_jet(clifford_data):
+    return kappa_jet(*clifford_data)
 
 
 def synthetic_field(vecs):
@@ -62,15 +70,15 @@ def e(i, dim=4):
 
 # --- willmore -------------------------------------------------------------
 
-def test_willmore_residual_clifford(clifford_data):
-    frame, inv = clifford_data
-    assert willmore_residual(inv)[frame.mask].max() < 1e-8
+def test_willmore_residual_clifford(clifford_data, clifford_jet):
+    frame, _ = clifford_data
+    assert willmore_residual(clifford_jet.willmore_vector)[frame.mask].max() < 1e-8
 
 
 def test_willmore_residual_round_sphere():
     frame = build_frame(round_sphere(64, 24))
-    inv = hopf_schwarzian(frame)
-    assert willmore_residual(inv)[frame.mask].max() < 1e-10
+    jet = kappa_jet(frame, hopf_schwarzian(frame))
+    assert willmore_residual(jet.willmore_vector)[frame.mask].max() < 1e-10
 
 
 def test_willmore_residual_perturbed_control():
@@ -85,39 +93,41 @@ def test_willmore_residual_perturbed_control():
     pert = Chart(ch.spec, pts, ambient_n=3, name="perturbed_clifford")
     frame = build_frame(pert, validate=False)
     inv = hopf_schwarzian(frame)
-    assert willmore_residual(inv)[frame.mask].max() > 1e-3
-    gauss, _ = codazzi_gauss_residuals(inv)
+    jet = kappa_jet(frame, inv)
+    assert willmore_residual(jet.willmore_vector)[frame.mask].max() > 1e-3
+    gauss = gauss_residual(inv, jet.Dz_kappa, jet.Dzbar_kappa)
     assert gauss[frame.mask].max() > 1e-3
 
 
 # --- S-Willmore -----------------------------------------------------------
 
 def _synthetic_inv(kappa, dzbar_kappa):
+    """(invariants, D_zbar kappa) of one kappa and D_zbar kappa at every point."""
     kap = synthetic_field(kappa)
-    dzb = synthetic_field(dzbar_kappa)
     kk = np.einsum("...k,...k->...", kap, kap)
     kk_bar = np.einsum("...k,...k->...", kap, np.conj(kap)).real
-    return SimpleNamespace(
-        kappa=kap, Dzbar_kappa=dzb, kk=kk, kk_bar=kk_bar,
+    inv = SimpleNamespace(
+        kappa=kap, kk=kk, kk_bar=kk_bar,
         umbilic_mask=np.zeros((8, 8), dtype=bool),
         mask=np.ones((8, 8), dtype=bool),
     )
+    return inv, synthetic_field(dzbar_kappa)
 
 
 def test_s_willmore_parallel_is_zero():
-    inv = _synthetic_inv(e(0), 5.0 * e(0))
-    assert np.abs(s_willmore_residual(inv)).max() < 1e-14
+    inv, dzb = _synthetic_inv(e(0), 5.0 * e(0))
+    assert np.abs(s_willmore_residual(inv, dzb)).max() < 1e-14
 
 
 def test_s_willmore_orthogonal_is_one():
-    inv = _synthetic_inv(e(0), e(1))
-    assert np.abs(s_willmore_residual(inv) - 1.0).max() < 1e-14
+    inv, dzb = _synthetic_inv(e(0), e(1))
+    assert np.abs(s_willmore_residual(inv, dzb) - 1.0).max() < 1e-14
 
 
-def test_s_willmore_clifford(clifford_data):
+def test_s_willmore_clifford(clifford_data, clifford_jet):
     frame, inv = clifford_data
     live = frame.mask & ~inv.umbilic_mask
-    assert s_willmore_residual(inv)[live].max() < 1e-9
+    assert s_willmore_residual(inv, clifford_jet.Dzbar_kappa)[live].max() < 1e-9
 
 
 # --- flat normal bundle ---------------------------------------------------
@@ -189,9 +199,9 @@ def test_six_form_orthonormal_pair():
     assert six_form_scalar(e(0) + 0j, e(1) + 0j) == pytest.approx(-1.0)
 
 
-def test_six_form_clifford(clifford_data):
+def test_six_form_clifford(clifford_data, clifford_jet):
     frame, inv = clifford_data
-    omega, holo = six_form(inv)
+    omega, holo = six_form(inv, clifford_jet.Dzbar_kappa)
     assert np.abs(omega)[frame.mask].max() < 1e-12
     assert holo[frame.mask].max() < 1e-12
 
@@ -212,42 +222,40 @@ def test_six_form_is_mobius_invariant():
 
 # --- Gauss / Codazzi --------------------------------------------------------
 
-def test_codazzi_gauss_clifford(clifford_data):
+def test_codazzi_gauss_clifford(clifford_data, clifford_jet):
     frame, inv = clifford_data
-    gauss, codazzi = codazzi_gauss_residuals(inv)
+    gauss, codazzi = codazzi_gauss_residuals(
+        inv, clifford_jet.Dz_kappa, clifford_jet.Dzbar_kappa, clifford_jet.willmore_vector)
     assert gauss[frame.mask].max() < 1e-8
     assert codazzi[frame.mask].max() < 1e-8
 
 
-def test_codazzi_below_willmore(clifford_data):
+def test_codazzi_below_willmore(clifford_data, clifford_jet):
     # the Codazzi row is the imaginary part of the Willmore expression
-    frame, inv = clifford_data
-    _, codazzi = codazzi_gauss_residuals(inv)
-    will = willmore_residual(inv)
+    frame, _ = clifford_data
+    codazzi = codazzi_residual(clifford_jet.willmore_vector)
+    will = willmore_residual(clifford_jet.willmore_vector)
     assert codazzi[frame.mask].max() <= will[frame.mask].max() + 1e-12
 
 
 # --- rank witnesses --------------------------------------------------------
 
-def test_reduction_span_clifford(clifford_data):
+def test_reduction_span_clifford(clifford_data, clifford_jet):
     frame, inv = clifford_data
-    lift_rank, jet_rank = reduction_span_check(frame, inv)
-    assert lift_rank == 5
-    assert jet_rank == 4
+    assert reduction_span_check(frame.mask, [frame.Y]) == 5
+    jet = [inv.kappa, clifford_jet.Dz_kappa, clifford_jet.Dzbar_Dz_kappa]
+    assert reduction_span_check(frame.mask, jet) == 4
 
 
 def test_reduction_span_round_sphere():
     frame = build_frame(round_sphere(64, 24))
-    inv = hopf_schwarzian(frame)
-    lift_rank, _ = reduction_span_check(frame, inv)
-    assert lift_rank == 4
+    assert reduction_span_check(frame.mask, [frame.Y]) == 4
 
 
 def test_reduction_span_needs_samples():
     frame = build_frame(round_sphere(8, 8), validate=False)
-    inv = hopf_schwarzian(frame)
     with pytest.raises(ValueError):
-        reduction_span_check(frame, inv)
+        reduction_span_check(frame.mask, [frame.Y])
 
 
 # --- flatness-criterion equivalence (pointwise brute force) ----------------
@@ -345,7 +353,7 @@ def test_axis_derivative_count_does_not_depend_on_codimension(monkeypatch):
         counts.append(0)
         analyze(include_in_higher_sphere(clifford(128, 128), n))
     # each field's Wirtinger pair costs one diff_u and one diff_v, and the
-    # normal 2-jet of kappa is differentiated once, in hopf_schwarzian
+    # normal 2-jet of kappa is differentiated once
     assert counts == [27, 27, 27], counts
 
 
@@ -363,19 +371,28 @@ def analyze_peak_over_y(monkeypatch, threads, ambient_n):
     return peak / y_bytes
 
 
+# Each field lives only until its last reader.  The peak (21.0x in S^7,
+# 23.6x in S^10, 33.3x in S^20) has two near-equal sites: the second normal_D
+# (P_perp, which is d x Y, kappa, D_zbar kappa, D_zbar D_z kappa and the
+# Wirtinger pair of D_zbar kappa) and hopf_schwarzian, where the whole frame is
+# alive (P_perp, the lift's 6x, kappa, N and a conjugate of kappa).  A lift or
+# jet field held past its last reader adds 1x to 2x; the Euclidean energy's
+# transients (18x), the (6m, d) kappa-jet matrix (46.8x in S^7) or a stored
+# normal basis (41.7x) would add far more.
 def test_analyze_peak_memory_in_s7(monkeypatch):
-    # the frame's held fields are about 18x Y (P_perp alone is 9x); the
-    # Euclidean energy's transients (18x) must not stack on them, nor the
-    # (6m, d) kappa-jet matrix and its SVD copy (46.8x when the rank check
-    # stacked the jets), nor a stored normal basis (41.7x with psi held)
     for threads in ("1", "2"):
-        assert analyze_peak_over_y(monkeypatch, threads, 7) < 38, threads
+        assert analyze_peak_over_y(monkeypatch, threads, 7) < 22, threads
 
 
 def test_analyze_peak_memory_in_s10(monkeypatch):
-    # P_perp is 12x Y here; a held psi of (n-2)/d of it read 47.3x
     for threads in ("1", "2"):
-        assert analyze_peak_over_y(monkeypatch, threads, 10) < 40, threads
+        assert analyze_peak_over_y(monkeypatch, threads, 10) < 25, threads
+
+
+def test_analyze_peak_memory_in_s20(monkeypatch):
+    # d = 22: P_perp alone is 22x Y
+    for threads in ("1", "2"):
+        assert analyze_peak_over_y(monkeypatch, threads, 20) < 35, threads
 
 
 def test_analyze_rejects_a_constant_chart_as_a_chart_error():
@@ -394,7 +411,8 @@ def test_nan_at_live_point_fails(clifford_data, monkeypatch):
     frame, _ = clifford_data
     holo = np.zeros(frame.mask.shape)
     holo[tuple(np.argwhere(frame.mask)[0])] = np.nan
-    monkeypatch.setattr(diagnostics, "six_form", lambda inv: (np.zeros_like(holo), holo))
+    monkeypatch.setattr(diagnostics, "six_form",
+                        lambda inv, dzbar_kappa: (np.zeros_like(holo), holo))
     rep = analyze(frame.chart)
     assert rep.entry("omega_abs").verdict == "pass"
     assert rep.entry("omega_holomorphy").verdict == "fail"

@@ -28,7 +28,7 @@ from wlab.invariants import (
 )
 from wlab.lorentz import cmink_inner, herm_norm_sq
 
-from frame_oracles import structure_closure_residuals
+from frame_oracles import kappa_jet, structure_closure_residuals
 
 
 @pytest.fixture(scope="module")
@@ -65,17 +65,17 @@ def test_cauchy_schwarz_between_kk_and_kkbar(clifford_inv, veronese_inv):
 
 
 def test_clifford_normal_derivatives_vanish(clifford_inv):
-    frame, inv = clifford_inv
+    jet = kappa_jet(*clifford_inv)
     # kappa_zbar is purely tangential: n_zbar = -x_z, so D_zbar kappa = 0
-    assert np.sqrt(herm_norm_sq(inv.Dzbar_kappa)).max() < 1e-10
-    assert np.sqrt(herm_norm_sq(inv.Dz_kappa)).max() < 1e-10
+    assert np.sqrt(herm_norm_sq(jet.Dzbar_kappa)).max() < 1e-10
+    assert np.sqrt(herm_norm_sq(jet.Dz_kappa)).max() < 1e-10
 
 
 def test_normal_D_of_constant_ambient_vector_projection():
     frame = build_frame(clifford(24, 24))
     const = np.zeros(frame.mask.shape + (5,), dtype=complex)
     const[..., 0] = 2.0  # constant field: derivative is exactly zero
-    assert np.abs(normal_D(frame, const)).max() < 1e-12
+    assert np.abs(normal_D(frame.P_perp, const, frame.spec)).max() < 1e-12
 
 
 def test_normal_D_linearity():
@@ -86,19 +86,25 @@ def test_normal_D_linearity():
     s1 = np.einsum("uvab,b->uva", frame.P_perp, w1)
     s2 = np.einsum("uvab,b->uva", frame.P_perp, w2)
     a, b = 1.3 - 0.7j, -0.4 + 2.1j
-    halves = zip(normal_D(frame, a * s1 + b * s2), normal_D(frame, s1), normal_D(frame, s2))
+    halves = zip(*(normal_D(frame.P_perp, s, frame.spec) for s in (a * s1 + b * s2, s1, s2)))
     for lhs, d1, d2 in halves:  # D_z, then D_zbar
         assert np.abs(lhs - (a * d1 + b * d2)).max() < 1e-11
 
 
+def ricci(frame, inv, scale=1.0):
+    """`ricci_residual` on kappa's normal 2-jet divided by `scale`."""
+    jet = kappa_jet(frame, inv)
+    return ricci_residual(inv, jet.Dzbar_Dz_kappa / scale, jet.Dz_Dzbar_kappa / scale)
+
+
 def test_ricci_residual_clifford(clifford_inv):
     frame, inv = clifford_inv
-    assert ricci_residual(inv)[frame.mask].max() < 1e-8
+    assert ricci(frame, inv)[frame.mask].max() < 1e-8
 
 
 def test_ricci_residual_veronese(veronese_inv):
     frame, inv = veronese_inv
-    assert ricci_residual(inv)[frame.mask].max() < 1e-4
+    assert ricci(frame, inv)[frame.mask].max() < 1e-4
 
 
 def _cp2_chart(nu, nv):
@@ -126,19 +132,17 @@ def dense_ricci_residual(frame, inv, kappa_rhs=None):
     return np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0))
 
 
-def ricci_residual_2kappa_rhs(inv):
+def ricci_residual_2kappa_rhs(frame, inv):
     """`ricci_residual` with 2 kappa on the right-hand side only.  The right
     side is quadratic in kappa, so this is 4 |J/4 - RHS(kappa)| for the
-    stored jet J; scaling by a power of two is exact."""
-    quarter = replace(inv, Dzbar_Dz_kappa=inv.Dzbar_Dz_kappa / 4,
-                      Dz_Dzbar_kappa=inv.Dz_Dzbar_kappa / 4)
-    return 4 * ricci_residual(quarter)
+    jet J; scaling by a power of two is exact."""
+    return 4 * ricci(frame, inv, scale=4.0)
 
 
-def ricci_pairs(inv):
+def ricci_pairs(frame, inv):
     """(kappa_rhs of the dense oracle, the matching residual) for the
     plain and the 2 kappa right-hand side."""
-    return ((None, ricci_residual(inv)), (2.0 * inv.kappa, ricci_residual_2kappa_rhs(inv)))
+    return ((None, ricci(frame, inv)), (2.0 * inv.kappa, ricci_residual_2kappa_rhs(frame, inv)))
 
 
 # the oracle differentiates P, ricci_residual the sections D_z kappa and
@@ -152,7 +156,7 @@ def ricci_pairs(inv):
 ], ids=["clifford_s7", "cp2_torus", "veronese"])
 def test_ricci_matches_dense_operator(build, tol):
     frame, inv = _frame_inv(build())
-    for kappa_rhs, res in ricci_pairs(inv):
+    for kappa_rhs, res in ricci_pairs(frame, inv):
         ref = dense_ricci_residual(frame, inv, kappa_rhs)
         assert np.abs(res - ref).max() < tol
 
@@ -162,7 +166,7 @@ def test_ricci_dense_operator_gap_falls_under_fd_refinement():
         frame, inv = _frame_inv(veronese(nu, 48))
         return [
             np.abs(res - dense_ricci_residual(frame, inv, k)).max()
-            for k, res in ricci_pairs(inv)
+            for k, res in ricci_pairs(frame, inv)
         ]
 
     for coarse, fine in zip(gaps(96), gaps(192)):
@@ -186,14 +190,14 @@ def test_ricci_flags_an_under_resolved_fd_chart():
 def test_ricci_without_normal_directions_is_zero():
     frame, inv = _frame_inv(round_sphere(32, 16, ambient_n=2))
     assert frame.dim == 4
-    res = ricci_residual(inv)
+    res = ricci(frame, inv)
     assert res.shape == frame.mask.shape and not res.any()
 
 
 def _assert_controlled_violation(frame, inv, rel, tol):
     # RHS is quadratic in kappa: replacing kappa by 2 kappa on the RHS only
     # makes the curvature defect 3 |RHS(kappa)|
-    broken = ricci_residual_2kappa_rhs(inv)
+    broken = ricci_residual_2kappa_rhs(frame, inv)
     kap, kap_c = inv.kappa, np.conj(inv.kappa)
     rhs = 2 * cmink_inner(kap, kap)[..., None] * kap_c \
         - 2 * cmink_inner(kap, kap_c)[..., None] * kap
@@ -232,16 +236,17 @@ def test_analyze_builds_no_normal_basis(cp2_s7_inv, monkeypatch):
 
 
 def test_ricci_peak_memory_stays_near_projector_size():
-    # the complex (nu, nv, d) sections and their FFTs peak near 1.3x P_perp;
+    # the complex (nu, nv, d) defect and its conjugate peak near 0.5x P_perp;
     # one real (nu, nv, d, d) field more costs 1x, so the bound catches it
     frame, inv = _frame_inv(include_in_higher_sphere(clifford(128, 128), 7))
+    jet = kappa_jet(frame, inv)
     tracemalloc.start()
     try:
-        ricci_residual(inv)
+        ricci_residual(inv, jet.Dzbar_Dz_kappa, jet.Dz_Dzbar_kappa)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * frame.P_perp.nbytes
+    assert peak < frame.P_perp.nbytes
 
 
 def test_projection_pole_search_memory_stays_near_chart_size():
@@ -291,14 +296,14 @@ def test_veronese_kkbar_profile(veronese_inv):
 
 def test_structure_equations_close_spectral(clifford_inv):
     frame, inv = clifford_inv
-    res = structure_closure_residuals(frame, inv)
+    res = structure_closure_residuals(frame, inv, kappa_jet(frame, inv))
     for name, val in res.items():
         assert val < 1e-8, (name, val)
 
 
 def test_structure_equations_close_fd(veronese_inv):
     frame, inv = veronese_inv
-    res = structure_closure_residuals(frame, inv)
+    res = structure_closure_residuals(frame, inv, kappa_jet(frame, inv))
     for name, val in res.items():
         assert val < 1e-3, (name, val)
 
@@ -306,7 +311,7 @@ def test_structure_equations_close_fd(veronese_inv):
 def test_structure_equations_close_pinkall():
     frame = build_frame(pinkall_hopf_torus(1.5, 80, 48).chart)
     inv = hopf_schwarzian(frame)
-    res = structure_closure_residuals(frame, inv)
+    res = structure_closure_residuals(frame, inv, kappa_jet(frame, inv))
     for name, val in res.items():
         assert val < 1e-8, (name, val)
 
