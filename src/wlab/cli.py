@@ -20,9 +20,10 @@ A run config is a JSON object:
     }
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage
-error or an output that cannot be written, 3 chart error (construction
-failed, or non-unit, non-finite or non-conformal points), 4 analysis
-error; every subcommand maps failures the same way.
+error (a tolerance that is not a positive finite number included) or an
+output that cannot be written, 3 chart error (any failure to build the
+chart, or non-unit, non-finite, degenerate or non-conformal points), 4
+analysis error; every subcommand maps failures the same way.
 
 WLAB_THREADS (a positive integer; default: all cores) caps the threads of
 one run: a single `analyze` splits its per-point kernels and periodic
@@ -191,15 +192,15 @@ def run_analysis(cfg: dict, nu=None, nv=None):
     """(exit_code, report, chart) of one run.
 
     A failure gives (EXIT_CHART or EXIT_ANALYSIS, message, None), with the
-    one-line message in place of the report: a chart that cannot be built
-    (bad param values included) and any ChartError raised by `analyze`
-    (chart validation) is a chart error, every other exception an
-    analysis error.
+    one-line message in place of the report: any exception while the
+    chart is built (bad param values, a grid too large to allocate) and
+    any ChartError raised by `analyze` (the chart check in the lift) is a
+    chart error, every other exception an analysis error.
     """
     try:
         chart = build_chart(cfg, nu, nv)
-    except (ValueError, KeyError, RuntimeError, TypeError) as exc:
-        return EXIT_CHART, f"chart construction failed: {exc}", None
+    except Exception as exc:  # noqa: BLE001 - construction maps to exit 3
+        return EXIT_CHART, f"chart construction failed: {type(exc).__name__}: {exc}", None
     try:
         report = analyze(chart, tolerances=cfg["tolerances"], seed=cfg["seed"])
     except ChartError as exc:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .calculus import GridSpec, diff_z, diff_zbar, wirtinger
-from .frame import Chart, build_frame, normal_project, validate_chart
+from .frame import Chart, build_frame, normal_project
 from .invariants import (
     InvariantField,
     hopf_schwarzian,
@@ -296,13 +296,15 @@ def is_finite_real(value) -> bool:
 
 def check_tolerances(overrides: dict) -> dict:
     """Tolerance overrides as floats; ValueError on an unknown residual
-    name or a value that is not a finite real number (bools included)."""
+    name or a value that is not a positive finite real number (bools
+    included): no L_inf is below a tolerance <= 0."""
     unknown = set(overrides) - {row.name for row in RESIDUALS}
     if unknown:
         raise ValueError(f"unknown residual name(s) in tolerances: {sorted(unknown)}")
     for name, value in overrides.items():
-        if not is_finite_real(value):
-            raise ValueError(f"tolerance for {name!r} must be a finite number, not {value!r}")
+        if not (is_finite_real(value) and value > 0):
+            raise ValueError(
+                f"tolerance for {name!r} must be a positive finite number, not {value!r}")
     return {name: float(value) for name, value in overrides.items()}
 
 
@@ -322,22 +324,21 @@ def analyze(
 ) -> DiagnosticsReport:
     """Full pipeline: frame -> invariants -> residuals -> report.
 
-    Each (nu, nv, d) field is deleted after its last reader: the lift once
-    kappa, s and the lift rank exist, each field of kappa's normal jet once
-    its residuals and rank block are taken, P_perp after the last projection.
+    The canonical lift checks the chart, so a bad chart raises ChartError
+    before any other work.  Each (nu, nv, d) field is deleted after its last
+    reader: the lift once kappa, s and the lift rank exist, each field of
+    kappa's normal jet once its residuals and rank block are taken, P_perp
+    after the last projection, kappa before the Euclidean cross-check.
     """
-    validate_chart(chart)
-    # reads only the chart: its transients peak before the frame's fields exist
-    w_euc = willmore_energy_euclidean(chart)
+    tol = default_tolerances(chart, tolerances)
     spec = chart.spec
 
-    frame = build_frame(chart, validate=False)
+    frame = build_frame(chart)
     inv = hopf_schwarzian(frame)
-    tol = default_tolerances(chart, tolerances)
     live = inv.mask
     lift_rank = reduction_span_check(live, [frame.Y])
     p_perp = frame.P_perp
-    del frame  # Y, its derivatives and N
+    del frame  # Y and its derivatives
 
     dz, dzbar = normal_D(p_perp, inv.kappa, spec)
     fields = {
@@ -378,26 +379,17 @@ def analyze(
         masks[PHASE_OK] = np.zeros_like(live)
         fields["res_isothermic"] = np.full(live.shape, np.nan)
     entries = [entry(row) for row in RESIDUALS]
-
-    energies = {
-        "W_conformal": willmore_energy_conformal(inv),
-        "domain_truncated": not spec.fully_periodic,
-        "W_euclidean": w_euc,
-    }
+    w_conformal = willmore_energy_conformal(inv)
+    del inv  # the Euclidean cross-check reads only the chart, so it runs last
+    energies = {"W_conformal": w_conformal, "domain_truncated": not spec.fully_periodic,
+                "W_euclidean": willmore_energy_euclidean(chart)}
     ranks = {"lift_rank": lift_rank, "kappa_jet_rank": jet_rank}
 
     passed = all(e.verdict in ("pass", "skipped") for e in entries)
-    meta = {
-        "name": chart.name,
-        "params": _jsonable(chart.params),
-        "nu": spec.nu,
-        "nv": spec.nv,
-        "ambient_n": chart.ambient_n,
-        "cover_count": chart.cover_count,
-        "periodic_u": spec.periodic_u,
-        "periodic_v": spec.periodic_v,
-        "wlab_version": _version,
-    }
+    meta = {"name": chart.name, "params": _jsonable(chart.params), "nu": spec.nu, "nv": spec.nv,
+            "ambient_n": chart.ambient_n, "cover_count": chart.cover_count,
+            "periodic_u": spec.periodic_u, "periodic_v": spec.periodic_v,
+            "wlab_version": _version}
     return DiagnosticsReport(
         chart=meta, seed=seed, entries=entries, energies=energies,
         ranks=ranks, passed=passed, fields=fields,

@@ -2,8 +2,10 @@
 
 A chart samples a conformally parametrized immersion x: grid -> S^n (unit
 vectors of R^{n+1}).  Its light-cone lift is Y0 = (1, x) in R^{n+2}_1 and
-the canonical lift fixes the scaling so that <Y_z, Y_zbar> = 1/2.  The
-point-wise rank-4 bundle
+the canonical lift fixes the scaling so that <Y_z, Y_zbar> = 1/2.  Every
+criterion lives on that lift, so the lift checks the chart, once: finite
+unit points, then a live metric and conformality on the Y0_z the scale is
+read from.  The point-wise rank-4 bundle
 
     V = Span{Y, Re Y_z, Im Y_z, Y_zzbar}
 
@@ -12,15 +14,15 @@ bundle.  The frame vector N in V is pinned by
 
     <N, Y_z> = <N, Y_zbar> = <N, N> = 0,   <N, Y> = -1,
 
-and is computed as N = 2 Y_zzbar + 2 <kappa, conj kappa> Y once the normal
-part of Y_zz is known.  With b_i the four basis vectors above, g^{ij} the
-inverse of their Gram matrix and Q = diag(-1, 1, ..., 1), the projector
-onto V^perp along V is P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram
-matrix stays invertible at umbilic points because <Y, Y_zzbar> = -1/2.
-P is built from these 16 rank-one terms and only ever applied to
-vectors, never differentiated.  The pipeline needs no orthonormal basis of
-V^perp: every criterion pairs kappa and its normal derivatives, which no
-choice of normal frame changes.  `normal_basis` builds one on demand.
+and is N = 2 Y_zzbar + 2 <kappa, conj kappa> Y, formed where it is read.
+With b_i the four basis vectors above, g^{ij} the inverse of their Gram
+matrix and Q = diag(-1, 1, ..., 1), the projector onto V^perp along V is
+P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram matrix stays invertible
+at umbilic points because <Y, Y_zzbar> = -1/2.  P is built from these 16
+rank-one terms and only ever applied to vectors, never differentiated.
+The pipeline needs no orthonormal basis of V^perp: every criterion pairs
+kappa and its normal derivatives, which no choice of normal frame
+changes.  `normal_basis` builds one on demand.
 """
 
 from __future__ import annotations
@@ -80,44 +82,14 @@ class Chart:
         return self.ambient_n + 2
 
 
-def validate_chart(chart: Chart) -> dict:
-    """Check finiteness, unit norm, a non-degenerate metric and
-    conformality; raise ChartError on violation.
-
-    Returns the measured statistics.  The conformality tolerance is
-    CONFORMAL_TOL_SPECTRAL on fully periodic (spectral) charts and
-    CONFORMAL_TOL_FD otherwise.
-    """
-    bad = int((~np.isfinite(chart.points)).any(axis=-1).sum())
-    if bad:
-        raise ChartError(f"chart has {bad} non-finite point(s)")
-    norms = np.linalg.norm(chart.points, axis=-1)
-    unit_defect = float(np.abs(norms - 1.0).max())
-    if unit_defect > UNIT_TOL:
-        raise ChartError(f"chart points deviate from S^n by {unit_defect:.3e}")
-    conformal_tol = (
-        CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD
-    )
-    xz = diff_z(chart.points, chart.spec)
-    den = np.einsum("uvk,uvk->uv", xz, np.conj(xz)).real
-    if not (chart.mask & (den > DEGENERATE_METRIC_TOL)).any():
-        raise ChartError("chart metric is degenerate everywhere")
-    ratio = np.abs(np.einsum("uvk,uvk->uv", xz, xz)) / np.maximum(den, 1e-300)
-    worst = float(ratio[chart.mask].max())
-    if worst > conformal_tol:
-        raise ChartError(
-            f"chart is not conformal: |<x_z,x_z>|/<x_z,x_zbar> reaches {worst:.3e}"
-        )
-    return {"unit_defect": unit_defect, "conformality": worst}
-
-
 @dataclass
 class FrameField:
-    """Canonical lift, its derivatives, kappa, N and the V^perp projector.
+    """Canonical lift, its derivatives, kappa and the V^perp projector.
 
     `P_perp` is the (d, d) field projecting R^{n+2}_1 (and its
     complexification) onto V^perp along V; it is applied to vectors, never
-    differentiated.  Y_zbar is conj(Y_z) and is not stored.
+    differentiated.  Y_zbar is conj(Y_z) and N is formed from kappa; neither
+    is stored.
     """
 
     chart: Chart
@@ -127,7 +99,6 @@ class FrameField:
     Y_zzbar: np.ndarray    # real
     mask: np.ndarray
     kappa: Optional[np.ndarray] = None   # V^perp_C part of Y_zz, complex
-    N: Optional[np.ndarray] = None       # real
     P_perp: Optional[np.ndarray] = None  # (nu, nv, d, d) real
 
     @property
@@ -135,37 +106,76 @@ class FrameField:
         return self.chart.spec
 
     @property
+    def N(self) -> np.ndarray:
+        """The frame vector N, formed from kappa on each read."""
+        return self.N_from(herm_norm_sq(self.kappa))
+
+    def N_from(self, kk_bar: np.ndarray) -> np.ndarray:
+        """N = 2 Y_zzbar + 2 <kappa, conj kappa> Y, given kk_bar = <kappa, conj kappa>."""
+        return 2.0 * self.Y_zzbar + 2.0 * kk_bar[..., None] * self.Y
+
+    @property
     def dim(self) -> int:
         return self.Y.shape[-1]
 
 
 def light_cone_lift(chart: Chart) -> np.ndarray:
-    """Y0 = (1, x): the tautological lift, with <Y0, Y0> = 0 exactly."""
-    norms = np.linalg.norm(chart.points, axis=-1)
-    if not np.abs(norms - 1.0).max() <= UNIT_TOL:  # NaN compares False: rejected
-        raise ChartError("chart points are not finite unit vectors")
-    nu, nv, _ = chart.points.shape
-    y0 = np.empty((nu, nv, chart.dim))
+    """Y0 = (1, x): the tautological lift, with <Y0, Y0> = 0 exactly.
+
+    The one check of the points: ChartError unless each is a finite unit
+    vector (a NaN norm compares False, so it is rejected).
+    """
+    defect = _unit_defect(chart.points)
+    if not defect <= UNIT_TOL:
+        bad = int((~np.isfinite(chart.points)).any(axis=-1).sum())
+        raise ChartError(f"chart points are not finite unit vectors: {bad} non-finite "
+                         f"point(s), unit defect {defect:.3e}")
+    y0 = np.empty(chart.points.shape[:2] + (chart.dim,))
     y0[..., 0] = 1.0
     y0[..., 1:] = chart.points
     return y0
 
 
+def _unit_defect(points: np.ndarray) -> float:
+    return float(np.abs(np.linalg.norm(points, axis=-1) - 1.0).max())
+
+
+def _checked_lift(chart: Chart):
+    """(y0, rho, live, conformality): the light-cone lift, rho = <y0_z, conj
+    y0_z>, live = rho > DEGENERATE_METRIC_TOL and the worst |<y0_z, y0_z>| /
+    rho on the chart mask, a ratio no rescaling of y0 changes.  ChartError
+    unless the points are finite unit vectors, the metric is live somewhere
+    on the mask and the ratio is within the spectral or FD tolerance."""
+    y0 = light_cone_lift(chart)
+    y0_z = diff_z(y0, chart.spec)
+    rho = cmink_inner(y0_z, np.conj(y0_z)).real
+    live = rho > DEGENERATE_METRIC_TOL
+    if not (chart.mask & live).any():
+        raise ChartError("chart metric is degenerate everywhere")
+    ratio = np.abs(cmink_inner(y0_z, y0_z)) / np.maximum(rho, 1e-300)
+    worst = float(ratio[chart.mask].max())
+    if worst > (CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD):
+        raise ChartError(f"chart is not conformal: |<x_z,x_z>|/<x_z,x_zbar> reaches {worst:.3e}")
+    return y0, rho, live, worst
+
+
+def validate_chart(chart: Chart) -> dict:
+    """The check of `canonical_lift` without the rest of the frame: raises
+    what it raises, and returns the measured unit defect and conformality."""
+    *_, worst = _checked_lift(chart)
+    return {"unit_defect": _unit_defect(chart.points), "conformality": worst}
+
+
 def canonical_lift(chart: Chart) -> FrameField:
     """Scale the light-cone lift so that <Y_z, Y_zbar> = 1/2.
 
-    The result does not depend on the scale of the lift it starts from, up
-    to discretization error: the canonical lift is scale-fixing.
+    The chart is checked here, once (see `validate_chart`).  The result
+    does not depend on the scale of the lift it starts from, up to
+    discretization error: the canonical lift is scale-fixing.
     """
     spec = chart.spec
-    y0 = light_cone_lift(chart)
-    y0_z = diff_z(y0, spec)
-    rho = cmink_inner(y0_z, np.conj(y0_z)).real
-    mask = chart.mask & (rho > DEGENERATE_METRIC_TOL)
-    if not mask.any():
-        raise ChartError("chart metric is degenerate everywhere")
-    safe_rho = np.where(rho > DEGENERATE_METRIC_TOL, rho, 1.0)
-    Y = y0 / np.sqrt(2.0 * safe_rho)[..., None]
+    y0, rho, live, _ = _checked_lift(chart)
+    Y = y0 / np.sqrt(2.0 * np.where(live, rho, 1.0))[..., None]
     Y_z = diff_z(Y, spec)
     Y_zz, Y_zzbar = wirtinger(Y_z, spec)
     return FrameField(
@@ -174,7 +184,7 @@ def canonical_lift(chart: Chart) -> FrameField:
         Y_z=Y_z,
         Y_zz=Y_zz,
         Y_zzbar=Y_zzbar.real.copy(),  # Im is commutator noise; the copy frees it
-        mask=mask,
+        mask=chart.mask & live,
     )
 
 
@@ -259,13 +269,10 @@ def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
     return psi.reshape(nu, nv, d - 4, d), ok.reshape(nu, nv)
 
 
-def build_frame(chart: Chart, validate: bool = True) -> FrameField:
-    """Full frame pipeline: canonical lift, projector, kappa and N."""
-    if validate:
-        validate_chart(chart)
+def build_frame(chart: Chart) -> FrameField:
+    """Full frame pipeline: the checked canonical lift, the projector and
+    kappa.  Raises what `validate_chart` raises."""
     frame = canonical_lift(chart)
     frame.P_perp = perp_projector(frame)
     frame.kappa = normal_project(frame.P_perp, frame.Y_zz.copy())
-    frame.N = 2.0 * frame.Y_zzbar + 2.0 * herm_norm_sq(frame.kappa)[..., None] * frame.Y
     return frame
-

@@ -58,15 +58,15 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """Split Y_zz into Schwarzian and conformal Hopf differential.
 
     kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored; s =
-    2 <Y_zz, N>.  The tangential components of Y_zz vanish identically for
-    canonical lifts; their measured size is recorded as
-    `tangential_defect`, and the closure of the decomposition itself as
-    `decomposition_defect`.  These are the last readers of Y_zz and N.
+    2 <Y_zz, N>, N formed from kk_bar.  The tangential components of Y_zz
+    vanish identically for canonical lifts; their measured size is recorded
+    as `tangential_defect`, and the closure of the decomposition itself as
+    `decomposition_defect`.  These are the last readers of Y_zz.
     """
     kappa = frame.kappa
-    s = 2.0 * cmink_inner(frame.Y_zz, frame.N)
     kk = cmink_inner(kappa, kappa)
     kk_bar = herm_norm_sq(kappa)
+    s = 2.0 * cmink_inner(frame.Y_zz, frame.N_from(kk_bar))  # N is freed at once
 
     m = frame.mask
     decomp, tang = np.empty(m.shape), np.empty(m.shape)
@@ -215,34 +215,29 @@ def willmore_energy_euclidean(chart: Chart) -> float:
     F = np.einsum("uvk,uvk->uv", Xu, Xv)
     G = np.einsum("uvk,uvk->uv", Xv, Xv)
 
-    Xuu = diff_u(Xu, spec).real
-    Xuv = diff_v(Xu, spec).real
-    Xvv = diff_v(Xv, spec).real
-
-    # tangential Gram solve, then the normal parts of the second derivatives
-    gram = np.stack(
-        [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2
-    )
-    ginv = np.linalg.inv(gram)
+    # tangential Gram solve, then the normal parts of the second derivatives,
+    # one at a time; Xu and Xv each hold a complex transform, the stack is real
+    ginv = np.linalg.inv(np.stack(
+        [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2))
     tan = np.stack([Xu, Xv], axis=2)
+    del Xu, Xv
 
     def normal_part(w):
         r = np.einsum("uvik,uvk->uvi", tan, w)
         coef = np.einsum("uvij,uvj->uvi", ginv, r)
         return w - np.einsum("uvi,uvik->uvk", coef, tan)
 
-    IIuu = normal_part(Xuu)
-    IIuv = normal_part(Xuv)
-    IIvv = normal_part(Xvv)
+    IIuu = normal_part(diff_u(tan[:, :, 0], spec).real)
+    IIuv = normal_part(diff_v(tan[:, :, 0], spec).real)
+    IIvv = normal_part(diff_v(tan[:, :, 1], spec).real)
+    del tan, ginv
 
     det = E * G - F * F
-    h_vec = (
-        G[..., None] * IIuu - 2.0 * F[..., None] * IIuv + E[..., None] * IIvv
-    ) / (2.0 * det[..., None])
+    h_vec = (G[..., None] * IIuu - 2.0 * F[..., None] * IIuv
+             + E[..., None] * IIvv) / (2.0 * det[..., None])
     h2 = np.einsum("uvk,uvk->uv", h_vec, h_vec)
-    k_gauss = (
-        np.einsum("uvk,uvk->uv", IIuu, IIvv) - np.einsum("uvk,uvk->uv", IIuv, IIuv)
-    ) / det
+    k_gauss = (np.einsum("uvk,uvk->uv", IIuu, IIvv)
+               - np.einsum("uvk,uvk->uv", IIuv, IIuv)) / det
 
     dens = (h2 - k_gauss) * np.sqrt(det)
     return float(integrate(dens, spec)) / chart.cover_count

@@ -51,7 +51,7 @@ def frame_residuals(frame) -> dict:
         "<Y_z,Y_z>": worst(mink_inner(frame.Y_z, frame.Y_z)),
         "<Y_z,Y_zbar>-1/2": worst(mink_inner(frame.Y_z, np.conj(frame.Y_z)) - 0.5),
     }
-    if frame.N is not None:
+    if frame.kappa is not None:
         res.update(
             {
                 "<N,Y>+1": worst(mink_inner(frame.N, frame.Y) + 1.0),
@@ -59,7 +59,7 @@ def frame_residuals(frame) -> dict:
                 "<N,Y_z>": worst(mink_inner(frame.N.astype(complex), frame.Y_z)),
             }
         )
-    if frame.N is not None and frame.dim > 4:
+    if frame.kappa is not None and frame.dim > 4:
         psi, _ = normal_basis(frame)
         q = signature(frame.dim)
         gram = np.einsum("uvik,uvjk,k->uvij", psi, psi, q)

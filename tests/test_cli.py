@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wlab.cli import RESIDUAL_CSV_COLUMNS, ConfigError, main, run_analysis, validate_config
+from wlab.diagnostics import analyze
 from wlab.frame import Chart
 from wlab.gallery import clifford
 
@@ -307,6 +308,43 @@ def test_chart_errors_exit_3_from_every_subcommand(
     assert main([command, cfg] + SUBCOMMANDS[command]) == 3
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("error", [MemoryError, OverflowError, ZeroDivisionError])
+def test_any_chart_construction_failure_exits_3_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, error
+):
+    # stands in for a grid too large to allocate, without allocating it
+    def build(name, nu, nv, params):
+        raise error("cannot build this chart")
+
+    monkeypatch.setattr("wlab.cli.build_surface", build)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16})
+    assert main([command, cfg] + SUBCOMMANDS[command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chart construction failed: ") and error.__name__ in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1, -1e-6])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_non_positive_tolerance_exits_2_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16}, tolerances={"willmore": value})
+    assert main([command, cfg] + SUBCOMMANDS[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive finite number" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_tolerance_is_a_value_error_in_the_library(value):
+    with pytest.raises(ValueError, match="positive finite number"):
+        analyze(clifford(16, 16), tolerances={"willmore": value})
 
 
 def test_wrong_param_type_is_chart_error(tmp_path, capsys):

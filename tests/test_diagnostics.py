@@ -81,7 +81,10 @@ def test_willmore_residual_round_sphere():
     assert willmore_residual(jet.willmore_vector)[frame.mask].max() < 1e-10
 
 
-def test_willmore_residual_perturbed_control():
+def test_willmore_residual_perturbed_control(monkeypatch):
+    # the bump makes the chart non-conformal, which the lift rejects; lift
+    # the conformality gate to build its frame anyway
+    monkeypatch.setattr("wlab.frame.CONFORMAL_TOL_SPECTRAL", math.inf)
     ch = clifford(48, 48)
     u, v = ch.spec.meshgrid()
     bump = 1e-2 * np.stack(
@@ -91,7 +94,7 @@ def test_willmore_residual_perturbed_control():
     pts = ch.points + bump
     pts /= np.linalg.norm(pts, axis=-1)[..., None]
     pert = Chart(ch.spec, pts, ambient_n=3, name="perturbed_clifford")
-    frame = build_frame(pert, validate=False)
+    frame = build_frame(pert)
     inv = hopf_schwarzian(frame)
     jet = kappa_jet(frame, inv)
     assert willmore_residual(jet.willmore_vector)[frame.mask].max() > 1e-3
@@ -252,8 +255,10 @@ def test_reduction_span_round_sphere():
     assert reduction_span_check(frame.mask, [frame.Y]) == 4
 
 
-def test_reduction_span_needs_samples():
-    frame = build_frame(round_sphere(8, 8), validate=False)
+def test_reduction_span_needs_samples(monkeypatch):
+    # 8 x 8 misses the FD conformality tolerance, which the lift checks
+    monkeypatch.setattr("wlab.frame.CONFORMAL_TOL_FD", math.inf)
+    frame = build_frame(round_sphere(8, 8))
     with pytest.raises(ValueError):
         reduction_span_check(frame.mask, [frame.Y])
 
@@ -352,9 +357,10 @@ def test_axis_derivative_count_does_not_depend_on_codimension(monkeypatch):
     for n in (3, 7, 10):
         counts.append(0)
         analyze(include_in_higher_sphere(clifford(128, 128), n))
-    # each field's Wirtinger pair costs one diff_u and one diff_v, and the
-    # normal 2-jet of kappa is differentiated once
-    assert counts == [27, 27, 27], counts
+    # each field's Wirtinger pair costs one diff_u and one diff_v, the
+    # normal 2-jet of kappa is differentiated once, and the chart check
+    # reads the lift's own y0_z
+    assert counts == [25, 25, 25], counts
 
 
 def analyze_peak_over_y(monkeypatch, threads, ambient_n):
@@ -396,8 +402,9 @@ def test_analyze_peak_memory_in_s20(monkeypatch):
 
 
 def test_analyze_rejects_a_constant_chart_as_a_chart_error():
-    # conformality alone passes it (0/0); the Euclidean energy, which runs
-    # before the frame, would fail its metric solve with a LinAlgError
+    # conformality alone passes it (0/0); the lift rejects the metric before
+    # anything else runs, so the Euclidean energy, which runs last and would
+    # fail its metric solve with a LinAlgError, never sees it
     spec = GridSpec(16, 16, TWO_PI, TWO_PI, True, True)
     pts = np.zeros((16, 16, 4))
     pts[..., 0] = 1.0

@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wlab.frame
+from wlab.diagnostics import analyze
 from wlab.calculus import GridSpec
 from wlab.frame import (
     PROJECTOR_BLOCK,
@@ -98,6 +100,73 @@ def test_non_conformal_chart_rejected():
     ch = Chart(spec, pts, ambient_n=2, name="spherical")
     with pytest.raises(ChartError, match="not conformal"):
         validate_chart(ch)
+
+
+def _nan_point():
+    ch = clifford(16, 16)
+    ch.points[3, 5, 1] = np.nan
+    return ch
+
+
+def _non_unit_point():
+    ch = clifford(16, 16)
+    ch.points[3, 5] *= 1.01
+    return ch
+
+
+def _constant():
+    spec = GridSpec(16, 16, 2 * np.pi, 2 * np.pi, True, True)
+    pts = np.zeros((16, 16, 4))
+    pts[..., 0] = 1.0
+    return Chart(spec, pts, ambient_n=3)
+
+
+def _stretched_spectral():
+    ch = clifford(16, 16)  # the v extent halved: |<x_z,x_z>|/<x_z,x_zbar> = 0.6
+    return Chart(replace(ch.spec, Lv=ch.spec.Lv / 2), ch.points, ambient_n=3)
+
+
+def _latitude_longitude_fd():
+    spec = GridSpec(32, 32, 2.0, 2 * np.pi, False, True, u0=0.6)
+    u, v = spec.meshgrid()
+    pts = np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u),
+                    np.zeros_like(u)], axis=-1)
+    return Chart(spec, pts, ambient_n=3)
+
+
+ENTRY_POINTS = {
+    "validate_chart": validate_chart,
+    "canonical_lift": canonical_lift,
+    "build_frame": build_frame,
+    "analyze": analyze,
+}
+
+
+@pytest.mark.parametrize("make_chart, message", [
+    (_nan_point, "non-finite"),
+    (_non_unit_point, "finite unit"),
+    (_constant, "degenerate everywhere"),
+    (_stretched_spectral, "not conformal"),
+    (_latitude_longitude_fd, "not conformal"),
+], ids=["nan_point", "non_unit_point", "constant", "stretched_spectral", "non_conformal_fd"])
+def test_every_entry_point_rejects_a_chart_alike(monkeypatch, make_chart, message):
+    # the lift is the one place a chart is checked, so every entry point
+    # raises the same ChartError, and analyze raises it before the
+    # Euclidean energy runs
+    errors = {}
+    for name, entry in ENTRY_POINTS.items():
+        with pytest.raises(ChartError, match=message) as info:
+            entry(make_chart())
+        errors[name] = str(info.value)
+    assert len(set(errors.values())) == 1, errors
+
+    def euclidean(chart):
+        raise RuntimeError("the Euclidean energy ran on a rejected chart")
+
+    monkeypatch.setattr("wlab.diagnostics.willmore_energy_euclidean", euclidean)
+    with pytest.raises(ChartError, match=message) as info:
+        analyze(make_chart())
+    assert str(info.value) == errors["analyze"]
 
 
 def test_chart_mask_is_the_interior_mask_and_not_settable():
