@@ -258,17 +258,19 @@ def convergence_order(sizes, residuals) -> float:
 
 SUPERALGEBRAIC_SLOPE = -10.0
 ROUNDOFF_FLOOR = 1e-10
+ROUNDOFF_FRACTION = 1e-2
 
 
-def classify_order(slope: float, residuals=None) -> str:
-    """Human label for a fitted convergence slope.
+def classify_order(slope: float, residuals, tolerance: float) -> str:
+    """Human label for a fitted convergence slope of `residuals`.
 
-    Residuals sitting at the roundoff floor for *every* size mean the
-    discretization was already converged (spectrally exact data), which is
-    also reported as superalgebraic.
+    A row that does not fall while every residual is below ROUNDOFF_FRACTION
+    of its verdict `tolerance` is at its "roundoff floor", not diverging.
+    Residuals below ROUNDOFF_FLOOR at every size (spectrally exact data)
+    or a slope below SUPERALGEBRAIC_SLOPE read "superalgebraic".
     """
-    if residuals is not None and max(residuals) < ROUNDOFF_FLOOR:
-        return "superalgebraic"
-    if slope < SUPERALGEBRAIC_SLOPE:
+    if slope >= 0 and max(residuals) < ROUNDOFF_FRACTION * tolerance:
+        return "roundoff floor"
+    if max(residuals) < ROUNDOFF_FLOOR or slope < SUPERALGEBRAIC_SLOPE:
         return "superalgebraic"
     return f"order {-slope:.2f}"

@@ -23,7 +23,7 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage
 error (a tolerance that is not a positive finite number included) or an
 output that cannot be written, 3 chart error (any failure to build the
 chart, or non-unit, non-finite, degenerate or non-conformal points), 4
-analysis error; every subcommand maps failures the same way.
+analysis error; `main` maps every failure, a RunError, to its exit code.
 
 WLAB_THREADS (a positive integer; default: all cores) caps the threads of
 one run: a single `analyze` splits its per-point kernels and periodic
@@ -66,8 +66,20 @@ EXIT_ANALYSIS = 4
 RESIDUAL_CSV_COLUMNS = ["kkbar", "abs_kk", "theta"] + [r.field for r in RESIDUALS if r.csv]
 
 
-class ConfigError(ValueError):
-    pass
+class RunError(Exception):
+    """A run that ends without a result: `code` is its exit code and the
+    message the one stderr line that `main` prints for it."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+
+
+class ConfigError(RunError):
+    """A config or usage error (exit 2)."""
+
+    def __init__(self, message: str):
+        super().__init__(EXIT_CONFIG, f"config error: {message}")
 
 
 def load_config(path: str) -> dict:
@@ -188,30 +200,28 @@ def build_chart(cfg: dict, nu=None, nv=None) -> Chart:
     return chart
 
 
-def run_analysis(cfg: dict, nu=None, nv=None):
-    """(exit_code, report, chart) of one run.
-
-    A failure gives (EXIT_CHART or EXIT_ANALYSIS, message, None), with the
-    one-line message in place of the report: any exception while the
-    chart is built (bad param values, a grid too large to allocate) and
-    any ChartError raised by `analyze` (the chart check in the lift) is a
-    chart error, every other exception an analysis error.
+def run_analysis(cfg: dict, nu=None, nv=None) -> DiagnosticsReport:
+    """The report of one run, or a RunError: any exception while the chart
+    is built (bad param values, a grid too large to allocate) and any
+    ChartError raised by `analyze` (the chart check in the lift) exits
+    EXIT_CHART, every other exception EXIT_ANALYSIS.
     """
     try:
         chart = build_chart(cfg, nu, nv)
     except Exception as exc:  # noqa: BLE001 - construction maps to exit 3
-        return EXIT_CHART, f"chart construction failed: {type(exc).__name__}: {exc}", None
+        raise RunError(EXIT_CHART,
+                       f"chart construction failed: {type(exc).__name__}: {exc}") from exc
     try:
-        report = analyze(chart, tolerances=cfg["tolerances"], seed=cfg["seed"])
+        return analyze(chart, tolerances=cfg["tolerances"])
     except ChartError as exc:
-        return EXIT_CHART, f"chart rejected: {exc}", None
+        raise RunError(EXIT_CHART, f"chart rejected: {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - analysis stage maps to exit 4
-        return EXIT_ANALYSIS, f"analysis failed: {exc}", None
-    return 0, report, chart
+        raise RunError(EXIT_ANALYSIS, f"analysis failed: {exc}") from exc
 
 
-def report_json(report: DiagnosticsReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+def report_json(report: DiagnosticsReport, seed: int) -> str:
+    """The report as JSON, with the config `seed` its Mobius maps were drawn from."""
+    return json.dumps({**report.to_json_dict(), "seed": seed}, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(text: str, path) -> None:
@@ -224,11 +234,8 @@ def _emit(text: str, path) -> None:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    code, report, _ = run_analysis(cfg)
-    if code:
-        return _fail(code, report)
-    out_path = args.out or _configured_path(cfg, "report")
-    _emit(report_json(report), out_path)
+    report = run_analysis(cfg)
+    _emit(report_json(report, cfg["seed"]), args.out or _configured_path(cfg, "report"))
     for e in report.entries:
         print(f"{e.name:<18} L_inf={e.L_inf:.3e} tol={e.tolerance:.1e} {e.verdict}",
               file=sys.stderr)
@@ -242,14 +249,10 @@ def cmd_convergence(args) -> int:
     except ValueError:
         sizes = []
     if len(set(sizes)) < 3 or min(sizes) < 8:
-        return _fail(EXIT_CONFIG, "--sizes must list at least 3 distinct integers >= 8")
+        raise ConfigError("--sizes must list at least 3 distinct integers >= 8")
 
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(sizes))) as pool:
-        runs = list(pool.map(lambda n: run_analysis(cfg, n, n), sizes))
-    for code, result, _ in runs:
-        if code:
-            return _fail(code, result)
-    reports = [report for _, report, _ in runs]
+        reports = list(pool.map(lambda n: run_analysis(cfg, n, n), sizes))
 
     table = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
     for row in RESIDUALS:
@@ -262,7 +265,8 @@ def cmd_convergence(args) -> int:
             warnings.simplefilter("ignore")
             slope = convergence_order(sizes, linfs)
         table["fitted_order"][row.name] = {
-            "slope": slope, "label": classify_order(slope, linfs)
+            "slope": slope,
+            "label": classify_order(slope, linfs, reports[0].entry(row.name).tolerance),
         }
 
     header = "residual".ljust(18) + "".join(f"n={n}".rjust(13) for n in sizes) + "  order"
@@ -289,11 +293,8 @@ def cmd_gallery(args) -> int:
 
 def cmd_fields(args) -> int:
     cfg = load_config(args.config)
-    code, report, chart = run_analysis(cfg)
-    if code:
-        return _fail(code, report)
-    spec = chart.spec
-    uu, vv = spec.meshgrid()
+    report = run_analysis(cfg)
+    uu, vv = report.spec.meshgrid()
     out_path = args.out or _configured_path(cfg, "fields")
     columns = [uu, vv] + [report.fields[c] for c in RESIDUAL_CSV_COLUMNS]
     cells = [map(repr, np.asarray(col, dtype=float).ravel().tolist()) for col in columns]
@@ -304,11 +305,6 @@ def cmd_fields(args) -> int:
     return 0
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
-
-
 def _configured_path(cfg: dict, kind: str):
     return next((out["path"] for out in cfg["outputs"] if out["kind"] == kind), None)
 
@@ -316,7 +312,7 @@ def _configured_path(cfg: dict, kind: str):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is a config error and, like every failure, one line
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        raise RunError(EXIT_CONFIG, f"{self.prog}: error: {message}")
 
 
 def main(argv=None) -> int:
@@ -346,15 +342,16 @@ def main(argv=None) -> int:
     p_fd.add_argument("--out", help="CSV path (default: config outputs or stdout)")
     p_fd.set_defaults(func=cmd_fields)
 
-    args = parser.parse_args(argv)
     try:
-        thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, f"config error: {exc}")
-    try:
+        args = parser.parse_args(argv)
+        try:
+            thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, f"config error: {exc}")
+    except RunError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .invariants import (
     willmore_energy_euclidean,
     willmore_vector,
 )
-from .lorentz import cmink_inner, herm_norm, mink_inner, span_rank
+from .lorentz import cmink_inner, herm_norm, span_rank
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL_SPECTRAL = 1e-6
@@ -163,8 +163,7 @@ def codazzi_residual(willmore_vector: np.ndarray) -> np.ndarray:
     """Norm of Im(D_zbar D_zbar kappa + (conj s / 2) kappa), the Codazzi
     row; the imaginary part of a V^perp_C field is a real normal vector,
     so its Minkowski norm is gauge-invariant."""
-    im_part = willmore_vector.imag
-    return np.sqrt(np.maximum(mink_inner(im_part, im_part), 0.0))
+    return herm_norm(willmore_vector.imag)
 
 
 def codazzi_gauss_residuals(inv: InvariantField, dz_kappa: np.ndarray, dzbar_kappa: np.ndarray,
@@ -247,7 +246,6 @@ class ResidualEntry:
 @dataclass
 class DiagnosticsReport:
     chart: dict
-    seed: int
     entries: list
     energies: dict
     ranks: dict
@@ -268,7 +266,6 @@ class DiagnosticsReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "chart": self.chart,
-            "seed": self.seed,
             "energies": self.energies,
             "ranks": self.ranks,
             "residuals": [asdict(e) for e in self.entries],
@@ -317,11 +314,7 @@ def default_tolerances(chart: Chart, overrides: Optional[dict] = None) -> dict:
     return tol
 
 
-def analyze(
-    chart: Chart,
-    tolerances: Optional[dict] = None,
-    seed: int = 0,
-) -> DiagnosticsReport:
+def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsReport:
     """Full pipeline: frame -> invariants -> residuals -> report.
 
     The canonical lift checks the chart, so a bad chart raises ChartError
@@ -391,7 +384,7 @@ def analyze(
             "periodic_u": spec.periodic_u, "periodic_v": spec.periodic_v,
             "wlab_version": _version}
     return DiagnosticsReport(
-        chart=meta, seed=seed, entries=entries, energies=energies,
+        chart=meta, entries=entries, energies=energies,
         ranks=ranks, passed=passed, fields=fields,
         masks={row.field: masks[row.mask] for row in RESIDUALS}, spec=spec,
     )

@@ -62,19 +62,24 @@ class Chart:
 
     spec: GridSpec
     points: np.ndarray  # (nu, nv, n+1)
-    ambient_n: int
     cover_count: int = 1
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    # (nu, nv) bool, True = usable for norms: the spec's interior mask
-    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.points.shape != (self.spec.nu, self.spec.nv, self.ambient_n + 1):
-            raise ChartError(
-                f"points shape {self.points.shape} does not match grid/ambient"
-            )
-        self.mask = self.spec.interior_mask()
+        shape = self.points.shape
+        if len(shape) != 3 or shape[:2] != (self.spec.nu, self.spec.nv):
+            raise ChartError(f"points shape {shape} is not ({self.spec.nu}, {self.spec.nv}, n+1)")
+
+    @property
+    def ambient_n(self) -> int:
+        """n, read from the points: the chart samples S^n in R^{n+1}."""
+        return self.points.shape[-1] - 1
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(nu, nv) bool, True = usable for norms: the spec's interior mask."""
+        return self.spec.interior_mask()
 
     @property
     def dim(self) -> int:

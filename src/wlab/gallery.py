@@ -54,7 +54,7 @@ def clifford(nu: int, nv: int) -> Chart:
     pts = np.stack(
         [r * np.cos(u), r * np.sin(u), r * np.cos(v), r * np.sin(v)], axis=-1
     )
-    return Chart(spec, pts, ambient_n=3, name="clifford")
+    return Chart(spec, pts, name="clifford")
 
 
 def round_sphere(nu: int, nv: int, ambient_n: int = 4, extent: float = 2.5) -> Chart:
@@ -72,10 +72,8 @@ def round_sphere(nu: int, nv: int, ambient_n: int = 4, extent: float = 2.5) -> C
     pts[..., 0] = sech * np.cos(v)
     pts[..., 1] = sech * np.sin(v)
     pts[..., 2] = np.tanh(u)
-    return Chart(
-        spec, pts, ambient_n=ambient_n, name="round_sphere",
-        params={"ambient_n": ambient_n, "extent": extent},
-    )
+    return Chart(spec, pts, name="round_sphere",
+                 params={"ambient_n": ambient_n, "extent": extent})
 
 
 def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
@@ -97,7 +95,7 @@ def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
         ],
         axis=-1,
     )
-    return Chart(sphere.spec, pts, ambient_n=4, name="veronese", params={"extent": extent})
+    return Chart(sphere.spec, pts, name="veronese", params={"extent": extent})
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +210,7 @@ def _hopf_chart(
     gam = gamma_of_t(spec.u)
     gam = gam / np.linalg.norm(_realify(gam), axis=-1)[:, None]
     x = np.exp(1j * spec.v)[None, :, None] * gam[:, None, :]
-    return Chart(spec, _realify(x), ambient_n=2 * gam.shape[-1] - 1,
-                 cover_count=q or 1, name=name, params=params)
+    return Chart(spec, _realify(x), cover_count=q or 1, name=name, params=params)
 
 
 def _homogeneous_lift(
@@ -301,12 +298,7 @@ def solve_cp2_amplitudes(lambdas) -> np.ndarray:
     return np.sqrt(np.maximum(asq, 0.0))
 
 
-def hopf_from_curvature(
-    curve: CurveSpec,
-    nu: int,
-    nv: int,
-    initial_frame: Optional[tuple] = None,
-) -> HopfChartResult:
+def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
     """Hopf surface from curvature functions, by integrating the frame ODE.
 
     Uses an adaptive high-order Runge-Kutta (DOP853) over one period,
@@ -314,7 +306,8 @@ def hopf_from_curvature(
     segment boundaries to kill secular drift.  Closure is detected from
     the full frame monodromy; closed curves are extended equivariantly by
     gamma(t + T) = e^{i phi} gamma(t), so the q-fold covering chart costs
-    a single period of integration.
+    a single period of integration.  The frame starts at gamma = e_1, xi =
+    e_2 and eta = e_3 (eta = 0 when m = 2).
     """
     m = curve.ambient_complex_dim
     k2_active = any(abs(curve.k2_at(t)) > 1e-15
@@ -322,14 +315,7 @@ def hopf_from_curvature(
     if m < 2 or (k2_active and m < 3):
         raise ValueError("ambient_complex_dim must be >= 2, and >= 3 when k2 != 0")
 
-    if initial_frame is None:
-        gamma0 = np.zeros(m, complex); gamma0[0] = 1.0
-        xi0 = np.zeros(m, complex); xi0[1] = 1.0
-        eta0 = np.zeros(m, complex)
-        if m >= 3:
-            eta0[2] = 1.0
-    else:
-        gamma0, xi0, eta0 = (np.asarray(w, dtype=complex) for w in initial_frame)
+    gamma0, xi0, eta0 = np.eye(3, m, dtype=complex)
 
     def rhs(t, y):
         g, xi, eta = y[:m], y[m:2 * m], y[2 * m:]
@@ -436,10 +422,8 @@ def include_in_higher_sphere(chart: Chart, n_target: int) -> Chart:
         raise ValueError("target sphere dimension is smaller than the chart's")
     pts = np.zeros(chart.points.shape[:2] + (n_target + 1,))
     pts[..., : chart.ambient_n + 1] = chart.points
-    return Chart(
-        chart.spec, pts, ambient_n=n_target, cover_count=chart.cover_count,
-        name=chart.name, params={**chart.params, "included_n": n_target},
-    )
+    return Chart(chart.spec, pts, cover_count=chart.cover_count, name=chart.name,
+                 params={**chart.params, "included_n": n_target})
 
 
 def apply_mobius(chart: Chart, mob: MobiusMap) -> Chart:
@@ -459,10 +443,8 @@ def apply_mobius(chart: Chart, mob: MobiusMap) -> Chart:
     # w is null up to roundoff, so spatial/timelike is unit to roundoff and
     # the identity map reproduces the chart bit-exactly
     x = w[..., 1:] / t_comp[..., None]
-    return Chart(
-        chart.spec, x, ambient_n=chart.ambient_n, cover_count=chart.cover_count,
-        name=chart.name, params={**chart.params, "mobius": True},
-    )
+    return Chart(chart.spec, x, cover_count=chart.cover_count, name=chart.name,
+                 params={**chart.params, "mobius": True})
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +465,16 @@ def _build_hopf(nu, nv, k1=0.0, k2=0.0, t_period=TWO_PI, ambient_complex_dim=2):
 
 GALLERY = {
     "clifford": {
-        "build": lambda nu, nv: clifford(nu, nv),
+        "build": clifford,
         "params": {},
     },
     "round_sphere": {
-        "build": lambda nu, nv, ambient_n=4, extent=2.5: round_sphere(nu, nv, ambient_n, extent),
+        "build": round_sphere,
         "params": {"ambient_n": "int, target sphere (default 4)",
                    "extent": "float, |u| range of the Mercator strip (default 2.5)"},
     },
     "pinkall_hopf_torus": {
-        "build": lambda nu, nv, c: pinkall_hopf_torus(c, nu, nv),
+        "build": pinkall_hopf_torus,
         "params": {"c": "float, constant curvature of the base curve"},
     },
     "hopf_from_curvature": {
@@ -508,7 +490,7 @@ GALLERY = {
                    "t_window": "float, force a non-periodic t window (default: closed cover)"},
     },
     "veronese": {
-        "build": lambda nu, nv, extent=2.5: veronese(nu, nv, extent),
+        "build": veronese,
         "params": {"extent": "float, |u| range of the Mercator strip (default 2.5)"},
     },
 }
@@ -518,5 +500,5 @@ def build_surface(name: str, nu: int, nv: int, params: Optional[dict] = None) ->
     """Construct a gallery chart by name; Hopf results are unwrapped."""
     if name not in GALLERY:
         raise KeyError(f"unknown gallery surface {name!r}; see `wlab gallery list`")
-    out = GALLERY[name]["build"](nu, nv, **(params or {}))
+    out = GALLERY[name]["build"](nu=nu, nv=nv, **(params or {}))
     return out.chart if isinstance(out, HopfChartResult) else out

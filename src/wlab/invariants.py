@@ -154,8 +154,8 @@ def ricci_residual(inv: InvariantField, dzbar_dz_kappa: np.ndarray,
         return np.zeros(inv.mask.shape)
     kap = inv.kappa
     # right side first, then the left side minus it: two fields alive at once
-    defect = 2.0 * cmink_inner(kap, kap)[..., None] * np.conj(kap)
-    defect -= 2.0 * cmink_inner(kap, np.conj(kap))[..., None] * kap
+    defect = 2.0 * inv.kk[..., None] * np.conj(kap)
+    defect -= 2.0 * inv.kk_bar[..., None] * kap
     defect = dzbar_dz_kappa - dz_dzbar_kappa - defect
     return herm_norm(defect)
 

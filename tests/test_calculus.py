@@ -119,8 +119,8 @@ def test_convergence_order_algebraic():
 
 def test_convergence_order_superalgebraic():
     sizes = [16, 32, 64]
-    slope = convergence_order(sizes, [np.exp(-n) for n in sizes])
-    assert classify_order(slope) == "superalgebraic"
+    res = [np.exp(-n) for n in sizes]
+    assert classify_order(convergence_order(sizes, res), res, 1e-6) == "superalgebraic"
 
 
 def test_convergence_order_constant_warns():
@@ -129,8 +129,23 @@ def test_convergence_order_constant_warns():
     assert slope == pytest.approx(0.0, abs=0.01)
 
 
+def test_rising_roundoff_reads_as_its_floor_not_a_divergence():
+    # the CP^2 t_window=6 sweep: gauss sits at roundoff and rises with n,
+    # codazzi converges, both against the FD tolerance 1e-3
+    sizes = [48, 64, 96, 128]
+    gauss = [5.625e-12, 1.388e-11, 7.792e-11, 1.878e-10]
+    codazzi = [1.945e-07, 3.373e-08, 2.900e-09, 9.210e-10]
+    with pytest.warns(UserWarning):
+        slope = convergence_order(sizes, gauss)
+    assert slope > 0 and classify_order(slope, gauss, 1e-3) == "roundoff floor"
+    assert classify_order(convergence_order(sizes, codazzi), codazzi, 1e-3) == "order 5.54"
+    # the same rise above 1e-2 x tolerance is a divergence
+    rising = [1e-5 * x / gauss[0] for x in gauss]
+    assert classify_order(slope, rising, 1e-3) == f"order {-slope:.2f}"
+
+
 def test_convergence_floor_counts_as_converged():
-    assert classify_order(-0.1, residuals=[1e-13, 1e-12, 1e-12]) == "superalgebraic"
+    assert classify_order(-0.1, [1e-13, 1e-12, 1e-12], 1e-6) == "superalgebraic"
 
 
 def test_convergence_needs_three_sizes():

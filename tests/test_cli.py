@@ -109,8 +109,8 @@ def test_fields_csv_matches_a_row_loop(tmp_path):
                        grid={"nu": 32, "nv": 16})
     out = tmp_path / "fields.csv"
     assert main(["fields", cfg, "--out", str(out)]) == 0
-    _, report, chart = run_analysis(validate_config(json.loads(open(cfg).read())))
-    uu, vv = chart.spec.meshgrid()
+    report = run_analysis(validate_config(json.loads(open(cfg).read())))
+    uu, vv = report.spec.meshgrid()
     flat = {c: np.asarray(report.fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
     rows = [["u", "v"] + RESIDUAL_CSV_COLUMNS]
     for i, (u, v) in enumerate(zip(uu.ravel(), vv.ravel())):
@@ -128,6 +128,11 @@ def test_convergence_table(tmp_path, capsys):
     table = json.loads(out.read_text())
     assert table["sizes"] == [16, 24, 32]
     assert "willmore" in table["residual_L_inf"]
+    # the spectral rows rise at roundoff as n grows: a floor, not a divergence
+    labels = {name: fit["label"] for name, fit in table["fitted_order"].items()
+              if isinstance(fit, dict)}
+    assert labels["gauss"] == labels["willmore"] == "roundoff floor"
+    assert not any(label.startswith("order -") for label in labels.values()), labels
 
 
 def test_convergence_bad_sizes(tmp_path):
@@ -240,7 +245,7 @@ def _nan_chart(name, nu, nv, params):
 def _stretched_chart(name, nu, nv, params):
     # Clifford samples on a grid whose v extent is halved: not conformal
     chart = clifford(nu, nv)
-    return Chart(replace(chart.spec, Lv=chart.spec.Lv / 2), chart.points, ambient_n=3)
+    return Chart(replace(chart.spec, Lv=chart.spec.Lv / 2), chart.points)
 
 
 SUBCOMMANDS = {

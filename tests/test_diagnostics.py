@@ -93,7 +93,7 @@ def test_willmore_residual_perturbed_control(monkeypatch):
     )
     pts = ch.points + bump
     pts /= np.linalg.norm(pts, axis=-1)[..., None]
-    pert = Chart(ch.spec, pts, ambient_n=3, name="perturbed_clifford")
+    pert = Chart(ch.spec, pts, name="perturbed_clifford")
     frame = build_frame(pert)
     inv = hopf_schwarzian(frame)
     jet = kappa_jet(frame, inv)
@@ -318,8 +318,7 @@ def test_grid_origin_shift_invariance():
     base_chart = clifford(32, 32)
     base = analyze(base_chart)
     shifted = Chart(
-        base_chart.spec, np.roll(base_chart.points, (5, 11), axis=(0, 1)),
-        ambient_n=3, name="clifford",
+        base_chart.spec, np.roll(base_chart.points, (5, 11), axis=(0, 1)), name="clifford",
     )
     rep = analyze(shifted)
     assert abs(rep.energies["W_conformal"] - base.energies["W_conformal"]) < 1e-10
@@ -409,7 +408,7 @@ def test_analyze_rejects_a_constant_chart_as_a_chart_error():
     pts = np.zeros((16, 16, 4))
     pts[..., 0] = 1.0
     with pytest.raises(ChartError, match="degenerate everywhere"):
-        analyze(Chart(spec, pts, ambient_n=3))
+        analyze(Chart(spec, pts))
 
 
 def test_nan_at_live_point_fails(clifford_data, monkeypatch):

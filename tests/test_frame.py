@@ -97,7 +97,7 @@ def test_non_conformal_chart_rejected():
     spec = GridSpec(32, 32, 2.0, 2 * np.pi, False, True, u0=0.6)
     u, v = spec.meshgrid()
     pts = np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)], axis=-1)
-    ch = Chart(spec, pts, ambient_n=2, name="spherical")
+    ch = Chart(spec, pts, name="spherical")
     with pytest.raises(ChartError, match="not conformal"):
         validate_chart(ch)
 
@@ -118,12 +118,12 @@ def _constant():
     spec = GridSpec(16, 16, 2 * np.pi, 2 * np.pi, True, True)
     pts = np.zeros((16, 16, 4))
     pts[..., 0] = 1.0
-    return Chart(spec, pts, ambient_n=3)
+    return Chart(spec, pts)
 
 
 def _stretched_spectral():
     ch = clifford(16, 16)  # the v extent halved: |<x_z,x_z>|/<x_z,x_zbar> = 0.6
-    return Chart(replace(ch.spec, Lv=ch.spec.Lv / 2), ch.points, ambient_n=3)
+    return Chart(replace(ch.spec, Lv=ch.spec.Lv / 2), ch.points)
 
 
 def _latitude_longitude_fd():
@@ -131,7 +131,7 @@ def _latitude_longitude_fd():
     u, v = spec.meshgrid()
     pts = np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u),
                     np.zeros_like(u)], axis=-1)
-    return Chart(spec, pts, ambient_n=3)
+    return Chart(spec, pts)
 
 
 ENTRY_POINTS = {
@@ -173,7 +173,25 @@ def test_chart_mask_is_the_interior_mask_and_not_settable():
     ch = round_sphere(32, 16)
     assert np.array_equal(ch.mask, ch.spec.interior_mask())
     with pytest.raises(TypeError):
-        Chart(ch.spec, ch.points, ambient_n=4, mask=ch.mask)
+        Chart(ch.spec, ch.points, mask=ch.mask)
+
+
+def test_chart_reads_its_sphere_from_its_points():
+    ch = round_sphere(32, 16, ambient_n=6)
+    assert (ch.ambient_n, ch.dim) == (6, 8)
+    with pytest.raises(TypeError):
+        Chart(ch.spec, ch.points, ambient_n=6)
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros((32, 16)),     # no vector axis
+    np.zeros((16, 32, 3)),  # the grid transposed
+    np.zeros((32, 15, 3)),
+], ids=["2d", "transposed", "short_v"])
+def test_chart_rejects_points_off_its_grid(points):
+    spec = round_sphere(32, 16).spec
+    with pytest.raises(ChartError, match=r"is not \(32, 16, n\+1\)"):
+        Chart(spec, points)
 
 
 def test_non_finite_chart_rejected():
@@ -334,7 +352,7 @@ def test_degenerate_metric_masked():
     spec = GridSpec(16, 16, 2 * np.pi, 2 * np.pi, True, True)
     u, v = spec.meshgrid()
     pts = np.stack([np.cos(u), np.sin(u), np.zeros_like(u), np.zeros_like(u)], axis=-1)
-    ch = Chart(spec, pts, ambient_n=3, name="degenerate")
+    ch = Chart(spec, pts, name="degenerate")
     with pytest.raises(ChartError):
         validate_chart(ch)
 

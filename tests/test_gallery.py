@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from wlab.calculus import diff_u, diff_v
 from wlab.diagnostics import analyze, flat_normal_residual
 from wlab.frame import build_frame, validate_chart
 from wlab.gallery import (
+    GALLERY,
     CurveSpec,
     apply_mobius,
     clifford,
@@ -114,15 +116,16 @@ def test_frame_ode_matches_closed_form():
     a1, a2 = math.sqrt(-l2 / (l1 - l2)), math.sqrt(l1 / (l1 - l2))
     t_close = TWO_PI / (l1 - l2)
     curve = CurveSpec(k1=c, k2=0.0, t_period=t_close, ambient_complex_dim=2)
-    init = (
-        np.array([a1, a2], complex),
-        np.array([1j * l1 * a1, 1j * l2 * a2], complex),
-        np.zeros(2, complex),
-    )
-    res = hopf_from_curvature(curve, 80, 32, initial_frame=init)
+    res = hopf_from_curvature(curve, 80, 32)
     ref = pinkall_hopf_torus(c, 80, 32)
     assert res.closed and res.chart.cover_count == ref.chart.cover_count
-    assert np.abs(res.chart.points - ref.chart.points).max() < 1e-6
+    # the ODE starts at gamma = e_1, xi = e_2; the unitary whose rows are the
+    # conjugates of the closed form's gamma(0) and gamma'(0) moves it there
+    # and commutes with the fibre action e^{i theta}
+    unitary = np.conj([[a1, a2], [1j * l1 * a1, 1j * l2 * a2]])
+    w = (ref.chart.points[..., 0::2] + 1j * ref.chart.points[..., 1::2]) @ unitary.T
+    moved = np.stack([w.real, w.imag], axis=-1).reshape(ref.chart.points.shape)
+    assert np.abs(res.chart.points - moved).max() < 1e-6
 
 
 def test_frame_ode_geodesic_gives_clifford_invariants():
@@ -247,7 +250,9 @@ def test_identity_mobius_is_exact():
 
 def test_inclusion_preserves_diagnostics():
     base = analyze(clifford(32, 32))
-    padded = analyze(include_in_higher_sphere(clifford(32, 32), 5))
+    chart = include_in_higher_sphere(clifford(32, 32), 5)
+    assert chart.ambient_n == 5 and chart.dim == 7
+    padded = analyze(chart)
     assert abs(base.energies["W_conformal"] - padded.energies["W_conformal"]) < 1e-10
     for e in base.entries:
         other = padded.entry(e.name)
@@ -271,3 +276,11 @@ def test_mobius_guard_rejects_degenerate_map():
 def test_inclusion_dimension_check():
     with pytest.raises(ValueError):
         include_in_higher_sphere(clifford(16, 16), 2)
+
+
+def test_gallery_params_are_the_builder_keywords():
+    # `build_surface` passes a config's params to the builder as keywords, and
+    # the CLI accepts exactly the documented ones
+    for name, entry in GALLERY.items():
+        keywords = set(inspect.signature(entry["build"]).parameters) - {"nu", "nv"}
+        assert set(entry["params"]) == keywords, name

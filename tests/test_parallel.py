@@ -80,7 +80,7 @@ def outputs(chart):
     arrays = {"P_perp": frame.P_perp, "kappa": frame.kappa, "psi": normal_basis(frame)[0],
               "N": frame.N, "mask": frame.mask}
     arrays.update({f"fields.{k}": np.asarray(v) for k, v in report.fields.items()})
-    return arrays, report_json(report)
+    return arrays, report_json(report, 0)
 
 
 def assert_same_outputs(got, want):
