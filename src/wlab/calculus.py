@@ -273,4 +273,4 @@ def classify_order(slope: float, residuals, tolerance: float) -> str:
         return "roundoff floor"
     if max(residuals) < ROUNDOFF_FLOOR or slope < SUPERALGEBRAIC_SLOPE:
         return "superalgebraic"
-    return f"order {-slope:.2f}"
+    return f"order {round(-slope, 2) + 0.0:.2f}"  # + 0.0 turns -0.0 into 0.0

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .calculus import GridSpec
 from .frame import Chart, light_cone_lift
@@ -309,6 +308,9 @@ def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
     a single period of integration.  The frame starts at gamma = e_1, xi =
     e_2 and eta = e_3 (eta = 0 when m = 2).
     """
+    # imported here, so that `import wlab` does not load scipy
+    from scipy.integrate import solve_ivp
+
     m = curve.ambient_complex_dim
     k2_active = any(abs(curve.k2_at(t)) > 1e-15
                     for t in np.linspace(0.0, curve.t_period, 65))
@@ -429,16 +431,17 @@ def include_in_higher_sphere(chart: Chart, n_target: int) -> Chart:
 def apply_mobius(chart: Chart, mob: MobiusMap) -> Chart:
     """Act on the light-cone lifts and re-project to the sphere.
 
-    Fails if the transformed lift crosses the projection singularity
-    (vanishing timelike component); pick a different map in that case.
+    Fails if the transformed lift overflows or crosses the projection
+    singularity (vanishing timelike component); pick a different map then.
     """
     if mob.dim != chart.dim:
         raise ValueError(f"Mobius map dimension {mob.dim} != chart lift dimension {chart.dim}")
     w = mob.apply(light_cone_lift(chart))
     t_comp = w[..., 0]
-    if np.abs(t_comp).min() <= 1e-10:
+    # written so that a NaN fails it; an overflow to inf shows in `w`
+    if not (np.abs(t_comp).min() > 1e-10 and np.isfinite(w).all()):
         raise ValueError(
-            "Mobius image crosses the projection singularity; use a different map"
+            "Mobius image overflows or crosses the projection singularity; use a different map"
         )
     # w is null up to roundoff, so spatial/timelike is unit to roundoff and
     # the identity map reproduces the chart bit-exactly

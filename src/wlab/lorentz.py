@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 
 def signature(dim: int) -> np.ndarray:
@@ -123,8 +122,13 @@ def random_mobius(n: int, seed: int, magnitude: float) -> MobiusMap:
 
     Draws a matrix with entries uniform in [-1, 1], projects it onto the
     Lie algebra o(n+1,1) (A = G S with S antisymmetric, G the signature
-    matrix), scales by `magnitude` and exponentiates.  magnitude = 0 gives
-    the identity.
+    matrix), scales by `magnitude` and exponentiates by scaling and
+    squaring (Moler and Van Loan, SIAM Review 45, 2003): A is halved s
+    times until its 1-norm is at most 1/2, where the degree-18 Taylor
+    polynomial, summed by Horner's rule, is exact to roundoff, and the
+    result is squared s times.  magnitude = 0 gives the identity exactly.
+    Raises ValueError when the magnitude is not finite or the exponential
+    overflows.
     """
     if n < 3:
         raise ValueError("ambient sphere dimension must be >= 3")
@@ -132,5 +136,16 @@ def random_mobius(n: int, seed: int, magnitude: float) -> MobiusMap:
     rng = np.random.default_rng(seed)
     m = rng.uniform(-1.0, 1.0, size=(dim, dim))
     s = 0.5 * (m - m.T)
-    a = signature(dim)[:, None] * s
-    return MobiusMap(expm(magnitude * a))
+    eye = np.eye(dim)
+    exp_a = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = magnitude * (signature(dim)[:, None] * s)
+        squarings = max(0, int(np.frexp(2.0 * np.abs(a).sum(axis=0).max())[1]))
+        a /= 2.0**squarings
+        for k in range(18, 0, -1):
+            exp_a = eye + a @ exp_a / k
+        for _ in range(squarings):
+            exp_a = exp_a @ exp_a
+    if not np.isfinite(exp_a).all():
+        raise ValueError(f"the Mobius map of magnitude {magnitude} is not finite")
+    return MobiusMap(exp_a)

@@ -144,6 +144,15 @@ def test_rising_roundoff_reads_as_its_floor_not_a_divergence():
     assert classify_order(slope, rising, 1e-3) == f"order {-slope:.2f}"
 
 
+def test_a_row_constant_at_a_geometric_value_reads_order_zero():
+    # Pinkall c=1.5 is not Willmore, and every grid resolves its 0.293
+    willmore = [0.293, 0.293 * (1 + 1e-9), 0.293 * (1 + 2e-9)]
+    with pytest.warns(UserWarning):
+        slope = convergence_order([40, 80, 120], willmore)
+    assert slope > 0 and classify_order(slope, willmore, 1e-6) == "order 0.00"
+    assert classify_order(0.0, [0.293] * 3, 1e-6) == "order 0.00"
+
+
 def test_convergence_floor_counts_as_converged():
     assert classify_order(-0.1, [1e-13, 1e-12, 1e-12], 1e-6) == "superalgebraic"
 

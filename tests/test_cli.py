@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +377,43 @@ def test_malformed_thread_cap_exits_2_from_every_subcommand(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "WLAB_THREADS" in captured.err and captured.err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """`python *args` in a fresh interpreter that imports wlab from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+@pytest.mark.parametrize("magnitude", [803, 1000])
+def test_an_overflowing_mobius_map_exits_3_with_one_line(tmp_path, magnitude):
+    # a fresh process, where a numpy RuntimeWarning would reach stderr;
+    # at 1000 the map overflows, at 803 only its image of the chart does
+    cfg = write_config(tmp_path, grid={"nu": 32, "nv": 32},
+                       transforms=[{"mobius": {"seed": 1, "magnitude": magnitude}}])
+    proc = run_python("-m", "wlab.cli", "analyze", cfg)
+    assert proc.returncode == 3
+    assert "Mobius" in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+
+
+COLD_START = """
+import sys
+import wlab, wlab.cli
+assert wlab.cli.main(["gallery", "list"]) == 0
+assert wlab.cli.main(["analyze", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+wlab.build_surface("hopf_from_curvature", 16, 8, {"k1": 1.0})
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_the_frame_ode(tmp_path):
+    cfg = write_config(tmp_path, grid={"nu": 32, "nv": 32},
+                       transforms=[{"mobius": {"seed": 1, "magnitude": 0.3}}])
+    proc = run_python("-c", COLD_START, cfg, str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"], proc.stdout

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from wlab.lorentz import (
     cmink_inner,
@@ -7,6 +8,7 @@ from wlab.lorentz import (
     herm_norm_sq,
     mink_inner,
     random_mobius,
+    signature,
     span_rank,
 )
 
@@ -146,6 +148,29 @@ def test_random_mobius_preserves_form():
     before = mink_inner(v, w)
     after = mink_inner(mob.apply(v), mob.apply(w))
     assert np.abs(after - before).max() < 1e-10
+
+
+def mobius_generator(n, seed, magnitude):
+    """The o(n+1,1) matrix that `random_mobius(n, seed, magnitude)` exponentiates."""
+    dim = n + 2
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(dim, dim))
+    return magnitude * (signature(dim)[:, None] * (0.5 * (m - m.T)))
+
+
+@pytest.mark.parametrize("magnitude", [0.02, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("n", [3, 4, 7, 10, 20])
+def test_random_mobius_matches_scipy_expm(n, magnitude):
+    for seed in range(5):
+        want = expm(mobius_generator(n, seed, magnitude))
+        got = random_mobius(n, seed, magnitude).matrix
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), seed
+
+
+def test_random_mobius_form_defect_is_roundoff_in_high_dimension():
+    for seed in range(5):
+        mob = random_mobius(20, seed, 3.0)
+        scale = np.linalg.norm(mob.matrix, 2) ** 2
+        assert mobius_form_defect(mob) <= 1e-12 * scale, seed
 
 
 def test_random_mobius_deterministic():
