@@ -47,6 +47,6 @@ from .invariants import (
     willmore_energy_conformal,
     willmore_energy_euclidean,
 )
-from .lorentz import MobiusMap, cmink_inner, mink_inner, random_mobius, span_rank
+from .lorentz import mink_inner, random_mobius, span_rank
 
 __all__ = [name for name in dir() if not name.startswith("_")]

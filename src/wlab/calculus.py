@@ -264,13 +264,14 @@ ROUNDOFF_FRACTION = 1e-2
 def classify_order(slope: float, residuals, tolerance: float) -> str:
     """Human label for a fitted convergence slope of `residuals`.
 
-    A row that does not fall while every residual is below ROUNDOFF_FRACTION
-    of its verdict `tolerance` is at its "roundoff floor", not diverging.
-    Residuals below ROUNDOFF_FLOOR at every size (spectrally exact data)
-    or a slope below SUPERALGEBRAIC_SLOPE read "superalgebraic".
+    A row is at its "roundoff floor" when every residual is below
+    ROUNDOFF_FLOOR, whatever the sign of its noise slope, or when it does
+    not fall while every residual is below ROUNDOFF_FRACTION of its verdict
+    `tolerance`.  Else a slope below SUPERALGEBRAIC_SLOPE is "superalgebraic".
     """
-    if slope >= 0 and max(residuals) < ROUNDOFF_FRACTION * tolerance:
+    top = max(residuals)
+    if top < ROUNDOFF_FLOOR or (slope >= 0 and top < ROUNDOFF_FRACTION * tolerance):
         return "roundoff floor"
-    if max(residuals) < ROUNDOFF_FLOOR or slope < SUPERALGEBRAIC_SLOPE:
+    if slope < SUPERALGEBRAIC_SLOPE:
         return "superalgebraic"
     return f"order {round(-slope, 2) + 0.0:.2f}"  # + 0.0 turns -0.0 into 0.0

@@ -83,10 +83,11 @@ class ConfigError(RunError):
 
 
 def load_config(path: str) -> dict:
+    # ValueError covers malformed JSON and bytes that are not UTF-8
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return validate_config(cfg)
 
@@ -146,9 +147,10 @@ def validate_config(cfg: dict) -> dict:
     outputs = cfg.get("outputs", [])
     if not isinstance(outputs, list) or not all(
             isinstance(o, dict) and set(o) == {"kind", "path"} and o["kind"] in ("report", "fields")
-            and isinstance(o["path"], str) and o["path"] for o in outputs):
-        raise ConfigError("config key 'outputs' must be a list of objects of 'kind' "
-                          "('report' or 'fields') and a non-empty string 'path'")
+            and isinstance(o["path"], str) and o["path"] and "\0" not in o["path"]
+            for o in outputs):
+        raise ConfigError("config key 'outputs' must be a list of objects of 'kind' ('report' "
+                          "or 'fields') and a non-empty string 'path' without NUL")
     seed = cfg.get("seed", 0)
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"config key 'seed' must be a non-negative integer, not {seed!r}")
@@ -261,9 +263,7 @@ def cmd_convergence(args) -> int:
         if any(np.isnan(linfs)) or any(x <= 0 for x in linfs):
             table["fitted_order"][row.name] = "skipped"
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            slope = convergence_order(sizes, linfs)
+        slope = convergence_order(sizes, linfs)
         table["fitted_order"][row.name] = {
             "slope": slope,
             "label": classify_order(slope, linfs, reports[0].entry(row.name).tolerance),
@@ -348,7 +348,10 @@ def main(argv=None) -> int:
             thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return args.func(args)
+        # numpy and scipy warnings would add stderr lines to the one-line contract
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return args.func(args)
     except RunError as exc:
         print(exc, file=sys.stderr)
         return exc.code

@@ -46,7 +46,7 @@ from .invariants import (
     willmore_energy_euclidean,
     willmore_vector,
 )
-from .lorentz import cmink_inner, herm_norm, span_rank
+from .lorentz import herm_norm, mink_inner, span_rank
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL_SPECTRAL = 1e-6
@@ -112,7 +112,7 @@ def s_willmore_residual(inv: InvariantField, dzbar_kappa: np.ndarray) -> np.ndar
     callers mask those.
     """
     kkb = np.where(inv.umbilic_mask, 1.0, inv.kk_bar)
-    coef = cmink_inner(dzbar_kappa, np.conj(inv.kappa)) / kkb
+    coef = mink_inner(dzbar_kappa, np.conj(inv.kappa)) / kkb
     return herm_norm(dzbar_kappa - coef[..., None] * inv.kappa)
 
 
@@ -154,8 +154,8 @@ def gauss_residual(inv: InvariantField, dz_kappa: np.ndarray,
     s_zbar = diff_zbar(inv.s, inv.spec)
     return np.abs(
         0.5 * s_zbar
-        - 3.0 * cmink_inner(inv.kappa, np.conj(dzbar_kappa))  # D_z conj kappa
-        - cmink_inner(dz_kappa, np.conj(inv.kappa))
+        - 3.0 * mink_inner(inv.kappa, np.conj(dzbar_kappa))  # D_z conj kappa
+        - mink_inner(dz_kappa, np.conj(inv.kappa))
     )
 
 

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_z, row_blocks, wirtinger
-from .lorentz import cmink_inner, herm_norm_sq, signature
+from .lorentz import herm_norm_sq, mink_inner, signature
 from .parallel import split
 
 UNIT_TOL = 1e-12
@@ -153,11 +153,11 @@ def _checked_lift(chart: Chart):
     on the mask and the ratio is within the spectral or FD tolerance."""
     y0 = light_cone_lift(chart)
     y0_z = diff_z(y0, chart.spec)
-    rho = cmink_inner(y0_z, np.conj(y0_z)).real
+    rho = mink_inner(y0_z, np.conj(y0_z)).real
     live = rho > DEGENERATE_METRIC_TOL
     if not (chart.mask & live).any():
         raise ChartError("chart metric is degenerate everywhere")
-    ratio = np.abs(cmink_inner(y0_z, y0_z)) / np.maximum(rho, 1e-300)
+    ratio = np.abs(mink_inner(y0_z, y0_z)) / np.maximum(rho, 1e-300)
     worst = float(ratio[chart.mask].max())
     if worst > (CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD):
         raise ChartError(f"chart is not conformal: |<x_z,x_z>|/<x_z,x_zbar> reaches {worst:.3e}")

@@ -24,7 +24,7 @@ stay per-torus, or for q = None a single non-periodic quasi-period
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -32,7 +32,6 @@ import numpy as np
 
 from .calculus import GridSpec
 from .frame import Chart, light_cone_lift
-from .lorentz import MobiusMap
 
 TWO_PI = 2.0 * np.pi
 MAX_TWIST_DENOMINATOR = 64
@@ -424,19 +423,18 @@ def include_in_higher_sphere(chart: Chart, n_target: int) -> Chart:
         raise ValueError("target sphere dimension is smaller than the chart's")
     pts = np.zeros(chart.points.shape[:2] + (n_target + 1,))
     pts[..., : chart.ambient_n + 1] = chart.points
-    return Chart(chart.spec, pts, cover_count=chart.cover_count, name=chart.name,
-                 params={**chart.params, "included_n": n_target})
+    return replace(chart, points=pts, params={**chart.params, "included_n": n_target})
 
 
-def apply_mobius(chart: Chart, mob: MobiusMap) -> Chart:
-    """Act on the light-cone lifts and re-project to the sphere.
+def apply_mobius(chart: Chart, matrix: np.ndarray) -> Chart:
+    """Act by a matrix of O(n+1,1) on the light-cone lifts; re-project to S^n.
 
     Fails if the transformed lift overflows or crosses the projection
     singularity (vanishing timelike component); pick a different map then.
     """
-    if mob.dim != chart.dim:
-        raise ValueError(f"Mobius map dimension {mob.dim} != chart lift dimension {chart.dim}")
-    w = mob.apply(light_cone_lift(chart))
+    if matrix.shape != (chart.dim, chart.dim):
+        raise ValueError(f"Mobius matrix shape {matrix.shape}; the chart needs {(chart.dim,) * 2}")
+    w = np.einsum("ij,...j->...i", matrix, light_cone_lift(chart))
     t_comp = w[..., 0]
     # written so that a NaN fails it; an overflow to inf shows in `w`
     if not (np.abs(t_comp).min() > 1e-10 and np.isfinite(w).all()):
@@ -446,8 +444,7 @@ def apply_mobius(chart: Chart, mob: MobiusMap) -> Chart:
     # w is null up to roundoff, so spatial/timelike is unit to roundoff and
     # the identity map reproduces the chart bit-exactly
     x = w[..., 1:] / t_comp[..., None]
-    return Chart(chart.spec, x, cover_count=chart.cover_count, name=chart.name,
-                 params={**chart.params, "mobius": True})
+    return replace(chart, points=x, params={**chart.params, "mobius": True})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import GridSpec, diff_u, diff_v, integrate, row_blocks, wirtinger
 from .frame import Chart, FrameField, normal_project
-from .lorentz import cmink_inner, herm_norm, herm_norm_sq
+from .lorentz import herm_norm, herm_norm_sq, mink_inner
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
@@ -64,17 +64,17 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     `decomposition_defect`.  These are the last readers of Y_zz.
     """
     kappa = frame.kappa
-    kk = cmink_inner(kappa, kappa)
+    kk = mink_inner(kappa, kappa)
     kk_bar = herm_norm_sq(kappa)
-    s = 2.0 * cmink_inner(frame.Y_zz, frame.N_from(kk_bar))  # N is freed at once
+    s = 2.0 * mink_inner(frame.Y_zz, frame.N_from(kk_bar))  # N is freed at once
 
     m = frame.mask
     decomp, tang = np.empty(m.shape), np.empty(m.shape)
     for rows in row_blocks(0, *m.shape):  # no defect term is ever a whole field
         y_zz, y_z = frame.Y_zz[rows], frame.Y_z[rows]
         decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * frame.Y[rows] + kappa[rows]))
-        tang[rows] = np.maximum(np.abs(2.0 * cmink_inner(y_zz, y_z)),
-                                np.abs(2.0 * cmink_inner(y_zz, np.conj(y_z))))
+        tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
+                                np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
 
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)

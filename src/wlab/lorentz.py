@@ -13,8 +13,6 @@ of S^n act as the linear group O(n+1, 1) on the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -26,10 +24,10 @@ def signature(dim: int) -> np.ndarray:
 
 
 def mink_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minkowski pairing of real vectors; broadcasts over leading axes.
+    """Minkowski pairing along the last axis; broadcasts over leading axes.
 
-    The last axis is the vector axis.  For complex inputs this is the
-    bilinear extension (see :func:`cmink_inner`, which is an alias).
+    Complex inputs get the bilinear extension, with no conjugation:
+    <i e1, e1> = i and conj(<v, w>) = <conj v, conj w>.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -41,13 +39,8 @@ def mink_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k,k->...", a, b, q)
 
 
-def cmink_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex-bilinear extension of the Minkowski pairing.
-
-    <i e1, e1> = i, and conj(<v, w>) = <conj v, conj w>.  Agrees with
-    `mink_inner` exactly on real inputs (it is the same contraction).
-    """
-    return mink_inner(a, b)
+# kept only because perfbench/spans.py binds this name; it goes with that binding
+cmink_inner = mink_inner
 
 
 def herm_norm_sq(v: np.ndarray) -> np.ndarray:
@@ -56,7 +49,7 @@ def herm_norm_sq(v: np.ndarray) -> np.ndarray:
     This is the natural squared norm of complexified normal vectors:
     for v = a + ib with a, b spacelike it equals |a|^2 + |b|^2.
     """
-    return cmink_inner(v, np.conj(v)).real
+    return mink_inner(v, np.conj(v)).real
 
 
 def herm_norm(v: np.ndarray) -> np.ndarray:
@@ -98,27 +91,11 @@ def span_rank(blocks, tol: float = 1e-8) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """An element of O(n+1, 1) acting on the projective light cone.
-
-    `matrix` is (dim, dim) and preserves the Minkowski form:
-    <Mv, Mw> = <v, w> for all v, w (up to roundoff).
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Apply to vectors stored along the last axis."""
-        return np.einsum("ij,...j->...i", self.matrix, vectors)
-
-
-def random_mobius(n: int, seed: int, magnitude: float) -> MobiusMap:
+def random_mobius(n: int, seed: int, magnitude: float) -> np.ndarray:
     """Random conformal transformation of S^n, deterministic per seed.
+
+    Returns the (n+2, n+2) matrix M of O(n+1,1), acting linearly on the
+    light cone: <Mv, Mw> = <v, w> for all v, w, up to roundoff.
 
     Draws a matrix with entries uniform in [-1, 1], projects it onto the
     Lie algebra o(n+1,1) (A = G S with S antisymmetric, G the signature
@@ -148,4 +125,4 @@ def random_mobius(n: int, seed: int, magnitude: float) -> MobiusMap:
             exp_a = exp_a @ exp_a
     if not np.isfinite(exp_a).all():
         raise ValueError(f"the Mobius map of magnitude {magnitude} is not finite")
-    return MobiusMap(exp_a)
+    return exp_a

@@ -12,7 +12,7 @@ import numpy as np
 from wlab.calculus import diff_z, diff_zbar
 from wlab.frame import normal_basis, normal_project
 from wlab.invariants import normal_D, willmore_vector
-from wlab.lorentz import MobiusMap, herm_norm, mink_inner, signature
+from wlab.lorentz import herm_norm, mink_inner, signature
 
 
 class KappaJet(NamedTuple):
@@ -124,13 +124,13 @@ def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
     return out
 
 
-def mobius_form_defect(mob: MobiusMap) -> float:
+def mobius_form_defect(m: np.ndarray) -> float:
     """max |M^T G M - G|, the violation of the group constraint."""
-    g = np.diag(signature(mob.dim))
-    return float(np.abs(mob.matrix.T @ g @ mob.matrix - g).max())
+    g = np.diag(signature(len(m)))
+    return float(np.abs(m.T @ g @ m - g).max())
 
 
-def mobius_inverse(mob: MobiusMap) -> MobiusMap:
+def mobius_inverse(m: np.ndarray) -> np.ndarray:
     """M^{-1} = G M^T G for M in O(n+1, 1), G the signature matrix."""
-    q = signature(mob.dim)
-    return MobiusMap(q[:, None] * mob.matrix.T * q[None, :])
+    q = signature(len(m))
+    return q[:, None] * m.T * q[None, :]

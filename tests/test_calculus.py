@@ -154,7 +154,7 @@ def test_a_row_constant_at_a_geometric_value_reads_order_zero():
 
 
 def test_convergence_floor_counts_as_converged():
-    assert classify_order(-0.1, [1e-13, 1e-12, 1e-12], 1e-6) == "superalgebraic"
+    assert classify_order(-0.1, [1e-13, 1e-12, 1e-12], 1e-6) == "roundoff floor"
 
 
 def test_convergence_needs_three_sizes():

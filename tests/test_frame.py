@@ -28,7 +28,7 @@ from wlab.gallery import (
     veronese,
 )
 from wlab.invariants import hopf_schwarzian
-from wlab.lorentz import cmink_inner, mink_inner, random_mobius, signature
+from wlab.lorentz import mink_inner, random_mobius, signature
 
 from frame_oracles import einsum_perp_projector, frame_residuals
 
@@ -71,13 +71,13 @@ def test_canonical_lift_clifford_closed_form():
     fr = canonical_lift(ch)
     expected = np.sqrt(2.0) * light_cone_lift(ch)
     assert np.abs(fr.Y - expected).max() < 1e-11
-    pairing = cmink_inner(fr.Y_z, np.conj(fr.Y_z))
+    pairing = mink_inner(fr.Y_z, np.conj(fr.Y_z))
     assert np.abs(pairing - 0.5).max() < 1e-10
 
 
 def test_canonical_lift_mercator_sphere():
     fr = canonical_lift(round_sphere(192, 32))
-    defect = np.abs(cmink_inner(fr.Y_z, np.conj(fr.Y_z)) - 0.5)[fr.mask].max()
+    defect = np.abs(mink_inner(fr.Y_z, np.conj(fr.Y_z)) - 0.5)[fr.mask].max()
     assert defect < 1e-8
 
 

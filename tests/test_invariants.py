@@ -26,7 +26,7 @@ from wlab.invariants import (
     willmore_energy_conformal,
     willmore_energy_euclidean,
 )
-from wlab.lorentz import cmink_inner, herm_norm_sq
+from wlab.lorentz import herm_norm_sq, mink_inner
 
 from frame_oracles import kappa_jet, structure_closure_residuals
 
@@ -54,7 +54,7 @@ def test_round_sphere_is_totally_umbilic():
 def test_kappa_is_normal(clifford_inv):
     frame, inv = clifford_inv
     for vec in (frame.Y, frame.Y_z, np.conj(frame.Y_z), frame.N):
-        pair = np.abs(cmink_inner(inv.kappa, vec.astype(complex)))
+        pair = np.abs(mink_inner(inv.kappa, vec.astype(complex)))
         assert pair[frame.mask].max() < 1e-8
 
 
@@ -127,8 +127,8 @@ def dense_ricci_residual(frame, inv, kappa_rhs=None):
     kap = inv.kappa if kappa_rhs is None else kappa_rhs
     kap_c = np.conj(kap)
     lhs = np.einsum("uvab,uvb->uva", f_op, inv.kappa)
-    rhs = 2 * cmink_inner(inv.kappa, kap)[..., None] * kap_c \
-        - 2 * cmink_inner(inv.kappa, kap_c)[..., None] * kap
+    rhs = 2 * mink_inner(inv.kappa, kap)[..., None] * kap_c \
+        - 2 * mink_inner(inv.kappa, kap_c)[..., None] * kap
     return np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0))
 
 
@@ -200,8 +200,8 @@ def _assert_controlled_violation(frame, inv, rel, tol):
     # makes the curvature defect 3 |RHS(kappa)|
     broken = ricci_residual_2kappa_rhs(frame, inv)
     kap, kap_c = inv.kappa, np.conj(inv.kappa)
-    rhs = 2 * cmink_inner(kap, kap)[..., None] * kap_c \
-        - 2 * cmink_inner(kap, kap_c)[..., None] * kap
+    rhs = 2 * mink_inner(kap, kap)[..., None] * kap_c \
+        - 2 * mink_inner(kap, kap_c)[..., None] * kap
     rhs_norm = np.sqrt(np.maximum(herm_norm_sq(rhs), 0))
     m = frame.mask
     assert rhs_norm[m].max() > 1e-3
