@@ -49,4 +49,7 @@ from .invariants import (
 )
 from .lorentz import mink_inner, random_mobius, span_rank
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+__all__ = [name for name, value in globals().items()  # every name imported above, no module
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

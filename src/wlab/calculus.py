@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -150,33 +151,38 @@ def _spectral_wavenumbers(n: int, length: float) -> np.ndarray:
     return k
 
 
-def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool) -> np.ndarray:
+def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
+               combine=None) -> Optional[np.ndarray]:
     """Derivative along one grid axis.
 
     A periodic axis is transformed line by line, split over the lines of
     the other axis; each line's FFTs do not depend on the split, so the
     result is bit-identical for any number of parts.  A BLAS product rounds
     by the shape of its operands, so the finite-difference product is
-    never split.
+    never split.  With `combine`, each block of the derivative goes to
+    combine(index of f, block) in place of a whole result.
     """
     if f.shape[axis] != n:
         raise ValueError(f"field has {f.shape[axis]} points on axis {axis}, grid has {n}")
     if not periodic:
         d = _fd_matrix(n, length / (n - 1))
-        out = np.tensordot(d, np.moveaxis(f, axis, 0), axes=(1, 0))
-        return np.moveaxis(out, 0, axis)
+        out = np.moveaxis(np.tensordot(d, np.moveaxis(f, axis, 0), axes=(1, 0)), 0, axis)
+        return out if combine is None else combine((slice(None),), out)
     shape = [1] * f.ndim
     shape[axis] = n
     ik = 1j * _spectral_wavenumbers(n, length).reshape(shape)
-    out = np.empty(f.shape, dtype=complex)
+    out = np.empty(f.shape, dtype=complex) if combine is None else None
     other = 1 - axis
 
     def part(lo, hi):
-        lines = (slice(None),) * other + (slice(lo, hi),)
-        fhat = out[lines]
-        np.fft.fft(f[lines], axis=axis, out=fhat)
-        np.multiply(ik, fhat, out=fhat)
-        np.fft.ifft(fhat, axis=axis, out=fhat)
+        for block in row_blocks(lo, hi, n) if combine else [slice(lo, hi)]:
+            lines = (slice(None),) * other + (block,)
+            fhat = np.empty(f[lines].shape, dtype=complex) if combine else out[lines]
+            np.fft.fft(f[lines], axis=axis, out=fhat)
+            np.multiply(ik, fhat, out=fhat)
+            np.fft.ifft(fhat, axis=axis, out=fhat)
+            if combine:
+                combine(lines, fhat)
 
     split(part, f.shape[other])
     return out
@@ -203,29 +209,35 @@ def _times_i(f_v: np.ndarray) -> np.ndarray:
 
 def diff_z(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     """d/dz = (d/du - i d/dv)/2.  Result is complex."""
-    f_u = diff_u(f, spec)
-    i_f_v = _times_i(diff_v(f, spec))
-    return np.multiply(0.5, np.subtract(f_u, i_f_v, out=i_f_v), out=i_f_v)
+    return _wirtinger(f, spec, np.subtract)[0]
 
 
 def diff_zbar(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     """d/dzbar = (d/du + i d/dv)/2.  Result is complex."""
-    f_u = diff_u(f, spec)
-    i_f_v = _times_i(diff_v(f, spec))
-    return np.multiply(0.5, np.add(f_u, i_f_v, out=i_f_v), out=i_f_v)
+    return _wirtinger(f, spec, np.add)[0]
 
 
-def wirtinger(f: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dz f, d/dzbar f) from one diff_u and one diff_v, bit-identical to
-    `diff_z` / `diff_zbar`.  They are formed in the buffers of d/du f and
-    i d/dv f, a block of rows at a time, so only a block of d/dz f is extra."""
+def wirtinger(f: np.ndarray, spec: GridSpec,
+              out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dz f, d/dzbar f), bit-identical to `diff_z` / `diff_zbar`; d/dzbar f
+    is formed in `out`: a new array, or a complex f that is read no more."""
+    return _wirtinger(f, spec, np.subtract, np.empty(np.shape(f), complex) if out is None else out)
+
+
+def _wirtinger(f: np.ndarray, spec: GridSpec, op, zbar: Optional[np.ndarray] = None):
+    """(d/du f op i d/dv f) / 2 in the buffer of d/du f, and d/dzbar f in
+    `zbar` if given; d/dv f exists only a block of rows at a time."""
+    f = np.asarray(f)
     f_u = diff_u(f, spec).astype(complex, copy=False)
-    i_f_v = _times_i(diff_v(f, spec))
-    for rows in row_blocks(0, spec.nu, spec.nv):
-        f_z = f_u[rows] - i_f_v[rows]
-        np.add(f_u[rows], i_f_v[rows], out=i_f_v[rows])
-        f_u[rows] = f_z
-    return np.multiply(0.5, f_u, out=f_u), np.multiply(0.5, i_f_v, out=i_f_v)
+
+    def combine(rows, f_v):
+        i_f_v = _times_i(f_v)
+        if zbar is not None:
+            np.multiply(0.5, f_u[rows] + i_f_v, out=zbar[rows])
+        np.multiply(0.5, op(f_u[rows], i_f_v, out=i_f_v), out=f_u[rows])
+
+    _diff_axis(f, 1, spec.nv, spec.Lv, spec.periodic_v, combine)
+    return f_u, zbar
 
 
 def integrate(f: np.ndarray, spec: GridSpec) -> complex:

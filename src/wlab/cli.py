@@ -344,6 +344,8 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if "\0" in (getattr(args, "out", None) or ""):  # as for `outputs`, before any work
+            raise ConfigError(f"output path {args.out!r} contains NUL")
         try:
             thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike
         except ValueError as exc:

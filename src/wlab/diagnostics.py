@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__ as _version
-from .calculus import GridSpec, diff_z, diff_zbar, wirtinger
+from .calculus import GridSpec, diff_z, diff_zbar, row_blocks, wirtinger
 from .frame import Chart, build_frame, normal_project
 from .invariants import (
     InvariantField,
@@ -47,6 +47,7 @@ from .invariants import (
     willmore_vector,
 )
 from .lorentz import herm_norm, mink_inner, span_rank
+from .parallel import split
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL_SPECTRAL = 1e-6
@@ -112,8 +113,15 @@ def s_willmore_residual(inv: InvariantField, dzbar_kappa: np.ndarray) -> np.ndar
     callers mask those.
     """
     kkb = np.where(inv.umbilic_mask, 1.0, inv.kk_bar)
-    coef = mink_inner(dzbar_kappa, np.conj(inv.kappa)) / kkb
-    return herm_norm(dzbar_kappa - coef[..., None] * inv.kappa)
+    out = np.empty(kkb.shape)
+
+    def part(lo, hi):
+        for r in row_blocks(lo, hi, kkb.shape[1]):
+            coef = mink_inner(dzbar_kappa[r], np.conj(inv.kappa[r])) / kkb[r]
+            out[r] = herm_norm(dzbar_kappa[r] - coef[..., None] * inv.kappa[r])
+
+    split(part, len(out))
+    return out
 
 
 def flat_normal_residual(inv: InvariantField) -> np.ndarray:
@@ -320,8 +328,8 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
     The canonical lift checks the chart, so a bad chart raises ChartError
     before any other work.  Each (nu, nv, d) field is deleted after its last
     reader: the lift once kappa, s and the lift rank exist, each field of
-    kappa's normal jet once its residuals and rank block are taken, P_perp
-    after the last projection, kappa before the Euclidean cross-check.
+    kappa's normal jet once its residuals and rank block are taken, the V
+    basis after the last projection, kappa before the Euclidean check.
     """
     tol = default_tolerances(chart, tolerances)
     spec = chart.spec
@@ -330,21 +338,22 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
     inv = hopf_schwarzian(frame)
     live = inv.mask
     lift_rank = reduction_span_check(live, [frame.Y])
-    p_perp = frame.P_perp
+    basis = frame.V_basis
     del frame  # Y and its derivatives
 
-    dz, dzbar = normal_D(p_perp, inv.kappa, spec)
+    dz, dzbar = normal_D(basis, inv.kappa, spec)
     fields = {
         "res_swillmore": s_willmore_residual(inv, dzbar),
         "res_gauss": gauss_residual(inv, dz, dzbar),
     }
     omega, fields["omega_holomorphy"] = six_form(inv, dzbar)
     fields["omega_abs"] = np.abs(omega)
-    dzbar_dz = normal_project(p_perp, diff_zbar(dz, spec))
+    del omega
+    dzbar_dz = normal_project(basis, diff_zbar(dz, spec))
     jet_rank = reduction_span_check(live, [inv.kappa, dz, dzbar_dz])
     del dz
-    dz_dzbar, willmore = normal_D(p_perp, dzbar, spec)
-    del dzbar, p_perp
+    dz_dzbar, willmore = normal_D(basis, dzbar, spec, out=dzbar)  # dzbar is read no more
+    del dzbar, basis
     fields["res_ricci"] = ricci_residual(inv, dzbar_dz, dz_dzbar)
     del dzbar_dz, dz_dzbar
     willmore = willmore_vector(inv, willmore)

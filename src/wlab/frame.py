@@ -16,10 +16,12 @@ bundle.  The frame vector N in V is pinned by
 
 and is N = 2 Y_zzbar + 2 <kappa, conj kappa> Y, formed where it is read.
 With b_i the four basis vectors above, g^{ij} the inverse of their Gram
-matrix and Q = diag(-1, 1, ..., 1), the projector onto V^perp along V is
+matrix (Burstall, Pedit and Pinkall, Contemp. Math. 308, 2002) and
+Q = diag(-1, 1, ..., 1), the projector onto V^perp along V is
 P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram matrix stays invertible
-at umbilic points because <Y, Y_zzbar> = -1/2.  P is built from these 16
-rank-one terms and only ever applied to vectors, never differentiated.
+at umbilic points because <Y, Y_zzbar> = -1/2.  Blocks of P, from these
+16 rank-one terms, project Y_zz to kappa; every other vector is projected
+along a Q-orthonormal basis e_k of V, as w - sum_k eps_k <w, e_k> e_k.
 The pipeline needs no orthonormal basis of V^perp: every criterion pairs
 kappa and its normal derivatives, which no choice of normal frame
 changes.  `normal_basis` builds one on demand.
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_z, row_blocks, wirtinger
-from .lorentz import herm_norm_sq, mink_inner, signature
+from .lorentz import mink_inner, signature
 from .parallel import split
 
 UNIT_TOL = 1e-12
@@ -44,7 +46,7 @@ CONFORMAL_TOL_SPECTRAL = 1e-8
 CONFORMAL_TOL_FD = 1e-3
 DEGENERATE_METRIC_TOL = 1e-14
 PSI_RANK_TOL = 1e-8
-PROJECTOR_BLOCK = 512  # grid points per block of `perp_projector`'s sums
+PROJECTOR_BLOCK = 1024  # grid points per block of `perp_projector`'s sums
 
 
 class ChartError(ValueError):
@@ -89,12 +91,9 @@ class Chart:
 
 @dataclass
 class FrameField:
-    """Canonical lift, its derivatives, kappa and the V^perp projector.
-
-    `P_perp` is the (d, d) field projecting R^{n+2}_1 (and its
-    complexification) onto V^perp along V; it is applied to vectors, never
-    differentiated.  Y_zbar is conj(Y_z) and N is formed from kappa; neither
-    is stored.
+    """Canonical lift, its derivatives, kappa and the basis of V that
+    `normal_project` projects along.  Y_zbar is conj(Y_z) and N is formed
+    from kappa where it is read; neither is stored.
     """
 
     chart: Chart
@@ -103,21 +102,12 @@ class FrameField:
     Y_zz: np.ndarray       # complex
     Y_zzbar: np.ndarray    # real
     mask: np.ndarray
-    kappa: Optional[np.ndarray] = None   # V^perp_C part of Y_zz, complex
-    P_perp: Optional[np.ndarray] = None  # (nu, nv, d, d) real
+    kappa: Optional[np.ndarray] = None    # V^perp_C part of Y_zz, complex
+    V_basis: Optional[np.ndarray] = None  # (nu, nv, 4, d): e_0 timelike, e_1..e_3
 
     @property
     def spec(self) -> GridSpec:
         return self.chart.spec
-
-    @property
-    def N(self) -> np.ndarray:
-        """The frame vector N, formed from kappa on each read."""
-        return self.N_from(herm_norm_sq(self.kappa))
-
-    def N_from(self, kk_bar: np.ndarray) -> np.ndarray:
-        """N = 2 Y_zzbar + 2 <kappa, conj kappa> Y, given kk_bar = <kappa, conj kappa>."""
-        return 2.0 * self.Y_zzbar + 2.0 * kk_bar[..., None] * self.Y
 
     @property
     def dim(self) -> int:
@@ -193,51 +183,94 @@ def canonical_lift(chart: Chart) -> FrameField:
     )
 
 
-def perp_projector(frame: FrameField) -> np.ndarray:
-    """(d, d) field projecting onto V^perp along V, via the Gram solve.
+def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa, V basis): Y_zz projected onto V^perp_C, and the basis of V.
 
     Per PROJECTOR_BLOCK of points: the basis [Y, Re Y_z, Im Y_z, Y_zzbar],
-    its Gram inverse, and the 16 terms (b_ia g^ij)(q_b b_jb) added in (i, j)
-    row-major order into a zeroed (d, d, points) buffer: the products and
-    the order of the einsum "uvia,uvij,uvjb,b->uvab", bit for bit, with
-    every inner loop over contiguous points.
+    its Gram matrix, the V basis from it, and the 16 terms (b_ia g^ij)(q_b
+    b_jb) of P added in (i, j) row-major order into a zeroed (d, d, points)
+    buffer, the einsum "uvia,uvij,uvjb,b->uvab" bit for bit, which projects
+    that block of Y_zz and goes.
     """
     q = signature(frame.dim)
     nu, nv, d = frame.Y.shape
-    y, y_z, y_zzbar = (f.reshape(-1, d) for f in (frame.Y, frame.Y_z, frame.Y_zzbar))
-    p = np.empty((nu * nv, d, d))
+    y, y_z, y_zz, y_zzbar = (f.reshape(-1, d) for f in
+                             (frame.Y, frame.Y_z, frame.Y_zz, frame.Y_zzbar))
+    kappa = np.empty((nu * nv, d), dtype=complex)
+    basis = np.empty((nu * nv, 4, d))
     idx = np.arange(d)
 
     def part(lo, hi):
         for start in range(lo, hi, PROJECTOR_BLOCK):
             rows = slice(start, start + PROJECTOR_BLOCK)
             b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]], axis=1)
-            ginv = np.linalg.inv(np.einsum("pik,pjk,k->pij", b, b, q))
+            g = np.einsum("pik,pjk,k->pij", b, b, q)
+            np.matmul(_v_coefficients(b, g), b, out=basis[rows])
             b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (i, a, points)
-            ginv = np.ascontiguousarray(ginv.transpose(1, 2, 0))  # (i, j, points)
-            bg = b[:, None] * ginv[:, :, None]  # b_ia g^ij: (i, j, a, points)
-            bq = b * q[:, None]  # Q b_j; the signs +-1 are exact
+            ginv = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))  # (i, j, points)
             acc = np.zeros((d, d, b.shape[-1]))
-            term = np.empty_like(acc)
+            term, bg = np.empty_like(acc), np.empty_like(b[0])
             for i in range(4):
                 for j in range(4):
-                    np.add(acc, np.multiply(bg[i, j, :, None], bq[j, None], out=term), out=acc)
-            blk = p[rows]
-            np.negative(acc.transpose(2, 0, 1), out=blk)
-            blk[:, idx, idx] += 1.0
+                    np.multiply(b[i], ginv[i, j], out=bg)  # b_ia g^ij
+                    np.multiply(bg[:, None], b[j, None], out=term)
+                    term[:, 0] *= -1.0  # times q_b b_jb: Q flips slot 0, exactly
+                    np.add(acc, term, out=acc)
+            p = np.negative(acc.transpose(2, 0, 1), out=term.reshape(-1, d, d))
+            p[:, idx, idx] += 1.0
+            kappa[rows] = np.einsum("pab,pb->pa", p, y_zz[rows])
 
     split(part, nu * nv, PROJECTOR_BLOCK)
-    return p.reshape(nu, nv, d, d)
+    return kappa.reshape(nu, nv, d), basis.reshape(nu, nv, 4, d)
 
 
-def normal_project(p_perp: np.ndarray, field_vec: np.ndarray) -> np.ndarray:
-    """Project a complex vector field onto V^perp_C pointwise by the
-    (nu, nv, d, d) projector field p_perp, in place, a block of rows at a
-    time: field_vec is overwritten and returned."""
+def _v_coefficients(b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(points, 4, 4) coefficients on b = [Y, Re Y_z, Im Y_z, Y_zzbar] of a
+    Q-orthonormal basis e_0 (timelike), e_1, e_2, e_3 of its span, from its
+    Gram matrix g: Gram-Schmidt on Re Y_z, Im Y_z, then a closed-form
+    rotation (no eigh) of the Lorentzian 2x2 block h of Y / sigma, sigma
+    Y_zzbar, sigma^2 = |Y| / |Y_zzbar| so that e_0, e_3 stay short.  No
+    divisor reaches 0, so the basis is finite wherever g is."""
+    tiny = np.finfo(float).tiny
+    r1 = 1.0 / np.sqrt(np.maximum(np.abs(g[:, 1, 1]), tiny))
+    t = g[:, 1, 2] * r1 * r1
+    r2 = 1.0 / np.sqrt(np.maximum(np.abs(g[:, 2, 2] - t * g[:, 1, 2]), tiny))
+    norms = np.maximum(np.sqrt(np.einsum("pia,pia->pi", b[:, ::3], b[:, ::3])), tiny)
+    sigma = np.sqrt(norms[:, 0] / norms[:, 1])
+    scale = np.stack([1.0 / sigma, sigma], axis=1)  # of y = Y / sigma, z = sigma Y_zzbar
+    ends = g[:, ::3] * scale[:, :, None]  # <y, b_j>, <z, b_j>
+    a1 = ends[:, :, 1] * r1[:, None]  # <y, e_1>, <z, e_1>
+    a2 = (ends[:, :, 2] - t[:, None] * ends[:, :, 1]) * r2[:, None]  # with e_2
+    h = ends[:, :, ::3] * scale[:, None] - a1[:, :, None] * a1[:, None] \
+        - a2[:, :, None] * a2[:, None]
+    h00, h03, h33 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    angle = 0.5 * np.arctan2(2.0 * h03, h00 - h33)
+    lam_plus = np.maximum(0.5 * (h00 + h33) + 0.5 * np.hypot(h00 - h33, 2.0 * h03), tiny)
+    lam = np.stack([np.abs((h00 * h33 - h03 * h03) / lam_plus), lam_plus], axis=1)
+    c = np.zeros(g.shape)  # row k: the coefficients of e_k on b
+    c[:, 1, 1], c[:, 2, 1], c[:, 2, 2] = r1, -t * r2, r2
+    c[:, 0, 0], c[:, 3, 3] = scale[:, 0], scale[:, 1]  # y and z, then less e_1, e_2 parts
+    c[:, ::3, 1], c[:, ::3, 2] = -a1 * r1[:, None] + a2 * (r2 * t)[:, None], -a2 * r2[:, None]
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([-sin, cos], axis=1), np.stack([cos, sin], axis=1)], axis=1)
+    c[:, ::3] = rot / np.sqrt(np.maximum(lam, tiny))[:, :, None] @ c[:, ::3]  # e_0, e_3
+    return c
+
+
+def normal_project(basis: np.ndarray, field_vec: np.ndarray) -> np.ndarray:
+    """Project a complex vector field onto V^perp_C pointwise along the
+    (nu, nv, 4, d) basis of V, as w - sum_k eps_k <w, e_k> e_k, in place, a
+    block of rows at a time, in real arithmetic on the (..., d, 2) view of
+    the field: field_vec is overwritten and returned."""
+    q, eps = signature(basis.shape[-1]), signature(4)[:, None]
+    pairs = field_vec.view(float).reshape(field_vec.shape + (2,))
 
     def part(lo, hi):
         for rows in row_blocks(lo, hi, field_vec.shape[1]):
-            field_vec[rows] = np.einsum("uvab,uvb->uva", p_perp[rows], field_vec[rows])
+            e = basis[rows]
+            coef = np.matmul(e, q[:, None] * pairs[rows])  # <w, e_k>: (rows, nv, 4, 2)
+            coef *= eps
+            pairs[rows] -= np.matmul(np.swapaxes(e, -1, -2), coef)
 
     split(part, len(field_vec))
     return field_vec
@@ -248,36 +281,36 @@ def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
 
     Built on demand only: the pivoted gauge is not smooth across grid
     points, and no criterion reads it.  The candidates are the columns
-    P e_j of P_perp.  P is self-adjoint for the Minkowski pairing, so
-    candidate j, deflated by the picks psi_m so far, is P e_j - sum_m q_j
-    psi_mj psi_m with squared norm q_j P_jj - sum_m psi_mj^2; only the
-    largest is formed and normalized.  Returns (psi, ok_mask): psi is
-    (nu, nv, n-2, d), and ok_mask is False where fewer than n-2 candidates
-    clear PSI_RANK_TOL.
+    P e_j = e_j - q_j sum_k eps_k e_kj e_k, formed from the V basis.  P is
+    self-adjoint for the Minkowski pairing, so candidate j, deflated by the
+    picks psi_m so far, is P e_j - sum_m q_j psi_mj psi_m with squared norm
+    q_j P_jj - sum_m psi_mj^2; only the largest is formed and normalized.
+    Returns (psi, ok_mask): psi is (nu, nv, n-2, d), and ok_mask is False
+    where fewer than n-2 candidates clear PSI_RANK_TOL.
     """
-    nu, nv, d, _ = frame.P_perp.shape
-    p = frame.P_perp.reshape(-1, d, d)
-    q = signature(d)
+    nu, nv, _, d = frame.V_basis.shape
+    e = frame.V_basis.reshape(-1, 4, d)
+    q, eps = signature(d), signature(4)
     psi = np.zeros((nu * nv, d - 4, d))
     ok = np.ones(nu * nv, dtype=bool)
-    sq = q * np.diagonal(p, axis1=-2, axis2=-1)
+    sq = q - np.einsum("pka,pka,k->pa", e, e, eps)
     for k in range(d - 4):
         j = np.argmax(sq, axis=-1)[:, None]
         best = np.take_along_axis(sq, j, axis=-1)[:, 0]
         ok &= best > PSI_RANK_TOL
         picked = psi[:, :k]
         psi_j = np.take_along_axis(picked, j[..., None], axis=-1)[..., 0]
-        vec = np.take_along_axis(p, j[..., None], axis=-1)[..., 0] \
-            - q[j] * np.einsum("pm,pmk->pk", psi_j, picked)
+        e_j = np.take_along_axis(e, j[..., None], axis=-1)[..., 0] * eps
+        vec = (np.arange(d) == j) - q[j] * (np.einsum("pk,pka->pa", e_j, e)
+                                            + np.einsum("pm,pmk->pk", psi_j, picked))
         psi[:, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[:, None]
         sq -= psi[:, k] ** 2
     return psi.reshape(nu, nv, d - 4, d), ok.reshape(nu, nv)
 
 
 def build_frame(chart: Chart) -> FrameField:
-    """Full frame pipeline: the checked canonical lift, the projector and
-    kappa.  Raises what `validate_chart` raises."""
+    """Full frame pipeline: the checked canonical lift, kappa and the V
+    basis.  Raises what `validate_chart` raises."""
     frame = canonical_lift(chart)
-    frame.P_perp = perp_projector(frame)
-    frame.kappa = normal_project(frame.P_perp, frame.Y_zz.copy())
+    frame.kappa, frame.V_basis = perp_projector(frame)
     return frame

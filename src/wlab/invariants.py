@@ -6,7 +6,7 @@ For the canonical lift Y the basic decomposition is
 
 with kappa the V^perp_C part (the conformal Hopf differential) and s the
 Schwarzian, recovered as s = 2 <Y_zz, N> since <Y, N> = -1.  The normal
-connection is D_z v = P_perp d_z v for sections v of V^perp_C, and the
+connection is D_z v = P d_z v for sections v of V^perp_C, and the
 conformally invariant metric is <kappa, conj kappa> |dz|^2, whose total
 integral 2i Int <kappa, conj kappa> dz ^ dzbar = 4 Int <kappa, conj
 kappa> du dv is the Willmore energy.  The independent Euclidean pipeline
@@ -16,12 +16,14 @@ stereographically projects the chart to R^n and integrates H^2 - K.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .calculus import GridSpec, diff_u, diff_v, integrate, row_blocks, wirtinger
 from .frame import Chart, FrameField, normal_project
-from .lorentz import herm_norm, herm_norm_sq, mink_inner
+from .lorentz import herm_norm, mink_inner
+from .parallel import split
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
@@ -63,19 +65,24 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     as `tangential_defect`, and the closure of the decomposition itself as
     `decomposition_defect`.  These are the last readers of Y_zz.
     """
-    kappa = frame.kappa
+    kappa, m = frame.kappa, frame.mask
     kk = mink_inner(kappa, kappa)
-    kk_bar = herm_norm_sq(kappa)
-    s = 2.0 * mink_inner(frame.Y_zz, frame.N_from(kk_bar))  # N is freed at once
-
-    m = frame.mask
+    # kk_bar: the real view of a complex pairing, so `integrate` sums it as ever
+    pair, s = np.empty(m.shape, dtype=complex), np.empty(m.shape, dtype=complex)
     decomp, tang = np.empty(m.shape), np.empty(m.shape)
-    for rows in row_blocks(0, *m.shape):  # no defect term is ever a whole field
-        y_zz, y_z = frame.Y_zz[rows], frame.Y_z[rows]
-        decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * frame.Y[rows] + kappa[rows]))
-        tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
-                                np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
 
+    def part(lo, hi):  # no conjugate of kappa, N or defect term is a whole field
+        for rows in row_blocks(lo, hi, m.shape[1]):
+            kap, y_zz, y_z, y = kappa[rows], frame.Y_zz[rows], frame.Y_z[rows], frame.Y[rows]
+            pair[rows] = mink_inner(kap, np.conj(kap))
+            s[rows] = 2.0 * mink_inner(y_zz, 2.0 * frame.Y_zzbar[rows]
+                                       + 2.0 * pair[rows].real[..., None] * y)  # <Y_zz, N>
+            decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * y + kap))
+            tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
+                                    np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
+
+    split(part, m.shape[0])
+    kk_bar = pair.real
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)
 
@@ -94,12 +101,13 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     )
 
 
-def normal_D(p_perp: np.ndarray, section: np.ndarray,
-             spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def normal_D(basis: np.ndarray, section: np.ndarray, spec: GridSpec,
+             out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """(D_z v, D_zbar v) for a section v of V^perp_C: its Wirtinger
-    derivatives, projected in place by the (d, d) projector field p_perp."""
-    v_z, v_zbar = wirtinger(section, spec)
-    return normal_project(p_perp, v_z), normal_project(p_perp, v_zbar)
+    derivatives, projected in place along the V basis field `basis`; D_zbar
+    v is formed in `out` as in `wirtinger` (v itself, when v is read no more)."""
+    v_z, v_zbar = wirtinger(section, spec, out)
+    return normal_project(basis, v_z), normal_project(basis, v_zbar)
 
 
 def willmore_vector(inv: InvariantField, dzbar_dzbar_kappa: np.ndarray) -> np.ndarray:
@@ -144,9 +152,9 @@ def ricci_residual(inv: InvariantField, dzbar_dz_kappa: np.ndarray,
     """Pointwise |R^D kappa - RHS|: the Ricci equation applied to kappa.
 
     R^D = D_zbar D_z - D_z D_zbar is the curvature of the normal connection
-    D = P_perp d on V^perp_C.  Its left side is the normal 2-jet of kappa
-    it is given, so the check is algebra: it reads neither a normal basis
-    nor a derivative of P_perp.  The Ricci equation gives R^D v =
+    D = P d on V^perp_C.  Its left side is the normal 2-jet of kappa it is
+    given, so the check is algebra: it reads neither a normal basis nor a
+    derivative of P.  The Ricci equation gives R^D v =
     2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for v = kappa this
     vanishes exactly where the normal bundle is flat.
     """

@@ -12,7 +12,7 @@ import numpy as np
 from wlab.calculus import diff_z, diff_zbar
 from wlab.frame import normal_basis, normal_project
 from wlab.invariants import normal_D, willmore_vector
-from wlab.lorentz import herm_norm, mink_inner, signature
+from wlab.lorentz import herm_norm, herm_norm_sq, mink_inner, signature
 
 
 class KappaJet(NamedTuple):
@@ -25,13 +25,18 @@ class KappaJet(NamedTuple):
     willmore_vector: np.ndarray  # D_zbar D_zbar kappa + (conj s / 2) kappa
 
 
+def frame_N(frame) -> np.ndarray:
+    """The frame vector N = 2 Y_zzbar + 2 <kappa, conj kappa> Y."""
+    return 2.0 * frame.Y_zzbar + 2.0 * herm_norm_sq(frame.kappa)[..., None] * frame.Y
+
+
 def kappa_jet(frame, inv) -> KappaJet:
     """kappa's normal 2-jet from the steps `analyze` takes, which holds
     each field only until its last reader."""
-    p, spec = frame.P_perp, frame.spec
-    dz, dzbar = normal_D(p, inv.kappa, spec)
-    dzbar_dz = normal_project(p, diff_zbar(dz, spec))
-    dz_dzbar, dzbar_dzbar = normal_D(p, dzbar, spec)
+    basis, spec = frame.V_basis, frame.spec
+    dz, dzbar = normal_D(basis, inv.kappa, spec)
+    dzbar_dz = normal_project(basis, diff_zbar(dz, spec))
+    dz_dzbar, dzbar_dzbar = normal_D(basis, dzbar, spec)
     return KappaJet(dz, dzbar, dzbar_dz, dz_dzbar, willmore_vector(inv, dzbar_dzbar))
 
 
@@ -52,11 +57,12 @@ def frame_residuals(frame) -> dict:
         "<Y_z,Y_zbar>-1/2": worst(mink_inner(frame.Y_z, np.conj(frame.Y_z)) - 0.5),
     }
     if frame.kappa is not None:
+        n = frame_N(frame)
         res.update(
             {
-                "<N,Y>+1": worst(mink_inner(frame.N, frame.Y) + 1.0),
-                "<N,N>": worst(mink_inner(frame.N, frame.N)),
-                "<N,Y_z>": worst(mink_inner(frame.N.astype(complex), frame.Y_z)),
+                "<N,Y>+1": worst(mink_inner(n, frame.Y) + 1.0),
+                "<N,N>": worst(mink_inner(n, n)),
+                "<N,Y_z>": worst(mink_inner(n.astype(complex), frame.Y_z)),
             }
         )
     if frame.kappa is not None and frame.dim > 4:
@@ -67,7 +73,7 @@ def frame_residuals(frame) -> dict:
         for label, vec in (
             ("psi.Y", frame.Y.astype(complex)),
             ("psi.Y_z", frame.Y_z),
-            ("psi.N", frame.N.astype(complex)),
+            ("psi.N", frame_N(frame).astype(complex)),
         ):
             pair = np.einsum("uvik,uvk,k->uvi", psi.astype(complex), vec, q)
             res[f"<{label}>"] = worst(np.abs(pair).max(axis=-1))
@@ -75,8 +81,9 @@ def frame_residuals(frame) -> dict:
 
 
 def einsum_perp_projector(frame):
-    """I - sum_ij b_i g^ij (Q b_j)^T as one 4-operand einsum: the oracle
-    whose rounding `perp_projector` reproduces block by block."""
+    """I - sum_ij b_i g^ij (Q b_j)^T as one 4-operand einsum: the dense
+    (nu, nv, d, d) projector whose rounding `perp_projector` reproduces
+    block by block for kappa, and the oracle of the rank-4 projection."""
     b = np.stack([frame.Y, frame.Y_z.real, frame.Y_z.imag, frame.Y_zzbar], axis=2)
     q = signature(frame.dim)
     ginv = np.linalg.inv(np.einsum("uvik,uvjk,k->uvij", b, b, q))
@@ -84,6 +91,16 @@ def einsum_perp_projector(frame):
     idx = np.arange(frame.dim)
     p[..., idx, idx] += 1.0
     return p
+
+
+def oracle_kappa(frame):
+    """The dense oracle P applied to Y_zz: kappa, bit for bit."""
+    return np.einsum("uvab,uvb->uva", einsum_perp_projector(frame), frame.Y_zz)
+
+
+def constant_section(frame, w):
+    """P w for a constant ambient vector w: a smooth section of V^perp_C."""
+    return normal_project(frame.V_basis, np.broadcast_to(np.asarray(w, complex), frame.Y_z.shape).copy())
 
 
 def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
@@ -103,7 +120,7 @@ def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
     rhs_yzz = -0.5 * inv.s[..., None] * frame.Y + inv.kappa
     out["Y_zz"] = worst(frame.Y_zz - rhs_yzz)
 
-    nz = diff_z(frame.N, spec)
+    nz = diff_z(frame_N(frame), spec)
     rhs_n = (
         -2.0 * inv.kk_bar[..., None] * frame.Y_z
         - inv.s[..., None] * np.conj(frame.Y_z)
@@ -113,10 +130,10 @@ def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
 
     w = np.zeros(frame.dim)
     w[-1] = 1.0
-    section = np.einsum("uvab,b->uva", frame.P_perp, w).astype(complex)
+    section = constant_section(frame, w)
     sz = diff_z(section, spec)
     rhs_psi = (
-        normal_project(frame.P_perp, sz.copy())
+        normal_project(frame.V_basis, sz.copy())
         + 2.0 * mink_inner(section, jet.Dzbar_kappa)[..., None] * frame.Y
         - 2.0 * mink_inner(section, inv.kappa)[..., None] * np.conj(frame.Y_z)
     )

@@ -5,7 +5,10 @@ after its last reader.  Over random grids (many of them not a multiple
 of PROJECTOR_BLOCK points), ambient spheres and thread counts, its
 fields must equal, bit for bit, those of the public evaluators applied
 to the whole jet at once, and its report bytes must not depend on the
-thread count.  `perp_projector` must equal its 4-operand einsum oracle.
+thread count.  kappa must be the dense einsum oracle's P Y_zz, bit for
+bit, and the rank-4 `normal_project` must be that oracle's projector to
+roundoff: on S^3 to S^20 charts, finite-difference charts and Mobius
+images, for any thread count.
 """
 
 import numpy as np
@@ -23,7 +26,7 @@ from wlab.diagnostics import (
     six_form,
     willmore_residual,
 )
-from wlab.frame import build_frame, canonical_lift, perp_projector
+from wlab.frame import build_frame, canonical_lift, normal_project, perp_projector
 from wlab.gallery import (
     apply_mobius,
     build_surface,
@@ -33,9 +36,9 @@ from wlab.gallery import (
     veronese,
 )
 from wlab.invariants import hopf_schwarzian, ricci_residual
-from wlab.lorentz import random_mobius
+from wlab.lorentz import mink_inner, random_mobius
 
-from frame_oracles import einsum_perp_projector, kappa_jet
+from frame_oracles import einsum_perp_projector, kappa_jet, oracle_kappa
 
 
 SURFACES = {
@@ -111,10 +114,43 @@ def test_staged_analyze_is_the_whole_jet_bit_for_bit(threads, surface, nu, nv, n
 
 
 @given(threads=threads, **charts)
-@example(threads="2", surface="cp2", nu=17, nv=31, n=7, seed=0)  # 527 = 512 + 15 points
+@example(threads="2", surface="cp2", nu=35, nv=30, n=7, seed=0)  # 1050 = PROJECTOR_BLOCK + 26
+@example(threads="3", surface="clifford_mobius", nu=40, nv=39, n=3, seed=2)  # 1560 points
 def test_perp_projector_is_the_einsum_bit_for_bit(threads, surface, nu, nv, n, seed):
+    # kappa, the one vector a dense block of P projects, is the oracle's P Y_zz
     frame = canonical_lift(make_chart(surface, nu, nv, n, seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("WLAB_THREADS", threads)
-        p = perp_projector(frame)
-    assert np.array_equal(p, einsum_perp_projector(frame))
+        kappa, basis = perp_projector(frame)
+    assert np.array_equal(kappa, oracle_kappa(frame))
+    assert basis.shape == frame.Y.shape[:2] + (4, frame.dim)
+
+
+projection_charts = dict(charts, n=st.sampled_from([3, 5, 7, 10, 20]))
+
+
+@given(**projection_charts)
+@example(surface="veronese_fd", nu=24, nv=16, n=20, seed=0)
+@example(surface="clifford_mobius", nu=40, nv=40, n=3, seed=7)
+def test_rank4_projection_is_the_oracle_projector(surface, nu, nv, n, seed):
+    frame = build_frame(make_chart(surface, nu, nv, n, seed))
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=frame.Y_z.shape) + 1j * rng.normal(size=frame.Y_z.shape)
+    want = np.einsum("uvab,uvb->uva", einsum_perp_projector(frame), w)
+    runs = {}
+    for threads in ("1", "2", "3"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("WLAB_THREADS", threads)
+            runs[threads] = normal_project(frame.V_basis, w.copy())
+    got = runs["1"]
+    assert np.array_equal(runs["2"], got) and np.array_equal(runs["3"], got)
+    scale = np.abs(w).max() * max(1.0, np.abs(frame.V_basis).max() ** 2)
+    assert np.abs(got - want).max() < 1e-13 * scale
+    # P is idempotent and annihilates V, each e_k in particular
+    assert np.abs(normal_project(frame.V_basis, got.copy()) - got).max() < 1e-13 * scale
+    for k in range(4):
+        e_k = frame.V_basis[:, :, k].astype(complex)
+        assert np.abs(normal_project(frame.V_basis, e_k.copy())).max() < 1e-13 * scale
+    # the basis is Q-orthonormal, e_0 timelike, where the frame is live
+    gram = mink_inner(frame.V_basis[:, :, :, None], frame.V_basis[:, :, None])
+    assert np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0]))[frame.mask].max() < 1e-12

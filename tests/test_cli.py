@@ -285,14 +285,21 @@ SUBCOMMANDS = {
     [{"kind": ["report"], "path": "r.json"}],
     [{"kind": "report", "path": "r.json", "mode": "a"}],
     [{"kind": "report", "path": "r\0.json"}],
+    # a string is the `--out` path of a config with valid outputs
+    pytest.param("r\0.json", id="nul-in-out-option"),
 ])
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_malformed_outputs_exit_2_from_every_subcommand(
     tmp_path, capsys, monkeypatch, command, outputs
 ):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16}, outputs=outputs)
-    assert main([command, cfg] + SUBCOMMANDS[command]) == 2
+    via_out = isinstance(outputs, str)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16}, outputs=[] if via_out else outputs)
+    argv = [command, cfg] + SUBCOMMANDS[command]
+    if via_out:
+        argv = [a for a in argv if a not in ("--out", "fields.csv")] + ["--out", outputs]
+        monkeypatch.setattr("wlab.cli.run_analysis", lambda *a: pytest.fail("ran the analysis"))
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "output" in captured.err and captured.err.count("\n") == 1

@@ -376,28 +376,29 @@ def analyze_peak_over_y(monkeypatch, threads, ambient_n):
     return peak / y_bytes
 
 
-# Each field lives only until its last reader.  The peak (21.0x in S^7,
-# 23.6x in S^10, 33.3x in S^20) has two near-equal sites: the second normal_D
-# (P_perp, which is d x Y, kappa, D_zbar kappa, D_zbar D_z kappa and the
-# Wirtinger pair of D_zbar kappa) and hopf_schwarzian, where the whole frame is
-# alive (P_perp, the lift's 6x, kappa, N and a conjugate of kappa).  A lift or
-# jet field held past its last reader adds 1x to 2x; the Euclidean energy's
-# transients (18x), the (6m, d) kappa-jet matrix (46.8x in S^7) or a stored
-# normal basis (41.7x) would add far more.
+# Each field lives only until its last reader, and no (nu, nv, d, d) field
+# exists.  The peak (14.4x in S^7, 14.8x in S^10, 16.6x in S^20 at one
+# thread; 16.7x, 17.6x and 21.2x at two) sits where kappa's normal jet is
+# widest (the V basis, 4x Y, with kappa, D_z kappa, D_zbar kappa and D_zbar
+# D_z kappa alive at the jet rank) or in `perp_projector`, whose parts each
+# hold a block of P, d^2 numbers a point of PROJECTOR_BLOCK points.  A lift
+# or jet field held past its last reader adds 1x to 2x; a stored dense
+# projector (d x Y), the (6m, d) kappa-jet matrix (46.8x in S^7) or a stored
+# normal basis would add far more.
 def test_analyze_peak_memory_in_s7(monkeypatch):
     for threads in ("1", "2"):
-        assert analyze_peak_over_y(monkeypatch, threads, 7) < 22, threads
+        assert analyze_peak_over_y(monkeypatch, threads, 7) < 17.5, threads
 
 
 def test_analyze_peak_memory_in_s10(monkeypatch):
     for threads in ("1", "2"):
-        assert analyze_peak_over_y(monkeypatch, threads, 10) < 25, threads
+        assert analyze_peak_over_y(monkeypatch, threads, 10) < 18.5, threads
 
 
 def test_analyze_peak_memory_in_s20(monkeypatch):
-    # d = 22: P_perp alone is 22x Y
+    # d = 22: a dense projector field alone would be 22x Y
     for threads in ("1", "2"):
-        assert analyze_peak_over_y(monkeypatch, threads, 20) < 35, threads
+        assert analyze_peak_over_y(monkeypatch, threads, 20) < 22, threads
 
 
 def test_analyze_rejects_a_constant_chart_as_a_chart_error():

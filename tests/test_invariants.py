@@ -28,7 +28,13 @@ from wlab.invariants import (
 )
 from wlab.lorentz import herm_norm_sq, mink_inner
 
-from frame_oracles import kappa_jet, structure_closure_residuals
+from frame_oracles import (
+    constant_section,
+    einsum_perp_projector,
+    frame_N,
+    kappa_jet,
+    structure_closure_residuals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +59,7 @@ def test_round_sphere_is_totally_umbilic():
 
 def test_kappa_is_normal(clifford_inv):
     frame, inv = clifford_inv
-    for vec in (frame.Y, frame.Y_z, np.conj(frame.Y_z), frame.N):
+    for vec in (frame.Y, frame.Y_z, np.conj(frame.Y_z), frame_N(frame)):
         pair = np.abs(mink_inner(inv.kappa, vec.astype(complex)))
         assert pair[frame.mask].max() < 1e-8
 
@@ -75,7 +81,7 @@ def test_normal_D_of_constant_ambient_vector_projection():
     frame = build_frame(clifford(24, 24))
     const = np.zeros(frame.mask.shape + (5,), dtype=complex)
     const[..., 0] = 2.0  # constant field: derivative is exactly zero
-    assert np.abs(normal_D(frame.P_perp, const, frame.spec)).max() < 1e-12
+    assert np.abs(normal_D(frame.V_basis, const, frame.spec)).max() < 1e-12
 
 
 def test_normal_D_linearity():
@@ -83,10 +89,10 @@ def test_normal_D_linearity():
     rng = np.random.default_rng(0)
     w1 = rng.normal(size=5) + 1j * rng.normal(size=5)
     w2 = rng.normal(size=5) + 1j * rng.normal(size=5)
-    s1 = np.einsum("uvab,b->uva", frame.P_perp, w1)
-    s2 = np.einsum("uvab,b->uva", frame.P_perp, w2)
+    s1 = constant_section(frame, w1)
+    s2 = constant_section(frame, w2)
     a, b = 1.3 - 0.7j, -0.4 + 2.1j
-    halves = zip(*(normal_D(frame.P_perp, s, frame.spec) for s in (a * s1 + b * s2, s1, s2)))
+    halves = zip(*(normal_D(frame.V_basis, s, frame.spec) for s in (a * s1 + b * s2, s1, s2)))
     for lhs, d1, d2 in halves:  # D_z, then D_zbar
         assert np.abs(lhs - (a * d1 + b * d2)).max() < 1e-11
 
@@ -119,7 +125,7 @@ def _frame_inv(chart):
 def dense_ricci_residual(frame, inv, kappa_rhs=None):
     """Reference: the dense operator F = -(i/2) P [P_u, P_v] P, the normal
     curvature taken from the differentiated projector, applied to kappa."""
-    p = frame.P_perp
+    p = einsum_perp_projector(frame)
     pu = diff_u(p, frame.spec)
     pv = diff_v(p, frame.spec)
     comm = np.einsum("uvab,uvbc->uvac", pu, pv) - np.einsum("uvab,uvbc->uvac", pv, pu)
@@ -237,8 +243,9 @@ def test_analyze_builds_no_normal_basis(cp2_s7_inv, monkeypatch):
 
 
 def test_ricci_peak_memory_stays_near_projector_size():
-    # the complex (nu, nv, d) defect and its conjugate peak near 0.5x P_perp;
-    # one real (nu, nv, d, d) field more costs 1x, so the bound catches it
+    # the complex (nu, nv, d) defect and its conjugate peak near 0.5x the
+    # d x Y of a (d, d) projector field; one such field costs 1x, so the
+    # bound catches it
     frame, inv = _frame_inv(include_in_higher_sphere(clifford(128, 128), 7))
     jet = kappa_jet(frame, inv)
     tracemalloc.start()
@@ -247,7 +254,7 @@ def test_ricci_peak_memory_stays_near_projector_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < frame.P_perp.nbytes
+    assert peak < frame.dim * frame.Y.nbytes
 
 
 def test_projection_pole_search_memory_stays_near_chart_size():

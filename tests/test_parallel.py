@@ -12,6 +12,8 @@ from wlab.frame import PROJECTOR_BLOCK, build_frame, normal_basis
 from wlab.gallery import build_surface, clifford, include_in_higher_sphere, pinkall_hopf_torus, veronese
 from wlab.parallel import split, thread_cap
 
+from frame_oracles import frame_N
+
 
 def test_split_parts_are_contiguous_and_on_grain_boundaries(monkeypatch):
     monkeypatch.setenv("WLAB_THREADS", "3")
@@ -77,8 +79,8 @@ def test_unset_thread_cap_means_all_cores(monkeypatch):
 def outputs(chart):
     frame = build_frame(chart)
     report = analyze(chart)
-    arrays = {"P_perp": frame.P_perp, "kappa": frame.kappa, "psi": normal_basis(frame)[0],
-              "N": frame.N, "mask": frame.mask}
+    arrays = {"V_basis": frame.V_basis, "kappa": frame.kappa, "psi": normal_basis(frame)[0],
+              "N": frame_N(frame), "mask": frame.mask}
     arrays.update({f"fields.{k}": np.asarray(v) for k, v in report.fields.items()})
     return arrays, report_json(report, 0)
 
@@ -96,7 +98,7 @@ CHARTS = {
     "veronese_fd_d6": (lambda: veronese(48, 24), 6),
     "cp2_d7": (lambda: build_surface("homogeneous_cp2_hopf", 48, 24,
                                      {"lambdas": [-1.0, 0.5, 2.0]}), 7),
-    "clifford_s10_d12": (lambda: include_in_higher_sphere(clifford(32, 32), 10), 12),
+    "clifford_s10_d12": (lambda: include_in_higher_sphere(clifford(40, 32), 10), 12),
     # 8385 points: neither the parts nor PROJECTOR_BLOCK divide the grid
     "odd_129x65_d9": (lambda: include_in_higher_sphere(clifford(129, 65), 7), 9),
 }

@@ -58,3 +58,14 @@ def test_every_public_name_is_read_by_the_library():
 def test_the_scan_sees_a_test_only_name():
     tree = ast.parse("def used():\n    pass\n\ndef only_tests():\n    used()\n\nalias = used\n")
     assert public_definitions(tree) - loaded_names(tree) == {"only_tests", "alias"}
+
+
+def test_all_exports_the_public_api_and_no_module():
+    import types
+
+    import wlab
+
+    modules = [name for name in wlab.__all__ if isinstance(getattr(wlab, name), types.ModuleType)]
+    assert not modules, modules
+    assert {"analyze", "build_frame", "Chart", "mink_inner", "wirtinger"} <= set(wlab.__all__)
+    assert all(hasattr(wlab, name) for name in wlab.__all__)
