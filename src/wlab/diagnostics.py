@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__ as _version
-from .calculus import GridSpec, diff_z, diff_zbar, row_blocks, wirtinger
+from .calculus import GridSpec, diff_real, diff_z, diff_zbar, row_blocks, wirtinger
 from .frame import Chart, build_frame, normal_project
 from .invariants import (
     InvariantField,
@@ -132,8 +132,8 @@ def flat_normal_residual(inv: InvariantField) -> np.ndarray:
 
 
 def phase_laplacian_residual(theta: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """|d_z d_zbar theta| = |(theta_uu + theta_vv)| / 4."""
-    return np.abs(diff_zbar(diff_z(theta, spec), spec))
+    """|d_z d_zbar theta| = |theta_uu + theta_vv| / 4."""
+    return np.abs(diff_real(theta, spec, 0)[1] + diff_real(theta, spec, 1)[1]) / 4.0
 
 
 def six_form(inv: InvariantField, dzbar_kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -171,7 +171,7 @@ def canonical_lift(chart: Chart) -> FrameField:
     spec = chart.spec
     y0, rho, live, _ = _checked_lift(chart)
     Y = y0 / np.sqrt(2.0 * np.where(live, rho, 1.0))[..., None]
-    Y_z = diff_z(Y, spec)
+    Y_z = diff_z(Y, spec)  # real Y: diff_real with ROADMAP item 5 once item 1 floors abs_kk/theta
     Y_zz, Y_zzbar = wirtinger(Y_z, spec)
     return FrameField(
         chart=chart,

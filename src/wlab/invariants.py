@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_u, diff_v, integrate, row_blocks, wirtinger
+from .calculus import GridSpec, diff_real, integrate, row_blocks, wirtinger
 from .frame import Chart, FrameField, normal_project
 from .lorentz import herm_norm, mink_inner
 from .parallel import split
@@ -67,7 +67,6 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """
     kappa, m = frame.kappa, frame.mask
     kk = mink_inner(kappa, kappa)
-    # kk_bar: the real view of a complex pairing, so `integrate` sums it as ever
     pair, s = np.empty(m.shape, dtype=complex), np.empty(m.shape, dtype=complex)
     decomp, tang = np.empty(m.shape), np.empty(m.shape)
 
@@ -217,30 +216,22 @@ def willmore_energy_euclidean(chart: Chart) -> float:
     xp = np.einsum("uvk,k->uv", x, pole)
     X = (x - xp[..., None] * pole) / (1.0 - xp)[..., None]
 
-    Xu = diff_u(X, spec).real
-    Xv = diff_v(X, spec).real
+    Xu, Xuu = diff_real(X, spec, 0)
+    Xv, Xvv = diff_real(X, spec, 1)
+    Xuv, = diff_real(Xu, spec, 1, order=1)
     E = np.einsum("uvk,uvk->uv", Xu, Xu)
     F = np.einsum("uvk,uvk->uv", Xu, Xv)
     G = np.einsum("uvk,uvk->uv", Xv, Xv)
-
-    # tangential Gram solve, then the normal parts of the second derivatives,
-    # one at a time; Xu and Xv each hold a complex transform, the stack is real
-    ginv = np.linalg.inv(np.stack(
-        [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2))
-    tan = np.stack([Xu, Xv], axis=2)
-    del Xu, Xv
-
-    def normal_part(w):
-        r = np.einsum("uvik,uvk->uvi", tan, w)
-        coef = np.einsum("uvij,uvj->uvi", ginv, r)
-        return w - np.einsum("uvi,uvik->uvk", coef, tan)
-
-    IIuu = normal_part(diff_u(tan[:, :, 0], spec).real)
-    IIuv = normal_part(diff_v(tan[:, :, 0], spec).real)
-    IIvv = normal_part(diff_v(tan[:, :, 1], spec).real)
-    del tan, ginv
-
     det = E * G - F * F
+
+    def normal_part(w):  # in place; the Gram inverse is [[G, -F], [-F, E]] / det
+        a, b = np.einsum("uvk,uvk->uv", Xu, w), np.einsum("uvk,uvk->uv", Xv, w)
+        w -= ((G * a - F * b) / det)[..., None] * Xu
+        w -= ((E * b - F * a) / det)[..., None] * Xv
+        return w
+
+    IIuu, IIuv, IIvv = normal_part(Xuu), normal_part(Xuv), normal_part(Xvv)
+    del Xu, Xv
     h_vec = (G[..., None] * IIuu - 2.0 * F[..., None] * IIuv
              + E[..., None] * IIvv) / (2.0 * det[..., None])
     h2 = np.einsum("uvk,uvk->uv", h_vec, h_vec)

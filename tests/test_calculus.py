@@ -3,8 +3,10 @@ import pytest
 
 from wlab.calculus import (
     GridSpec,
+    _diff_axis,
     classify_order,
     convergence_order,
+    diff_real,
     diff_z,
     diff_zbar,
     integrate,
@@ -74,6 +76,38 @@ def test_wirtinger_halves_are_bit_identical_to_diff_z_and_diff_zbar(monkeypatch,
         assert np.array_equal(f_zbar, diff_zbar(f, spec)), threads
 
 
+@pytest.mark.parametrize("nu, nv, periodic", [
+    (40, 24, (True, True)),    # spectral, even n
+    (41, 27, (True, True)),    # spectral, odd n
+    (40, 24, (False, False)),  # finite differences
+    (41, 24, (False, True)),   # mixed
+    (40, 27, (True, False)),
+])
+def test_diff_real_matches_the_complex_axis_derivative(monkeypatch, nu, nv, periodic):
+    spec = GridSpec(nu, nv, TWO_PI, 2.0, *periodic)
+    f = np.random.default_rng(2).normal(size=(nu, nv, 3))
+    for axis, (n, length) in enumerate(((nu, TWO_PI), (nv, 2.0))):
+        f1 = _diff_axis(f, axis, n, length, periodic[axis]).real
+        f2 = _diff_axis(f1, axis, n, length, periodic[axis]).real
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("WLAB_THREADS", threads)
+            results.append(diff_real(f, spec, axis))
+        d1, d2 = results[0]
+        assert d1.dtype == d2.dtype == np.float64
+        assert np.abs(d1 - f1).max() <= 1e-13 * np.abs(f1).max()
+        assert np.abs(d2 - f2).max() <= 1e-13 * np.abs(f2).max()
+        for other in results[1:]:  # bit-identical for any thread count
+            assert all(np.array_equal(a, b) for a, b in zip(other, results[0]))
+        (first,) = diff_real(f, spec, axis, order=1)
+        assert np.array_equal(first, d1)
+
+
+def test_diff_real_shape_mismatch(torus_spec):
+    with pytest.raises(ValueError):
+        diff_real(np.ones((32, 30)), torus_spec, 1)
+
+
 def test_operators_commute(torus_spec):
     u, v = torus_spec.meshgrid()
     f = np.exp(np.sin(u) + np.cos(2 * v))
@@ -104,6 +138,17 @@ def test_integral_of_derivative_vanishes(torus_spec):
     u, v = torus_spec.meshgrid()
     f = np.exp(np.cos(u) * np.sin(v))
     assert abs(integrate(diff_z(f, torus_spec), torus_spec)) < 1e-12
+
+
+def test_integrate_does_not_depend_on_the_layout_of_f():
+    # a strided `.real` view, its C copy and a Fortran copy: einsum alone
+    # rounds the first differently on this field
+    spec = GridSpec(128, 128, TWO_PI, TWO_PI)
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    values = {integrate(f, spec) for f in (z.real, np.ascontiguousarray(z.real),
+                                           np.asfortranarray(z.real))}
+    assert len(values) == 1, values
 
 
 def test_integrate_shape_mismatch(torus_spec):

@@ -9,6 +9,7 @@ import pytest
 from wlab.calculus import GridSpec
 import wlab.calculus as calculus
 import wlab.diagnostics as diagnostics
+import wlab.invariants as invariants
 from wlab.diagnostics import (
     RESIDUALS,
     analyze,
@@ -345,21 +346,25 @@ def test_field_norms_empty_mask():
 
 
 def test_axis_derivative_count_does_not_depend_on_codimension(monkeypatch):
-    diff_axis = calculus._diff_axis
     counts = []
 
-    def counted(*args):
-        counts[-1] += 1
-        return diff_axis(*args)
+    def counting(primitive, kind):
+        def counted(*args, **kwargs):
+            counts[-1][kind] += 1
+            return primitive(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(calculus, "_diff_axis", counted)
+    monkeypatch.setattr(calculus, "_diff_axis", counting(calculus._diff_axis, "complex"))
+    for module in (invariants, diagnostics):  # every module that binds diff_real
+        monkeypatch.setattr(module, "diff_real", counting(calculus.diff_real, "real"))
     for n in (3, 7, 10):
-        counts.append(0)
+        counts.append({"complex": 0, "real": 0})
         analyze(include_in_higher_sphere(clifford(128, 128), n))
-    # each field's Wirtinger pair costs one diff_u and one diff_v, the
-    # normal 2-jet of kappa is differentiated once, and the chart check
-    # reads the lift's own y0_z
-    assert counts == [25, 25, 25], counts
+    # complex: each field's Wirtinger pair costs one diff_u and one diff_v, the
+    # normal 2-jet of kappa is differentiated once, and the chart check reads
+    # the lift's own y0_z.  real: the Euclidean check takes X along u and v
+    # and X_u along v, and the phase Laplacian theta along u and v
+    assert counts == [{"complex": 16, "real": 5}] * 3, counts
 
 
 def analyze_peak_over_y(monkeypatch, threads, ambient_n):

@@ -14,6 +14,7 @@ ALLOWED_UNUSED = {
     # bound by name by the benchmark's span tracer (perfbench/spans.py)
     "cmink_inner": "span tracer binding",
     "codazzi_gauss_residuals": "span tracer binding",
+    "diff_v": "span tracer binding",
     "normal_basis": "span tracer binding",
     "validate_chart": "span tracer binding",
     # the paper's evaluators, part of the library's surface
