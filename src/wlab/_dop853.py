@@ -1,0 +1,258 @@
+"""DOP853: the explicit Runge-Kutta method of order 8 by Dormand and Prince,
+with its 5th/3rd-order error estimate and its degree-7 dense output
+(Hairer, Norsett and Wanner, *Solving ODEs I*, 2nd ed., Sec. II.10).
+
+A numpy port of the path that `scipy.integrate.solve_ivp(method="DOP853",
+dense_output=True)` takes in scipy 1.17.1 (`scipy/integrate/_ivp/rk.py`,
+`common.py`, `base.py` and `dop853_coefficients.py`): the tableau digit for
+digit, and every product on the same operand shapes and dtypes in the same
+order.  End states, step times and dense values are therefore bit-identical
+to scipy's at rtol=RTOL, atol=ATOL.  Only what the frame ODE uses is kept:
+forward integration of a complex state, with no max_step, first_step,
+t_eval or events.
+
+The port keeps scipy's license:
+
+Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+All rights reserved.
+
+Redistribution and use in source and binary forms, with or without modification, are
+permitted provided that the following conditions are met:
+1. Redistributions of source code must retain the above copyright notice, this list of
+   conditions and the following disclaimer.
+2. Redistributions in binary form must reproduce the above copyright notice, this list of
+   conditions and the following disclaimer in the documentation and/or other materials
+   provided with the distribution.
+3. Neither the name of the copyright holder nor the names of its contributors may be used
+   to endorse or promote products derived from this software without specific prior
+   written permission.
+
+THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS IS" AND ANY EXPRESS
+OR IMPLIED WARRANTIES, INCLUDING, BUT NOT LIMITED TO, THE IMPLIED WARRANTIES OF
+MERCHANTABILITY AND FITNESS FOR A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE
+COPYRIGHT OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL, SPECIAL,
+EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT LIMITED TO, PROCUREMENT OF
+SUBSTITUTE GOODS OR SERVICES; LOSS OF USE, DATA, OR PROFITS; OR BUSINESS INTERRUPTION)
+HOWEVER CAUSED AND ON ANY THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR
+TORT (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS
+SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+import numpy as np
+
+RTOL = 1e-13
+ATOL = 1e-14
+MAX_STEPS = 500  # step attempts per call; a gallery or benchmark curve makes at most 3
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
+N_STAGES = 12  # the step's stages; stages 13 to 15 serve the dense output only
+
+C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+    0.1, 0.2, 0.777777777777777777777777777778])
+
+_A_ROWS = {  # row: {column: entry}, the nonzero entries of the extended tableau
+    1: {0: 5.26001519587677318785587544488e-2},
+    2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    4: {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1},
+    5: {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1},
+    6: {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    7: {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3},
+    8: {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    9: {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2},
+    10: {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    11: {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+    12: {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    13: {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+         7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+         9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+         11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    14: {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+         6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+         10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+         12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    15: {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+         6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+         8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+         13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+}
+_D_ROWS = {  # dense-output coefficients of the powers 3 to 6
+    0: {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+        6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+        8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+        10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+        12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+        14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    1: {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+        6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+        8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+        10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+        12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+        14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    2: {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+        6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+        8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+        10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+        12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+        14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    3: {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+        6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+        8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+        10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+        12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+        14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+}
+A = np.zeros((16, 16))
+D = np.zeros((4, 16))
+for _matrix, _rows in ((A, _A_ROWS), (D, _D_ROWS)):
+    for _row, _entries in _rows.items():
+        for _col, _entry in _entries.items():
+            _matrix[_row, _col] = _entry
+B = A[N_STAGES, :N_STAGES]
+E3 = np.zeros(N_STAGES + 1)
+E3[:-1] = B
+E3[0] -= 0.244094488188976377952755905512
+E3[8] -= 0.733846688281611857341361741547
+E3[11] -= 0.220588235294117647058823529412e-1
+E5 = np.zeros(N_STAGES + 1)
+E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0, y0, t1, f0):
+    """First step size, from y0, f0 and one trial evaluation (Sec. II.4)."""
+    interval_length = abs(t1 - t0)
+    scale = ATOL + np.abs(y0) * RTOL
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def _stages(rhs, t, y, h, K, stages):
+    """Fill K[s] for s in `stages` from the rows of K above it."""
+    for s in stages:
+        dy = np.dot(K[:s].T, A[s, :s]) * h
+        K[s] = rhs(t + C[s] * h, y + dy)
+
+
+def _error_norm(K, h, scale):
+    """RMS norm of the 5th-order error estimate, damped by the 3rd-order one."""
+    err5 = np.dot(K.T, E5) / scale
+    err3 = np.dot(K.T, E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def dop853(rhs, t0, t1, y0):
+    """Integrate y' = rhs(t, y) over [t0, t1], t0 < t1, from the complex y0.
+
+    rhs maps (t, y) to a complex array shaped like y.  Returns (y(t1),
+    dense), where dense(t) evaluates at a scalar t the degree-7 interpolant
+    of the step holding t (the earlier step at a step time); dense.ts holds
+    the step times.  Raises RuntimeError when the step size falls below 10
+    ulps of t, or after MAX_STEPS step attempts, accepted or rejected.
+    """
+    t, t1 = float(t0), float(t1)
+    y = np.asarray(y0, dtype=complex)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, t1, f)
+    K = np.empty((16, y.size), dtype=complex)
+    ts, steps = [t], []
+    attempts = 0
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = min_step if h_abs < min_step else h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("Required step size is less than spacing between numbers.")
+            attempts += 1
+            if attempts > MAX_STEPS:
+                raise RuntimeError(f"more than {MAX_STEPS} step attempts on [{t0}, {t1}]")
+            t_new = t + h_abs
+            if t_new - t1 > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            _stages(rhs, t, y, h, K, range(1, N_STAGES))
+            y_new = y + h * np.dot(K[:N_STAGES].T, B)
+            f_new = K[N_STAGES] = rhs(t + h, y_new)
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        _stages(rhs, t, y, h, K, range(N_STAGES + 1, 16))
+        F = np.empty((7, y.size), dtype=complex)
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f_new + K[0])
+        F[3:] = h * np.dot(D, K)
+        steps.append((t, h, y, F))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+    ts = np.array(ts)
+
+    def dense(t):
+        k = min(max(np.searchsorted(ts, t, side="left") - 1, 0), len(steps) - 1)
+        t_old, h, y_old, F = steps[k]
+        x = (t - t_old) / h
+        out = np.zeros_like(y_old)
+        for i, row in enumerate(F[::-1]):
+            out += row
+            out *= x if i % 2 == 0 else 1 - x
+        return out + y_old
+
+    dense.ts = ts
+    return y, dense

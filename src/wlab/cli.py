@@ -350,7 +350,7 @@ def main(argv=None) -> int:
             thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # numpy and scipy warnings would add stderr lines to the one-line contract
+        # numpy warnings would add stderr lines to the one-line contract
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return args.func(args)

@@ -30,6 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ._dop853 import dop853
 from .calculus import GridSpec
 from .frame import Chart, light_cone_lift
 
@@ -307,9 +308,6 @@ def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
     a single period of integration.  The frame starts at gamma = e_1, xi =
     e_2 and eta = e_3 (eta = 0 when m = 2).
     """
-    # imported here, so that `import wlab` does not load scipy
-    from scipy.integrate import solve_ivp
-
     m = curve.ambient_complex_dim
     k2_active = any(abs(curve.k2_at(t)) > 1e-15
                     for t in np.linspace(0.0, curve.t_period, 65))
@@ -347,14 +345,12 @@ def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
     edges = np.linspace(0.0, t_period, ODE_SEGMENTS_PER_PERIOD + 1)
     solutions = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(
-            rhs, (t0, t1), y, method="DOP853", dense_output=True,
-            rtol=1e-13, atol=1e-14,
-        )
-        if not sol.success:
-            raise RuntimeError(f"frame ODE integration failed: {sol.message}")
-        solutions.append(sol.sol)
-        y = reproject(sol.y[:, -1])
+        try:
+            y_end, dense = dop853(rhs, t0, t1, y)
+        except RuntimeError as exc:
+            raise RuntimeError(f"frame ODE integration failed: {exc}") from None
+        solutions.append(dense)
+        y = reproject(y_end)
 
     def frame_at(ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(ts)

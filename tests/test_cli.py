@@ -404,11 +404,11 @@ def test_malformed_thread_cap_exits_2_from_every_subcommand(
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args):
+def run_python(*args, timeout=300):
     """`python *args` in a fresh interpreter that imports wlab from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 @pytest.mark.parametrize("magnitude", [803, 1000])
@@ -426,7 +426,7 @@ def test_an_overflowing_mobius_map_exits_3_with_one_line(tmp_path, magnitude):
     {"name": "round_sphere", "params": {"extent": 1000}},  # cosh overflows
     {"name": "homogeneous_cp2_hopf",  # the FD weights overflow
      "params": {"lambdas": [-1.0, 0.5, 2.0], "t_window": 1e300}},
-    {"name": "hopf_from_curvature", "params": {"k1": 1e300}},  # scipy's ODE warns
+    {"name": "hopf_from_curvature", "params": {"k1": 1e300}},  # the ODE's step norms overflow
 ], ids=["round_sphere", "cp2_window", "hopf_ode"])
 def test_numeric_warnings_never_reach_stderr(tmp_path, surface):
     cfg = write_config(tmp_path, surface=surface, grid={"nu": 16, "nv": 16})
@@ -435,20 +435,53 @@ def test_numeric_warnings_never_reach_stderr(tmp_path, surface):
     assert proc.stderr.startswith("chart ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_a_curve_past_the_ode_step_budget_exits_3_with_one_line(tmp_path):
+    # without a step budget this curve's integration does not end
+    cfg = write_config(tmp_path, surface={"name": "hopf_from_curvature",
+                                          "params": {"k1": 1e20}},
+                       grid={"nu": 16, "nv": 16})
+    proc = run_python("-m", "wlab.cli", "analyze", cfg, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("chart construction failed: RuntimeError: frame ODE "
+                                  "integration failed: more than"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 COLD_START = """
-import sys
+import hashlib, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import wlab, wlab.cli
-assert wlab.cli.main(["gallery", "list"]) == 0
-assert wlab.cli.main(["analyze", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-wlab.build_surface("hopf_from_curvature", 16, 8, {"k1": 1.0})
-print("scipy.integrate" in sys.modules)
+mobius, hopf, out = sys.argv[2:]
+print([wlab.cli.main(argv) for argv in (
+    ["gallery", "list"],
+    ["analyze", mobius, "--out", out + "/mobius.json"],
+    ["analyze", hopf, "--out", out + "/hopf.json"],
+    ["fields", hopf, "--out", out + "/hopf.csv"],
+    ["convergence", hopf, "--sizes", "16,24,32", "--out", out + "/convergence.json"])])
+res = wlab.hopf_from_curvature(wlab.CurveSpec(k1=1.0, k2=0.5, ambient_complex_dim=3), 32, 16)
+print(hashlib.sha256(res.chart.points.tobytes()).hexdigest(),
+      repr(res.closing_period), repr(res.lift_monodromy_phase))
+print(sorted(m for m, mod in sys.modules.items() if mod and m.split(".")[0] == "scipy"))
 """
 
 
-def test_scipy_loads_only_for_the_frame_ode(tmp_path):
-    cfg = write_config(tmp_path, grid={"nu": 32, "nv": 32},
-                       transforms=[{"mobius": {"seed": 1, "magnitude": 0.3}}])
-    proc = run_python("-c", COLD_START, cfg, str(tmp_path / "report.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True"], proc.stdout
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    mobius = write_config(tmp_path, "mobius.json", grid={"nu": 32, "nv": 32},
+                          transforms=[{"mobius": {"seed": 1, "magnitude": 0.3}}])
+    hopf = write_config(tmp_path, "hopf.json", grid={"nu": 32, "nv": 16}, surface={
+        "name": "hopf_from_curvature",
+        "params": {"k1": 1.0, "k2": 0.5, "ambient_complex_dim": 3}})
+    runs = {}
+    for mode in ("blocked", "unblocked"):
+        out = tmp_path / mode
+        out.mkdir()
+        proc = run_python("-c", COLD_START, mode, mobius, hopf, str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        # the open Hopf curve is no Willmore surface: its `analyze` exits 1
+        assert lines[-3] == "[0, 0, 1, 0, 0]" and lines[-1] == "[]", proc.stdout
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs[mode] = proc.stdout, proc.stderr, files
+    assert len(runs["blocked"][2]) == 4
+    assert runs["blocked"] == runs["unblocked"]
