@@ -21,12 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .parallel import split
+from .parallel import BLOCK_POINTS, split
 
 FD_ORDER = 6
 # one-sided FD rows contaminate a margin this wide; residual norms skip it
 BOUNDARY_MARGIN = 3
-BLOCK_POINTS = 2048  # grid points per block of the blockwise in-place loops
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,9 @@ def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
     the other axis; each line's FFTs do not depend on the split, so the
     result is bit-identical for any number of parts.  A BLAS product rounds
     by the shape of its operands, so the finite-difference product is
-    never split.  With `combine`, each block of the derivative goes to
-    combine(index of f, block) in place of a whole result.
+    never split.  With `combine`, each block of lines of the derivative,
+    about BLOCK_POINTS points, goes to combine(index of f, block) in place
+    of a whole result.
     """
     if f.shape[axis] != n:
         raise ValueError(f"field has {f.shape[axis]} points on axis {axis}, grid has {n}")
@@ -175,16 +175,15 @@ def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
     other = 1 - axis
 
     def part(lo, hi):
-        for block in row_blocks(lo, hi, n) if combine else [slice(lo, hi)]:
-            lines = (slice(None),) * other + (block,)
-            fhat = np.empty(f[lines].shape, dtype=complex) if combine else out[lines]
-            np.fft.fft(f[lines], axis=axis, out=fhat)
-            np.multiply(ik, fhat, out=fhat)
-            np.fft.ifft(fhat, axis=axis, out=fhat)
-            if combine:
-                combine(lines, fhat)
+        lines = (slice(None),) * other + (slice(lo, hi),)
+        fhat = np.empty(f[lines].shape, dtype=complex) if combine else out[lines]
+        np.fft.fft(f[lines], axis=axis, out=fhat)
+        np.multiply(ik, fhat, out=fhat)
+        np.fft.ifft(fhat, axis=axis, out=fhat)
+        if combine:
+            combine(lines, fhat)
 
-    split(part, f.shape[other])
+    split(part, f.shape[other], max(1, BLOCK_POINTS // n) if combine else 0)
     return out
 
 
@@ -211,12 +210,6 @@ def diff_u(f: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def diff_v(f: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _diff_axis(np.asarray(f), 1, spec.nv, spec.Lv, spec.periodic_v)
-
-
-def row_blocks(lo: int, hi: int, nv: int) -> list[slice]:
-    """Slices covering grid rows lo..hi, each of about BLOCK_POINTS points."""
-    step = max(1, BLOCK_POINTS // nv)
-    return [slice(start, min(start + step, hi)) for start in range(lo, hi, step)]
 
 
 def _times_i(f_v: np.ndarray) -> np.ndarray:

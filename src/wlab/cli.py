@@ -26,11 +26,11 @@ chart, or non-unit, non-finite, degenerate or non-conformal points), 4
 analysis error; `main` maps every failure, a RunError, to its exit code.
 
 WLAB_THREADS (a positive integer; default: all cores) caps the threads of
-one run: a single `analyze` splits its per-point kernels and periodic
-axis transforms into that many contiguous parts, with results
-bit-identical for every value (see `wlab.parallel`), and a convergence
-sweep analyzes that many sizes at once, each serially.  Any other value
-is a config error (exit 2) for every subcommand.
+one run: each `analyze` splits its per-point kernels and periodic axis
+transforms into that many contiguous parts, with results bit-identical
+for every value (see `wlab.parallel`); a convergence sweep analyzes its
+sizes one after another, in the order given.  Any other value is a
+config error (exit 2) for every subcommand.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -253,8 +252,7 @@ def cmd_convergence(args) -> int:
     if len(set(sizes)) < 3 or min(sizes) < 8:
         raise ConfigError("--sizes must list at least 3 distinct integers >= 8")
 
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(sizes))) as pool:
-        reports = list(pool.map(lambda n: run_analysis(cfg, n, n), sizes))
+    reports = [run_analysis(cfg, n, n) for n in sizes]
 
     table = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
     for row in RESIDUALS:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__ as _version
-from .calculus import GridSpec, diff_real, diff_z, diff_zbar, row_blocks, wirtinger
+from .calculus import GridSpec, diff_real, diff_z, diff_zbar, wirtinger
 from .frame import Chart, build_frame, normal_project
 from .invariants import (
     InvariantField,
@@ -47,7 +47,7 @@ from .invariants import (
     willmore_vector,
 )
 from .lorentz import herm_norm, mink_inner, span_rank
-from .parallel import split
+from .parallel import BLOCK_POINTS, split
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL_SPECTRAL = 1e-6
@@ -116,11 +116,11 @@ def s_willmore_residual(inv: InvariantField, dzbar_kappa: np.ndarray) -> np.ndar
     out = np.empty(kkb.shape)
 
     def part(lo, hi):
-        for r in row_blocks(lo, hi, kkb.shape[1]):
-            coef = mink_inner(dzbar_kappa[r], np.conj(inv.kappa[r])) / kkb[r]
-            out[r] = herm_norm(dzbar_kappa[r] - coef[..., None] * inv.kappa[r])
+        r = slice(lo, hi)
+        coef = mink_inner(dzbar_kappa[r], np.conj(inv.kappa[r])) / kkb[r]
+        out[r] = herm_norm(dzbar_kappa[r] - coef[..., None] * inv.kappa[r])
 
-    split(part, len(out))
+    split(part, len(out), max(1, BLOCK_POINTS // kkb.shape[1]))
     return out
 
 

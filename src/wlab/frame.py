@@ -34,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_z, row_blocks, wirtinger
+from .calculus import GridSpec, diff_z, wirtinger
 from .lorentz import mink_inner, signature
-from .parallel import split
+from .parallel import BLOCK_POINTS, split
 
 UNIT_TOL = 1e-12
 CONFORMAL_TOL_SPECTRAL = 1e-8
@@ -201,24 +201,23 @@ def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(d)
 
     def part(lo, hi):
-        for start in range(lo, hi, PROJECTOR_BLOCK):
-            rows = slice(start, start + PROJECTOR_BLOCK)
-            b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]], axis=1)
-            g = np.einsum("pik,pjk,k->pij", b, b, q)
-            np.matmul(_v_coefficients(b, g), b, out=basis[rows])
-            b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (i, a, points)
-            ginv = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))  # (i, j, points)
-            acc = np.zeros((d, d, b.shape[-1]))
-            term, bg = np.empty_like(acc), np.empty_like(b[0])
-            for i in range(4):
-                for j in range(4):
-                    np.multiply(b[i], ginv[i, j], out=bg)  # b_ia g^ij
-                    np.multiply(bg[:, None], b[j, None], out=term)
-                    term[:, 0] *= -1.0  # times q_b b_jb: Q flips slot 0, exactly
-                    np.add(acc, term, out=acc)
-            p = np.negative(acc.transpose(2, 0, 1), out=term.reshape(-1, d, d))
-            p[:, idx, idx] += 1.0
-            kappa[rows] = np.einsum("pab,pb->pa", p, y_zz[rows])
+        rows = slice(lo, hi)
+        b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]], axis=1)
+        g = np.einsum("pik,pjk,k->pij", b, b, q)
+        np.matmul(_v_coefficients(b, g), b, out=basis[rows])
+        b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (i, a, points)
+        ginv = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))  # (i, j, points)
+        acc = np.zeros((d, d, b.shape[-1]))
+        term, bg = np.empty_like(acc), np.empty_like(b[0])
+        for i in range(4):
+            for j in range(4):
+                np.multiply(b[i], ginv[i, j], out=bg)  # b_ia g^ij
+                np.multiply(bg[:, None], b[j, None], out=term)
+                term[:, 0] *= -1.0  # times q_b b_jb: Q flips slot 0, exactly
+                np.add(acc, term, out=acc)
+        p = np.negative(acc.transpose(2, 0, 1), out=term.reshape(-1, d, d))
+        p[:, idx, idx] += 1.0
+        kappa[rows] = np.einsum("pab,pb->pa", p, y_zz[rows])
 
     split(part, nu * nv, PROJECTOR_BLOCK)
     return kappa.reshape(nu, nv, d), basis.reshape(nu, nv, 4, d)
@@ -266,13 +265,12 @@ def normal_project(basis: np.ndarray, field_vec: np.ndarray) -> np.ndarray:
     pairs = field_vec.view(float).reshape(field_vec.shape + (2,))
 
     def part(lo, hi):
-        for rows in row_blocks(lo, hi, field_vec.shape[1]):
-            e = basis[rows]
-            coef = np.matmul(e, q[:, None] * pairs[rows])  # <w, e_k>: (rows, nv, 4, 2)
-            coef *= eps
-            pairs[rows] -= np.matmul(np.swapaxes(e, -1, -2), coef)
+        e = basis[lo:hi]
+        coef = np.matmul(e, q[:, None] * pairs[lo:hi])  # <w, e_k>: (rows, nv, 4, 2)
+        coef *= eps
+        pairs[lo:hi] -= np.matmul(np.swapaxes(e, -1, -2), coef)
 
-    split(part, len(field_vec))
+    split(part, len(field_vec), max(1, BLOCK_POINTS // field_vec.shape[1]))
     return field_vec
 
 

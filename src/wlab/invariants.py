@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridSpec, diff_real, integrate, row_blocks, wirtinger
+from .calculus import GridSpec, diff_real, integrate, wirtinger
 from .frame import Chart, FrameField, normal_project
 from .lorentz import herm_norm, mink_inner
-from .parallel import split
+from .parallel import BLOCK_POINTS, split
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
@@ -71,16 +71,16 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     decomp, tang = np.empty(m.shape), np.empty(m.shape)
 
     def part(lo, hi):  # no conjugate of kappa, N or defect term is a whole field
-        for rows in row_blocks(lo, hi, m.shape[1]):
-            kap, y_zz, y_z, y = kappa[rows], frame.Y_zz[rows], frame.Y_z[rows], frame.Y[rows]
-            pair[rows] = mink_inner(kap, np.conj(kap))
-            s[rows] = 2.0 * mink_inner(y_zz, 2.0 * frame.Y_zzbar[rows]
-                                       + 2.0 * pair[rows].real[..., None] * y)  # <Y_zz, N>
-            decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * y + kap))
-            tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
-                                    np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
+        rows = slice(lo, hi)
+        kap, y_zz, y_z, y = kappa[rows], frame.Y_zz[rows], frame.Y_z[rows], frame.Y[rows]
+        pair[rows] = mink_inner(kap, np.conj(kap))
+        s[rows] = 2.0 * mink_inner(y_zz, 2.0 * frame.Y_zzbar[rows]
+                                   + 2.0 * pair[rows].real[..., None] * y)  # <Y_zz, N>
+        decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * y + kap))
+        tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
+                                np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
 
-    split(part, m.shape[0])
+    split(part, m.shape[0], max(1, BLOCK_POINTS // m.shape[1]))
     kk_bar = pair.real
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)

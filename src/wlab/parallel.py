@@ -1,12 +1,13 @@
-"""Contiguous splits of per-point work across WLAB_THREADS threads.
+"""The one place that cuts per-point work into threads and blocks.
 
-`split(job, n)` runs job(lo, hi) over contiguous parts of range(n): part 0
-on the calling thread, the others on a process-wide pool of helper
-threads that is created on first use.  Every part does the arithmetic the
-whole would do on its slice, so results are bit-identical for any thread
-count.  Only the main thread splits; a call from any other thread (the
-convergence sweep's pool) runs as one part, so the two levels never nest.
-Jobs write only into arrays their caller allocated, and run no large BLAS
+`split(job, n, block)` runs job(lo, hi) over contiguous parts of range(n):
+part 0 on the calling thread, the others on a process-wide pool of helper
+threads created on first use.  Each part walks its range in blocks of at
+most `block` units, so a kernel's memory per thread is set by its block,
+not by the grid.  Every block does the arithmetic the whole would do on its
+slice, so results are bit-identical for any thread count.  Only the main
+thread splits; a call from any other thread runs as one part.  Jobs
+write only into arrays their caller allocated, and run no large BLAS
 product: OpenBLAS gives each calling thread its own buffer, so splitting
 the pole search's `cand @ pts.T` raised the `spectral_s3` benchmark's peak
 RSS from about 64.5 to 71.6 MiB.
@@ -17,6 +18,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+
+BLOCK_POINTS = 2048  # grid points per block of the row-blocked kernels
 
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
@@ -32,7 +35,7 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def thread_cap() -> int:
-    """Threads one `analyze` or one sweep may use: WLAB_THREADS, else all cores.
+    """Threads one `split` may use: WLAB_THREADS, else all cores.
 
     Raises ValueError unless a set, non-empty WLAB_THREADS is a positive
     integer.
@@ -60,24 +63,26 @@ def _helpers(count: int) -> ThreadPoolExecutor:
     return _pool
 
 
-def split(job, n: int, grain: int = 1) -> None:
-    """Run job(lo, hi) over contiguous parts covering range(n).
+def split(job, n: int, block: int = 0) -> None:
+    """Run job(lo, hi) over non-empty blocks that tile range(n) once each.
 
-    Part boundaries fall on multiples of `grain`.  Returns once every part
-    has finished; raises the exception of the first part, in range order,
-    that failed.
+    Each part walks its range in blocks of `block` units, or as one piece
+    when `block` is 0.  Returns once every part has finished; raises the
+    exception of the first part, in range order, that failed.
     """
     cap = thread_cap()
-    units = -(-n // grain)
-    parts = min(cap, units) if threading.current_thread() is threading.main_thread() else 1
-    if parts <= 1:
-        job(0, n)
-        return
-    bounds = [min(n, grain * (units * k // parts)) for k in range(parts + 1)]
-    pool = _helpers(parts - 1)
-    futures = [pool.submit(job, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    parts = max(1, min(cap, n) if threading.current_thread() is threading.main_thread() else 1)
+    bounds = [n * k // parts for k in range(parts + 1)]
+    step = block or max(n, 1)
+
+    def walk(lo, hi):
+        for start in range(lo, hi, step):
+            job(start, min(start + step, hi))
+
+    futures = [_helpers(parts - 1).submit(walk, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        job(bounds[0], bounds[1])
+        walk(bounds[0], bounds[1])
     finally:
         wait(futures)
     for fut in futures:

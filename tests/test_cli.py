@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import wlab.cli
 from wlab.cli import RESIDUAL_CSV_COLUMNS, ConfigError, main, run_analysis, validate_config
-from wlab.diagnostics import analyze
-from wlab.frame import Chart
-from wlab.gallery import clifford
+from wlab.diagnostics import RESIDUALS, analyze, convergence_L_inf
+from wlab.frame import Chart, ChartError
+from wlab.gallery import GALLERY, clifford
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -151,6 +156,49 @@ def test_convergence_table(tmp_path, capsys):
     assert len(labels) == len(table["fitted_order"]) - 1  # flat_normal is exactly 0
     assert set(labels.values()) == {"roundoff floor"}, labels
     assert text.count("roundoff floor") == len(labels)
+
+
+def test_the_sweep_is_the_same_at_every_thread_count(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("WLAB_THREADS", threads)
+        out = tmp_path / f"table{threads}.json"
+        assert main(["convergence", cfg, "--sizes", "16,24,32", "--out", str(out)]) == 0
+        runs.append((out.read_text(), capsys.readouterr().out))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    table = json.loads(runs[0][0])
+    for k, n in enumerate((16, 24, 32)):
+        report = analyze(clifford(n, n))
+        got = [table["residual_L_inf"][row.name][k] for row in RESIDUALS]
+        want = [convergence_L_inf(report, row.field) for row in RESIDUALS]
+        assert np.array_equal(got, want, equal_nan=True), n
+
+
+@pytest.mark.parametrize("sizes, code", [("16,24,32", 3), ("16,32,24", 4)])
+def test_a_sweep_exits_with_the_code_of_its_first_failing_size(
+    tmp_path, capsys, monkeypatch, sizes, code
+):
+    # size 24 cannot be built (exit 3) and size 32 fails its analysis (exit 4)
+    build, run = wlab.cli.build_surface, wlab.cli.analyze
+
+    def build_unless_24(name, nu, nv, params):
+        if nu == 24:
+            raise ChartError("no chart at 24")
+        return build(name, nu, nv, params)
+
+    def analyze_unless_32(chart, tolerances=None):
+        if chart.spec.nu == 32:
+            raise RuntimeError("no analysis at 32")
+        return run(chart, tolerances=tolerances)
+
+    monkeypatch.setattr("wlab.cli.build_surface", build_unless_24)
+    monkeypatch.setattr("wlab.cli.analyze", analyze_unless_32)
+    cfg = write_config(tmp_path)
+    assert main(["convergence", cfg, "--sizes", sizes]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert ("no chart at 24" if code == 3 else "no analysis at 32") in captured.err
 
 
 def test_convergence_bad_sizes(tmp_path):
@@ -485,3 +533,54 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         runs[mode] = proc.stdout, proc.stderr, files
     assert len(runs["blocked"][2]) == 4
     assert runs["blocked"] == runs["unblocked"]
+
+
+# JSON whose integers are at most 64, so no grid, include_n or size it sets
+# allocates much
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+PARAMS = sorted({param for entry in GALLERY.values() for param in entry["params"]})
+# per key, arbitrary JSON or an object of the right shape with arbitrary parts
+NEAR_VALID = {
+    "surface": st.fixed_dictionaries({"name": st.sampled_from(sorted(GALLERY)),
+                                      "params": st.dictionaries(st.sampled_from(PARAMS), JSON)}),
+    "grid": st.fixed_dictionaries({"nu": JSON, "nv": JSON}),
+    "tolerances": st.dictionaries(st.sampled_from([r.name for r in RESIDUALS]), JSON),
+    "transforms": st.lists(st.dictionaries(st.sampled_from(["include_n", "mobius"]), JSON,
+                                           min_size=1, max_size=1), max_size=2),
+    "outputs": st.lists(st.fixed_dictionaries({"kind": JSON, "path": JSON}), max_size=2),
+    "seed": JSON,
+}
+
+
+@st.composite
+def fuzzed_run(draw):
+    """(config, [command, options]): one key of a valid config replaced,
+    or a junk key added."""
+    cfg = {"surface": {"name": "clifford", "params": {}}, "grid": {"nu": 16, "nv": 16}}
+    key = draw(st.sampled_from(sorted(NEAR_VALID)) | st.text(max_size=6))
+    cfg[key] = draw(JSON | NEAR_VALID.get(key, JSON))
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    if command != "convergence":
+        return cfg, [command]
+    sizes = draw(st.lists(st.integers(-8, 64), max_size=4) | st.just([16, 24, 32]))
+    return cfg, [command, "--sizes", ",".join(map(str, sizes))]
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=fuzzed_run())
+def test_any_config_exits_0_to_4_and_a_failure_prints_one_line(tmp_path, monkeypatch, run):
+    monkeypatch.chdir(tmp_path)  # where configured outputs land
+    cfg, (command, *options) = run
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *options])
+    assert code in (0, 1, 2, 3, 4)
+    if code >= 2:
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue(), err.getvalue()

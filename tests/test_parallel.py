@@ -15,14 +15,39 @@ from wlab.parallel import split, thread_cap
 from frame_oracles import frame_N
 
 
-def test_split_parts_are_contiguous_and_on_grain_boundaries(monkeypatch):
-    monkeypatch.setenv("WLAB_THREADS", "3")
-    seen = []
-    split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 10, grain=3)
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
+@pytest.mark.parametrize("n, block", [(0, 0), (0, 4), (1, 0), (2, 0), (2, 5), (10, 0),
+                                      (10, 3), (10, 4), (12, 4), (97, 8), (97, 100)])
+def test_split_walks_blocks_that_tile_the_range_in_contiguous_parts(monkeypatch, threads,
+                                                                   n, block):
+    monkeypatch.setenv("WLAB_THREADS", str(threads))
+    parts = min(threads, n)
+    # every part waits at its first block until all have started, so no two
+    # parts can share a thread
+    started, barrier, seen = set(), threading.Barrier(max(parts, 1)), []
+
+    def job(lo, hi):
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            barrier.wait(timeout=30)
+        seen.append((lo, hi, threading.get_ident()))
+
+    split(job, n, block)
     seen.sort()
-    assert [(lo, hi) for lo, hi, _ in seen] == [(0, 3), (3, 6), (6, 10)]
-    main = threading.get_ident()
-    assert [t == main for _, _, t in seen] == [True, False, False]
+    # blocks tile range(n) exactly once, none empty, none longer than block
+    his = [hi for _, hi, _ in seen]
+    assert [(lo, hi) for lo, hi, _ in seen] == list(zip([0] + his, his))
+    assert his[-1:] == ([n] if n else [])
+    assert all(lo < hi and (not block or hi - lo <= block) for lo, hi, _ in seen)
+    # one contiguous run of blocks per part and thread, the first on the
+    # caller's; near-equal parts, each walked from its start
+    runs = [(lo, t) for k, (lo, _, t) in enumerate(seen) if k == 0 or t != seen[k - 1][2]]
+    threads_used = [t for _, t in runs]
+    assert len(threads_used) == len(set(threads_used)) == parts
+    assert threads_used[:1] == ([threading.get_ident()] if n else [])
+    assert [lo for lo, _ in runs] == [n * k // parts for k in range(parts)]
+    if not block:  # one piece per part
+        assert len(seen) == parts
 
 
 def test_split_runs_as_one_part_off_the_main_thread(monkeypatch):
@@ -58,6 +83,21 @@ def test_split_reraises_a_helper_part_error(monkeypatch):
 
     with pytest.raises(RuntimeError, match="helper part failed"):
         split(job, 4)
+
+
+@pytest.mark.parametrize("block", [0, 2])
+def test_split_reraises_the_first_failing_part_after_all_parts_finish(monkeypatch, block):
+    monkeypatch.setenv("WLAB_THREADS", "3")
+    done = []
+
+    def job(lo, hi):
+        if lo >= 4:  # the 2nd and 3rd parts of range(12) fail; the first is raised
+            raise RuntimeError(f"part at {lo} failed")
+        done.append(lo)
+
+    with pytest.raises(RuntimeError, match="part at 4 failed"):
+        split(job, 12, block)
+    assert sorted(done) == ([0, 2] if block else [0])
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
