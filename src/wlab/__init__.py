@@ -27,7 +27,6 @@ from .diagnostics import (
 from .frame import Chart, FrameField, build_frame, canonical_lift, light_cone_lift, validate_chart
 from .gallery import (
     GALLERY,
-    CurveSpec,
     HopfChartResult,
     apply_mobius,
     build_surface,

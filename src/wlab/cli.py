@@ -109,7 +109,7 @@ def validate_config(cfg: dict) -> dict:
     params = surface.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key 'surface.params' must be an object")
-    unknown = sorted(set(params) - set(GALLERY[surface["name"]]["params"]))
+    unknown = sorted(set(params) - set(GALLERY[surface["name"]]))
     if unknown:
         raise ConfigError(
             f"unknown param(s) {unknown} for surface {surface['name']!r}; "
@@ -284,7 +284,7 @@ def cmd_convergence(args) -> int:
 def cmd_gallery(args) -> int:
     for name in sorted(GALLERY):
         print(name)
-        for pname, doc in GALLERY[name]["params"].items():
+        for pname, doc in GALLERY[name].items():
             print(f"    {pname}: {doc}")
     return 0
 

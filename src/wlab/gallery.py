@@ -19,6 +19,11 @@ open curve or an irrational twist; one cover rule (`_hopf_chart`) builds
 the q-fold cover, recorded in Chart.cover_count so integrated energies
 stay per-torus, or for q = None a single non-periodic quasi-period
 (closed=False).  A Pinkall torus is the two-frequency homogeneous lift.
+
+Each builder takes the grid size (nu, nv) and its surface parameters as
+keywords, and these keywords are the parameters' one name: GALLERY maps
+each builder's name to their docs, and `build_surface(name, nu, nv,
+params)` calls the builder bound at that name with `params` as keywords.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,39 +105,6 @@ def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
 # ---------------------------------------------------------------------------
 # Hopf-fibration surfaces
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CurveSpec:
-    """Curvature data of a horizontal unit-speed curve lift.
-
-    k1/k2 are constants or callables of arc length t; t_period is the
-    parameter interval over which closure is tested.
-    """
-
-    k1: Union[float, Callable[[float], float]]
-    k2: Union[float, Callable[[float], float]] = 0.0
-    t_period: float = TWO_PI
-    ambient_complex_dim: int = 2
-
-    def __post_init__(self):
-        if self.t_period <= 0:
-            raise ValueError("t_period must be positive")
-        ts = np.linspace(0.0, self.t_period, 33)
-        if not np.all(np.isfinite([self.k1_at(t) for t in ts])) or not np.all(
-            np.isfinite([self.k2_at(t) for t in ts])
-        ):
-            raise ValueError("curvature functions must be finite on [0, t_period]")
-
-    def k1_at(self, t: float) -> float:
-        return self.k1(t) if callable(self.k1) else float(self.k1)
-
-    def k2_at(self, t: float) -> float:
-        return self.k2(t) if callable(self.k2) else float(self.k2)
-
-    @property
-    def mode(self) -> str:
-        return "tabulated" if callable(self.k1) or callable(self.k2) else "constant_k1"
-
 
 @dataclass
 class HopfChartResult:
@@ -252,19 +224,23 @@ def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
 
 
 def homogeneous_cp2_hopf(
-    lambdas, amps, nu: int, nv: int, t_window: Optional[float] = None
+    lambdas, nu: int, nv: int, amps=None, t_window: Optional[float] = None
 ) -> HopfChartResult:
     """Three-frequency homogeneous Hopf lift in S^5 over CP^2.
 
     gamma(t) = (a1 e^{i l1 t}, a2 e^{i l2 t}, a3 e^{i l3 t}) subject to
     sum a^2 = 1 (sphere), sum a^2 l = 0 (horizontality), sum a^2 l^2 = 1
-    (unit speed), validated to 1e-12.  Genuinely three-frequency data has
-    k2 != 0 and therefore a non-flat normal bundle.
+    (unit speed), validated to 1e-12; `amps` defaults to the solution of
+    these constraints (`solve_cp2_amplitudes`).  Genuinely
+    three-frequency data has k2 != 0 and therefore a non-flat normal
+    bundle.
 
     `t_window` forces a non-periodic chart over [0, t_window] instead of
     the closed covering grid; the analytic evaluation makes this the
     clean control for finite-difference refinement studies.
     """
+    if amps is None:
+        amps = solve_cp2_amplitudes(lambdas)
     lam = np.asarray(lambdas, dtype=float)
     a = np.asarray(amps, dtype=float)
     if lam.shape != (3,) or a.shape != (3,):
@@ -297,31 +273,44 @@ def solve_cp2_amplitudes(lambdas) -> np.ndarray:
     return np.sqrt(np.maximum(asq, 0.0))
 
 
-def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
-    """Hopf surface from curvature functions, by integrating the frame ODE.
+def _curvature_at(k):
+    """A curvature given as a constant or a callable of arc length, as a callable."""
+    if callable(k):
+        return k
+    k = float(k)
+    return lambda t: k
 
-    Uses an adaptive high-order Runge-Kutta (DOP853) over one period,
-    re-projecting (gamma, xi, eta) onto the orthonormality constraints at
-    segment boundaries to kill secular drift.  Closure is detected from
-    the full frame monodromy; closed curves are extended equivariantly by
+
+def hopf_from_curvature(nu: int, nv: int, k1=0.0, k2=0.0, t_period: float = TWO_PI,
+                        ambient_complex_dim: int = 2) -> HopfChartResult:
+    """Hopf surface from curvature data, by integrating the frame ODE.
+
+    k1 and k2 are constants or callables of arc length t; t_period is the
+    parameter interval over which closure is tested.  Uses an adaptive
+    high-order Runge-Kutta (DOP853) over one period, re-projecting
+    (gamma, xi, eta) onto the orthonormality constraints at segment
+    boundaries to kill secular drift.  Closure is detected from the full
+    frame monodromy; closed curves are extended equivariantly by
     gamma(t + T) = e^{i phi} gamma(t), so the q-fold covering chart costs
     a single period of integration.  The frame starts at gamma = e_1, xi =
     e_2 and eta = e_3 (eta = 0 when m = 2).
     """
-    m = curve.ambient_complex_dim
-    k2_active = any(abs(curve.k2_at(t)) > 1e-15
-                    for t in np.linspace(0.0, curve.t_period, 65))
-    if m < 2 or (k2_active and m < 3):
+    m = ambient_complex_dim
+    k1_at, k2_at = _curvature_at(k1), _curvature_at(k2)
+    if not 0 < t_period < np.inf:
+        raise ValueError("t_period must be positive and finite")
+    ts = np.linspace(0.0, t_period, 65)
+    k1s, k2s = np.array([k1_at(t) for t in ts]), np.array([k2_at(t) for t in ts])
+    if not (np.isfinite(k1s).all() and np.isfinite(k2s).all()):
+        raise ValueError("curvature functions must be finite on [0, t_period]")
+    if m < 2 or (m < 3 and np.abs(k2s).max() > 1e-15):
         raise ValueError("ambient_complex_dim must be >= 2, and >= 3 when k2 != 0")
 
-    gamma0, xi0, eta0 = np.eye(3, m, dtype=complex)
+    frame0 = np.eye(3, m, dtype=complex)  # rows gamma, xi, eta
 
     def rhs(t, y):
         g, xi, eta = y[:m], y[m:2 * m], y[2 * m:]
-        dg = xi
-        dxi = curve.k1_at(t) * 1j * xi + curve.k2_at(t) * eta - g
-        deta = -curve.k2_at(t) * xi
-        return np.concatenate([dg, dxi, deta])
+        return np.concatenate([xi, k1_at(t) * 1j * xi + k2_at(t) * eta - g, -k2_at(t) * xi])
 
     def reproject(y):
         g, xi, eta = y[:m].copy(), y[m:2 * m].copy(), y[2 * m:].copy()
@@ -340,8 +329,7 @@ def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
             eta /= np.linalg.norm(eta)
         return np.concatenate([g, xi, eta])
 
-    t_period = curve.t_period
-    y = np.concatenate([gamma0, xi0, eta0])
+    y = frame0.flatten()
     edges = np.linspace(0.0, t_period, ODE_SEGMENTS_PER_PERIOD + 1)
     solutions = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
@@ -352,61 +340,39 @@ def hopf_from_curvature(curve: CurveSpec, nu: int, nv: int) -> HopfChartResult:
         solutions.append(dense)
         y = reproject(y_end)
 
-    def frame_at(ts: np.ndarray) -> np.ndarray:
-        ts = np.atleast_1d(ts)
-        idx = np.clip(np.searchsorted(edges, ts, side="right") - 1,
-                      0, ODE_SEGMENTS_PER_PERIOD - 1)
-        out = np.empty((len(ts), 3 * m), complex)
-        for i, (t, k) in enumerate(zip(ts, idx)):
-            out[i] = solutions[k](min(t, t_period))
-        return out
-
-    y_end = frame_at(np.array([t_period]))[0]
-    gamma_end = y_end[:m]
-    phase = float(np.angle(np.vdot(gamma0, gamma_end)))
-    rot = np.exp(1j * phase)
-    defect = max(
-        np.linalg.norm(gamma_end - rot * gamma0),
-        np.linalg.norm(y_end[m:2 * m] - rot * xi0),
-        np.linalg.norm(y_end[2 * m:] - rot * eta0) if m >= 3 else 0.0,
-    )
+    frame_end = solutions[-1](t_period).reshape(3, m)
+    phase = float(np.angle(np.vdot(frame0[0], frame_end[0])))
+    defect = np.linalg.norm(frame_end - np.exp(1j * phase) * frame0, axis=1).max()
     q = _twist_denominator((phase / TWO_PI) % 1.0) if defect < MONODROMY_TOL else None
+    closed = q is not None
 
-    def gamma_direct(ts: np.ndarray) -> np.ndarray:
-        return frame_at(np.minimum(ts, t_period))[:, :m]
+    def gamma(ts: np.ndarray) -> np.ndarray:
+        # on the closed cover, the equivariant continuation gamma(t + T) =
+        # e^{i phase} gamma(t), exact for closed frames and drift-free; an
+        # open chart is the one period itself
+        wraps = np.floor(ts / t_period + 1e-12) if closed else 0.0
+        local = np.minimum(ts - wraps * t_period, t_period)
+        idx = np.clip(np.searchsorted(edges, local, side="right") - 1,
+                      0, ODE_SEGMENTS_PER_PERIOD - 1)
+        gam = np.array([solutions[k](t)[:m] for t, k in zip(local, idx)])
+        return np.exp(1j * phase * wraps)[:, None] * gam if closed else gam
 
-    def gamma_extended(ts: np.ndarray) -> np.ndarray:
-        # equivariant continuation gamma(t + T) = e^{i phase} gamma(t),
-        # exact for closed frames; keeps the covering chart drift-free
-        wraps = np.floor(ts / t_period + 1e-12)
-        local = ts - wraps * t_period
-        gam = frame_at(local)[:, :m]
-        return np.exp(1j * phase * wraps)[:, None] * gam
-
-    params = {
-        "mode": curve.mode,
-        "k1": None if callable(curve.k1) else float(curve.k1),
-        "k2": None if callable(curve.k2) else float(curve.k2),
-        "t_period": t_period,
-        "ambient_complex_dim": m,
-    }
-    chart = _hopf_chart(gamma_direct if q is None else gamma_extended, t_period, q,
-                        nu, nv, "hopf_from_curvature", params)
+    params = {"mode": "tabulated" if callable(k1) or callable(k2) else "constant_k1",
+              "k1": None if callable(k1) else float(k1), "k2": None if callable(k2) else float(k2),
+              "t_period": t_period, "ambient_complex_dim": m}
+    chart = _hopf_chart(gamma, t_period, q, nu, nv, "hopf_from_curvature", params)
     return HopfChartResult(chart, t_period, phase % TWO_PI)
 
 
-def remark_energy(curve_or_c, t_close: float) -> float:
-    """Closed-form Hopf-torus Willmore energy Int ((k1^2+k2^2)/4 + 1) dt dtheta."""
-    if isinstance(curve_or_c, CurveSpec):
-        ts = np.linspace(0.0, t_close, 4097)
-        vals = np.array(
-            [curve_or_c.k1_at(t) ** 2 + curve_or_c.k2_at(t) ** 2 for t in ts]
-        )
-        trapz = getattr(np, "trapezoid", None) or np.trapz
-        integral = trapz(vals / 4.0 + 1.0, ts)
-    else:
-        integral = (curve_or_c**2 / 4.0 + 1.0) * t_close
-    return float(TWO_PI * integral)
+def remark_energy(k1, t_close: float, k2=0.0) -> float:
+    """Hopf-torus Willmore energy 2 pi Int_0^T ((k1^2 + k2^2)/4 + 1) dt, by
+    the trapezoid rule on 4097 points; k1 and k2 are constants or callables
+    of arc length."""
+    k1_at, k2_at = _curvature_at(k1), _curvature_at(k2)
+    ts = np.linspace(0.0, t_close, 4097)
+    vals = np.array([k1_at(t) ** 2 + k2_at(t) ** 2 for t in ts])
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    return float(TWO_PI * trapz(vals / 4.0 + 1.0, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -447,54 +413,38 @@ def apply_mobius(chart: Chart, matrix: np.ndarray) -> Chart:
 # registry (CLI surface addressing)
 # ---------------------------------------------------------------------------
 
-def _build_homogeneous(nu, nv, lambdas, amps=None, t_window=None):
-    if amps is None:
-        amps = solve_cp2_amplitudes(lambdas)
-    return homogeneous_cp2_hopf(lambdas, amps, nu, nv, t_window=t_window)
-
-
-def _build_hopf(nu, nv, k1=0.0, k2=0.0, t_period=TWO_PI, ambient_complex_dim=2):
-    curve = CurveSpec(k1=k1, k2=k2, t_period=t_period,
-                      ambient_complex_dim=ambient_complex_dim)
-    return hopf_from_curvature(curve, nu, nv)
-
-
-GALLERY = {
-    "clifford": {
-        "build": clifford,
-        "params": {},
-    },
-    "round_sphere": {
-        "build": round_sphere,
-        "params": {"ambient_n": "int, target sphere (default 4)",
-                   "extent": "float, |u| range of the Mercator strip (default 2.5)"},
-    },
-    "pinkall_hopf_torus": {
-        "build": pinkall_hopf_torus,
-        "params": {"c": "float, constant curvature of the base curve"},
-    },
-    "hopf_from_curvature": {
-        "build": _build_hopf,
-        "params": {"k1": "float (default 0)", "k2": "float (default 0)",
-                   "t_period": "float (default 2*pi)",
-                   "ambient_complex_dim": "int (default 2; >= 3 when k2 != 0)"},
-    },
-    "homogeneous_cp2_hopf": {
-        "build": _build_homogeneous,
-        "params": {"lambdas": "list of 3 floats",
-                   "amps": "list of 3 floats (default: solved from the constraints)",
-                   "t_window": "float, force a non-periodic t window (default: closed cover)"},
-    },
-    "veronese": {
-        "build": veronese,
-        "params": {"extent": "float, |u| range of the Mercator strip (default 2.5)"},
-    },
-}
+# each builder by its name, with the keyword parameters a config may pass it
+GALLERY = {builder.__name__: params for builder, params in [
+    (clifford, {}),
+    (round_sphere, {"ambient_n": "int, target sphere (default 4)",
+                    "extent": "float, |u| range of the Mercator strip (default 2.5)"}),
+    (pinkall_hopf_torus, {"c": "float, constant curvature of the base curve"}),
+    (hopf_from_curvature, {"k1": "float (default 0)", "k2": "float (default 0)",
+                           "t_period": "float (default 2*pi)",
+                           "ambient_complex_dim": "int (default 2; >= 3 when k2 != 0)"}),
+    (homogeneous_cp2_hopf, {
+        "lambdas": "list of 3 floats",
+        "amps": "list of 3 floats (default: solved from the constraints)",
+        "t_window": "float, force a non-periodic t window (default: closed cover)"}),
+    (veronese, {"extent": "float, |u| range of the Mercator strip (default 2.5)"}),
+]}
 
 
 def build_surface(name: str, nu: int, nv: int, params: Optional[dict] = None) -> Chart:
-    """Construct a gallery chart by name; Hopf results are unwrapped."""
+    """Construct a gallery chart by name; Hopf results are unwrapped.
+
+    The builder is looked up by its name when called, so the function
+    bound at `wlab.gallery.<name>` is the one that runs.  A param value
+    that is a bool, a string or a JSON object, or a list holding one,
+    raises ValueError: none is a number the builder may coerce.
+    """
     if name not in GALLERY:
         raise KeyError(f"unknown gallery surface {name!r}; see `wlab gallery list`")
-    out = GALLERY[name]["build"](nu=nu, nv=nv, **(params or {}))
+    params = params or {}
+    for key, value in params.items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(item, (bool, str, dict)) for item in items):
+            raise ValueError(f"surface param {key!r} must be a number or a list of numbers, "
+                             f"not {value!r}")
+    out = globals()[name](nu=nu, nv=nv, **params)
     return out.chart if isinstance(out, HopfChartResult) else out

@@ -113,7 +113,7 @@ def k2_control_reports():
     amps = solve_cp2_amplitudes(lam)
 
     def run(n):
-        res = homogeneous_cp2_hopf(lam, amps, n, 24, t_window=4 * np.pi)
+        res = homogeneous_cp2_hopf(lam, n, 24, amps=amps, t_window=4 * np.pi)
         return analyze(res.chart)
 
     return {n: run(n) for n in (32, 64, 128, 256)}

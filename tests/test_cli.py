@@ -426,10 +426,20 @@ def test_non_positive_tolerance_is_a_value_error_in_the_library(value):
         analyze(clifford(16, 16), tolerances={"willmore": value})
 
 
-def test_wrong_param_type_is_chart_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, surface={"name": "pinkall_hopf_torus", "params": {"c": "abc"}})
+@pytest.mark.parametrize("surface", [
+    {"name": "pinkall_hopf_torus", "params": {"c": "abc"}},
+    # each below is a number to float() or np.asarray, yet no number in JSON
+    {"name": "pinkall_hopf_torus", "params": {"c": True}},
+    {"name": "hopf_from_curvature", "params": {"k1": "1"}},
+    {"name": "hopf_from_curvature", "params": {"k1": True}},
+    {"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1.0, "0.5", 2.0]}},
+    {"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1.0, True, 2.0]}},
+], ids=["c_abc", "c_true", "k1_string", "k1_true", "lambdas_string", "lambdas_true"])
+def test_wrong_param_type_is_chart_error(tmp_path, capsys, surface):
+    cfg = write_config(tmp_path, surface=surface, grid={"nu": 16, "nv": 16})
     assert main(["analyze", cfg]) == 3
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be a number" in err, err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
@@ -507,7 +517,7 @@ print([wlab.cli.main(argv) for argv in (
     ["analyze", hopf, "--out", out + "/hopf.json"],
     ["fields", hopf, "--out", out + "/hopf.csv"],
     ["convergence", hopf, "--sizes", "16,24,32", "--out", out + "/convergence.json"])])
-res = wlab.hopf_from_curvature(wlab.CurveSpec(k1=1.0, k2=0.5, ambient_complex_dim=3), 32, 16)
+res = wlab.hopf_from_curvature(32, 16, k1=1.0, k2=0.5, ambient_complex_dim=3)
 print(hashlib.sha256(res.chart.points.tobytes()).hexdigest(),
       repr(res.closing_period), repr(res.lift_monodromy_phase))
 print(sorted(m for m, mod in sys.modules.items() if mod and m.split(".")[0] == "scipy"))
@@ -543,7 +553,7 @@ JSON = st.recursive(
                                                                max_size=3),
     max_leaves=6,
 )
-PARAMS = sorted({param for entry in GALLERY.values() for param in entry["params"]})
+PARAMS = sorted({param for params in GALLERY.values() for param in params})
 # per key, arbitrary JSON or an object of the right shape with arbitrary parts
 NEAR_VALID = {
     "surface": st.fixed_dictionaries({"name": st.sampled_from(sorted(GALLERY)),

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from wlab import _dop853, gallery
 from wlab._dop853 import ATOL, MAX_STEPS, RTOL, dop853
-from wlab.gallery import TWO_PI, CurveSpec, hopf_from_curvature
+from wlab.gallery import TWO_PI, hopf_from_curvature
 
 
 def scipy_solution(rhs, t0, t1, y0):
@@ -77,12 +77,11 @@ def test_the_nonlinear_segment_takes_rejected_steps():
 
 C = 1.5
 CURVES = {
-    "benchmark_open": CurveSpec(k1=1.0, k2=0.5, ambient_complex_dim=3),
-    "closed_m2": CurveSpec(k1=C, t_period=TWO_PI / math.sqrt(C * C + 4)),
-    "geodesic": CurveSpec(k1=0.0, t_period=math.pi),
-    "k2_only": CurveSpec(k1=0.0, k2=0.5, t_period=4 * math.pi / math.sqrt(5),
-                         ambient_complex_dim=3),
-    "tabulated": CurveSpec(k1=lambda t: 1.0 + 0.3 * math.sin(t)),
+    "benchmark_open": dict(k1=1.0, k2=0.5, ambient_complex_dim=3),
+    "closed_m2": dict(k1=C, t_period=TWO_PI / math.sqrt(C * C + 4)),
+    "geodesic": dict(k1=0.0, t_period=math.pi),
+    "k2_only": dict(k1=0.0, k2=0.5, t_period=4 * math.pi / math.sqrt(5), ambient_complex_dim=3),
+    "tabulated": dict(k1=lambda t: 1.0 + 0.3 * math.sin(t)),
 }
 
 
@@ -90,11 +89,11 @@ CURVES = {
 def test_hopf_charts_match_the_scipy_path_within_a_hundredth_of_the_budget(name, monkeypatch):
     curve = CURVES[name]
     monkeypatch.setattr(gallery, "dop853", scipy_dop853)
-    ref = hopf_from_curvature(curve, 128, 64)
+    ref = hopf_from_curvature(128, 64, **curve)
     monkeypatch.undo()
     # every call of the chart fits in 1% of the step budget
     monkeypatch.setattr(_dop853, "MAX_STEPS", MAX_STEPS // 100)
-    res = hopf_from_curvature(curve, 128, 64)
+    res = hopf_from_curvature(128, 64, **curve)
     assert np.array_equal(res.chart.points, ref.chart.points)
     assert res.chart.spec == ref.chart.spec and res.chart.cover_count == ref.chart.cover_count
     assert np.array_equal(res.closing_period, ref.closing_period)
@@ -103,4 +102,4 @@ def test_hopf_charts_match_the_scipy_path_within_a_hundredth_of_the_budget(name,
 
 def test_a_curve_past_the_step_budget_fails_loudly():
     with pytest.raises(RuntimeError, match="frame ODE integration failed: more than"):
-        hopf_from_curvature(CurveSpec(k1=1e20), 16, 16)
+        hopf_from_curvature(16, 16, k1=1e20)

@@ -235,7 +235,7 @@ def test_frame_relations_hopf_charts():
     lam = [2.0, -1.0, 0.25]
     for chart in (
         pinkall_hopf_torus(1.5, 80, 32).chart,
-        homogeneous_cp2_hopf(lam, solve_cp2_amplitudes(lam), 96, 24).chart,
+        homogeneous_cp2_hopf(lam, 96, 24, amps=solve_cp2_amplitudes(lam)).chart,
     ):
         res = frame_residuals(build_frame(chart))
         for name, val in res.items():

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from wlab import gallery
 from wlab.calculus import diff_u, diff_v
 from wlab.diagnostics import analyze, flat_normal_residual
 from wlab.frame import build_frame, validate_chart
 from wlab.gallery import (
     GALLERY,
-    CurveSpec,
     apply_mobius,
+    build_surface,
     clifford,
     homogeneous_cp2_hopf,
     hopf_from_curvature,
@@ -43,8 +44,8 @@ def test_all_gallery_charts_validate():
         round_sphere(64, 24),
         veronese(64, 24),
         pinkall_hopf_torus(1.5, 80, 32).chart,
-        homogeneous_cp2_hopf([2.0, -1.0, 0.25], solve_cp2_amplitudes([2.0, -1.0, 0.25]),
-                             96, 24).chart,
+        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 96, 24,
+                             amps=solve_cp2_amplitudes([2.0, -1.0, 0.25])).chart,
     ]
     for ch in charts:
         validate_chart(ch)
@@ -115,8 +116,7 @@ def test_frame_ode_matches_closed_form():
     l1, l2 = (c + disc) / 2, (c - disc) / 2
     a1, a2 = math.sqrt(-l2 / (l1 - l2)), math.sqrt(l1 / (l1 - l2))
     t_close = TWO_PI / (l1 - l2)
-    curve = CurveSpec(k1=c, k2=0.0, t_period=t_close, ambient_complex_dim=2)
-    res = hopf_from_curvature(curve, 80, 32)
+    res = hopf_from_curvature(80, 32, k1=c, k2=0.0, t_period=t_close, ambient_complex_dim=2)
     ref = pinkall_hopf_torus(c, 80, 32)
     assert res.closed and res.chart.cover_count == ref.chart.cover_count
     # the ODE starts at gamma = e_1, xi = e_2; the unitary whose rows are the
@@ -129,8 +129,7 @@ def test_frame_ode_matches_closed_form():
 
 
 def test_frame_ode_geodesic_gives_clifford_invariants():
-    curve = CurveSpec(k1=0.0, k2=0.0, t_period=np.pi, ambient_complex_dim=2)
-    res = hopf_from_curvature(curve, 48, 48)
+    res = hopf_from_curvature(48, 48, k1=0.0, k2=0.0, t_period=np.pi, ambient_complex_dim=2)
     assert res.closed and res.chart.cover_count == 2
     rep = analyze(res.chart)
     assert rep.passed
@@ -139,34 +138,40 @@ def test_frame_ode_geodesic_gives_clifford_invariants():
 
 def test_frame_ode_k2_surface_is_not_flat():
     t_close = 4 * np.pi / math.sqrt(5.0)
-    curve = CurveSpec(k1=0.0, k2=0.5, t_period=t_close, ambient_complex_dim=3)
-    res = hopf_from_curvature(curve, 64, 32)
+    res = hopf_from_curvature(64, 32, k1=0.0, k2=0.5, t_period=t_close, ambient_complex_dim=3)
     assert res.closed and res.chart.cover_count == 1
     frame = build_frame(res.chart)
     inv = hopf_schwarzian(frame)
     live = frame.mask & ~inv.umbilic_mask
     assert flat_normal_residual(inv)[live].min() > 1e-2
     w = willmore_energy_conformal(inv)
-    assert w == pytest.approx(remark_energy(curve, t_close), rel=1e-5)
+    assert w == pytest.approx(remark_energy(0.0, t_close, k2=0.5), rel=1e-5)
 
 
 def test_frame_ode_requires_room_for_k2():
     with pytest.raises(ValueError):
-        hopf_from_curvature(CurveSpec(k1=0.0, k2=0.5, ambient_complex_dim=2), 32, 32)
+        hopf_from_curvature(32, 32, k1=0.0, k2=0.5, ambient_complex_dim=2)
 
 
-def test_curve_spec_validation():
+def test_curvature_builder_validation():
+    for t_period in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_period"):
+            hopf_from_curvature(16, 16, k1=0.0, t_period=t_period)
     with pytest.raises(ValueError):
-        CurveSpec(k1=0.0, t_period=-1.0)
-    with pytest.raises(ValueError):
-        CurveSpec(k1=lambda t: math.nan, t_period=2.0)
+        hopf_from_curvature(16, 16, k1=lambda t: math.nan, t_period=2.0)
+
+
+def test_remark_energy_of_a_constant_is_the_trapezoid_value_of_a_callable():
+    t_close = 4 * np.pi / math.sqrt(5.0)
+    assert remark_energy(0.0, t_close, k2=0.5) == pytest.approx(
+        remark_energy(0.0, t_close, k2=lambda t: 0.5), rel=1e-14, abs=0)
 
 
 # --- homogeneous CP^2 family -------------------------------------------------
 
 def test_homogeneous_constraint_validation():
     with pytest.raises(ValueError):
-        homogeneous_cp2_hopf([2.0, -1.0, 0.25], [0.5, 0.5, 0.5], 32, 32)
+        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 32, 32, amps=[0.5, 0.5, 0.5])
 
 
 def test_homogeneous_amplitude_solver():
@@ -183,7 +188,7 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
     # the (2, -1/2) pinkall pair with zero third amplitude satisfies the
     # constraints for any third frequency and reproduces the same invariants
     amps = np.array([math.sqrt(0.2), math.sqrt(0.8), 0.0])
-    res = homogeneous_cp2_hopf([2.0, -0.5, 0.3], amps, 80, 32)
+    res = homogeneous_cp2_hopf([2.0, -0.5, 0.3], 80, 32, amps=amps)
     ref = pinkall_hopf_torus(1.5, 80, 32)
     rep = analyze(res.chart)
     ref_rep = analyze(ref.chart)
@@ -195,7 +200,7 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
 
 def test_homogeneous_generic_triple_not_flat():
     lam = [2.0, -1.0, 0.25]
-    res = homogeneous_cp2_hopf(lam, solve_cp2_amplitudes(lam), 96, 24)
+    res = homogeneous_cp2_hopf(lam, 96, 24, amps=solve_cp2_amplitudes(lam))
     assert res.closed
     assert res.closing_period == pytest.approx(8 * np.pi, rel=1e-12)
     frame = build_frame(res.chart)
@@ -217,8 +222,7 @@ def test_homogeneous_generic_triple_not_flat():
 
 def test_homogeneous_window_chart_is_fd():
     lam = [0.0, math.sqrt(5) / 2, -math.sqrt(5) / 2]
-    res = homogeneous_cp2_hopf(lam, solve_cp2_amplitudes(lam), 48, 24,
-                               t_window=4 * np.pi)
+    res = homogeneous_cp2_hopf(lam, 48, 24, amps=solve_cp2_amplitudes(lam), t_window=4 * np.pi)
     assert not res.chart.spec.periodic_u
     validate_chart(res.chart)
 
@@ -281,6 +285,15 @@ def test_inclusion_dimension_check():
 def test_gallery_params_are_the_builder_keywords():
     # `build_surface` passes a config's params to the builder as keywords, and
     # the CLI accepts exactly the documented ones
-    for name, entry in GALLERY.items():
-        keywords = set(inspect.signature(entry["build"]).parameters) - {"nu", "nv"}
-        assert set(entry["params"]) == keywords, name
+    for name, params in GALLERY.items():
+        keywords = set(inspect.signature(getattr(gallery, name)).parameters) - {"nu", "nv"}
+        assert set(params) == keywords, name
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_build_surface_calls_the_builder_bound_at_its_name(name, monkeypatch):
+    chart = clifford(8, 8)
+    calls = []
+    monkeypatch.setattr(gallery, name, lambda **kwargs: calls.append(kwargs) or chart)
+    assert build_surface(name, 8, 9, {"t_window": 2.0}) is chart
+    assert calls == [{"nu": 8, "nv": 9, "t_window": 2.0}]

@@ -1,4 +1,4 @@
-"""Ambient symmetries as properties: rotations of R^{n+1} and inclusion.
+"""Conformal symmetries as properties: rotations, inclusion and Möbius maps.
 
 An O(n+1) rotation (or reflection) of R^{n+1} is an isometry of S^n, and
 zero-padding a chart into S^m, m > n, changes neither its intrinsic nor its
@@ -6,6 +6,12 @@ conformal geometry.  Neither moves the surface, so every verdict and rank
 is equal and the conformal Willmore energy agrees to roundoff.  The
 Euclidean cross-check is not yet invariant: its stereographic pole is
 searched in fixed coordinates (ROADMAP item 13).
+
+A Möbius map of S^n moves the surface but not its conformal geometry: at
+magnitudes the grid resolves, every verdict, both ranks and W_conformal
+are those of the untransformed chart.  On the CP^2 torus the
+`omega_holomorphy` verdict is not yet invariant: `six_form_scalar` pairs
+kappa and D_zbar kappa with the Euclidean dot.
 """
 
 import dataclasses
@@ -17,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlab.diagnostics import analyze
-from wlab.gallery import (build_surface, clifford, include_in_higher_sphere, pinkall_hopf_torus,
-                          veronese)
+from wlab.gallery import (apply_mobius, build_surface, clifford, include_in_higher_sphere,
+                          pinkall_hopf_torus, veronese)
+from wlab.lorentz import random_mobius
 
 CHARTS = {
     "clifford_48": lambda: clifford(48, 48),
@@ -81,3 +88,53 @@ def test_rotation_and_inclusion_keep_the_euclidean_energy():
         got = analyze(moved(name, seed, extra)).energies["W_euclidean"]
         moves[name, seed, extra] = abs(got / reference(name).energies["W_euclidean"] - 1.0)
     assert max(moves.values()) <= 1e-12, moves
+
+
+# chart -> the largest Möbius magnitude its grid resolves: smaller grids reject
+# some images as not conformal, and Clifford 64^2 at magnitude 1 flips verdicts
+MOBIUS_CHARTS = {
+    "clifford_64": (lambda: clifford(64, 64), 0.5),
+    "cp2_96x48": (lambda: build_surface("homogeneous_cp2_hopf", 96, 48,
+                                        {"lambdas": [-1.0, 0.5, 2.0]}), 0.3),
+}
+
+
+@lru_cache(maxsize=None)
+def mobius_report(name, seed=None, magnitude=0.0):
+    """The report of the chart, or of its image under random_mobius(n, seed, magnitude)."""
+    chart = MOBIUS_CHARTS[name][0]()
+    if seed is not None:
+        chart = apply_mobius(chart, random_mobius(chart.ambient_n, seed, magnitude))
+    return analyze(chart)
+
+
+def verdicts(report, skip=()):
+    return [(e.name, e.verdict) for e in report.entries if e.name not in skip]
+
+
+@settings(max_examples=8)
+@given(name=st.sampled_from(sorted(MOBIUS_CHARTS)), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.0, 1.0))
+@example(name="clifford_64", seed=0, fraction=1.0)
+@example(name="cp2_96x48", seed=1, fraction=1.0)
+def test_mobius_maps_keep_verdicts_ranks_and_the_conformal_energy(name, seed, fraction):
+    ref = mobius_report(name)
+    rep = mobius_report(name, seed, fraction * MOBIUS_CHARTS[name][1])
+    # the CP^2 omega_holomorphy verdict is the strict xfail below
+    skip = {"omega_holomorphy"} if name == "cp2_96x48" else set()
+    assert verdicts(rep, skip) == verdicts(ref, skip)
+    assert rep.ranks == ref.ranks
+    # over 120 random draws it moved at most 4.0e-15 on Clifford and 3.3e-14 on CP^2
+    assert rep.energies["W_conformal"] == pytest.approx(ref.energies["W_conformal"],
+                                                        rel=1e-13, abs=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="six_form_scalar pairs kappa and D_zbar kappa with the Euclidean "
+                   "dot, so a Möbius map moves the omega_holomorphy L_inf from 1e-12 to "
+                   "above 6e-4 and its verdict from pass to fail")
+def test_mobius_maps_keep_the_cp2_omega_holomorphy_verdict():
+    ref = mobius_report("cp2_96x48").entry("omega_holomorphy")
+    rep = mobius_report("cp2_96x48", 1, 0.3).entry("omega_holomorphy")
+    assert ref.verdict == "pass"
+    assert rep.verdict == ref.verdict, (ref.L_inf, rep.L_inf)
