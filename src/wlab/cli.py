@@ -249,8 +249,8 @@ def cmd_convergence(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         sizes = []
-    if len(set(sizes)) < 3 or min(sizes) < 8:
-        raise ConfigError("--sizes must list at least 3 distinct integers >= 8")
+    if len(sizes) < 3 or len(set(sizes)) < len(sizes) or min(sizes) < 8:
+        raise ConfigError("--sizes must list at least 3 integers >= 8, none repeated")
 
     reports = [run_analysis(cfg, n, n) for n in sizes]
 

@@ -96,8 +96,7 @@ def convergence_L_inf(report: "DiagnosticsReport", key: str) -> float:
     one-sided-stencil pollution band excluded entirely.
     """
     mask = report.masks[key] & report.spec.interior_mask(CONVERGENCE_MARGIN)
-    vals = np.abs(report.fields[key])[mask]
-    return float(vals.max()) if vals.size else math.nan
+    return field_norms(report.fields[key], report.spec, mask)[0]
 
 
 def willmore_residual(willmore_vector: np.ndarray) -> np.ndarray:

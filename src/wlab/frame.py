@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_z, wirtinger
-from .lorentz import mink_inner, signature
+from .lorentz import herm_norm_sq, mink_inner, signature
 from .parallel import BLOCK_POINTS, split
 
 UNIT_TOL = 1e-12
@@ -143,7 +143,7 @@ def _checked_lift(chart: Chart):
     on the mask and the ratio is within the spectral or FD tolerance."""
     y0 = light_cone_lift(chart)
     y0_z = diff_z(y0, chart.spec)
-    rho = mink_inner(y0_z, np.conj(y0_z)).real
+    rho = herm_norm_sq(y0_z)
     live = rho > DEGENERATE_METRIC_TOL
     if not (chart.mask & live).any():
         raise ChartError("chart metric is degenerate everywhere")

@@ -18,7 +18,9 @@ One closure rule gives q, the denominator of phi / 2pi, or None for an
 open curve or an irrational twist; one cover rule (`_hopf_chart`) builds
 the q-fold cover, recorded in Chart.cover_count so integrated energies
 stay per-torus, or for q = None a single non-periodic quasi-period
-(closed=False).  A Pinkall torus is the two-frequency homogeneous lift.
+(closed=False).  One checked construction builds the homogeneous lifts
+gamma(t) = (a_k e^{i l_k t})_k: Pinkall tori from two frequencies, with
+l1 l2 = -1, and tori over CP^2 from three.
 
 Each builder takes the grid size (nu, nv) and its surface parameters as
 keywords, and these keywords are the parameters' one name: GALLERY maps
@@ -184,12 +186,36 @@ def _hopf_chart(
     return Chart(spec, _realify(x), cover_count=q or 1, name=name, params=params)
 
 
-def _homogeneous_lift(
-    lam: np.ndarray, a: np.ndarray, nu: int, nv: int, name: str, params: dict,
-    t_window: Optional[float] = None,
-) -> HopfChartResult:
-    """gamma(t) = (a_k e^{i l_k t})_k on its closing cover, or on the
-    non-periodic window [0, t_window] when one is given."""
+def solve_amplitudes(lambdas) -> np.ndarray:
+    """Amplitudes of a homogeneous lift with two or three frequencies: the
+    roots of the Vandermonde solve of sum a^2 (1, l, l^2) = (1, 0, 1), its
+    first two rows for two frequencies; raises if any a^2 is negative."""
+    lam = np.asarray(lambdas, dtype=float)
+    n = len(lam)
+    vand = np.vstack([np.ones(n), lam, lam * lam])[:n]
+    asq = np.linalg.solve(vand, np.array([1.0, 0.0, 1.0])[:n])
+    if np.any(asq < -1e-12):
+        raise ValueError(f"frequencies {lam.tolist()} admit no horizontal unit-speed lift")
+    return np.sqrt(np.maximum(asq, 0.0))
+
+
+def _homogeneous_lift(n: int, lambdas, amps, nu: int, nv: int, name: str, params_of: Callable,
+                      t_window: Optional[float] = None) -> HopfChartResult:
+    """gamma(t) = (a_k e^{i l_k t})_k with n = 2 or 3 frequencies, on its
+    closing cover or on the non-periodic window [0, t_window] when one is
+    given.  The amplitudes default to `solve_amplitudes(lambdas)`; the
+    sphere, horizontality and unit-speed constraints must hold to 1e-12.
+    `params_of(lam, a)` gives the chart's params, quoted by that check."""
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.shape != (n,) or (amps is not None and np.shape(amps) != (n,)):
+        raise ValueError(f"need exactly {('two', 'three')[n - 2]} frequencies and amplitudes")
+    a = solve_amplitudes(lam) if amps is None else np.asarray(amps, dtype=float)
+    asq = a * a
+    defects = np.abs([asq.sum() - 1.0, (asq * lam).sum(), (asq * lam * lam).sum() - 1.0])
+    params = params_of(lam, a)
+    if not defects.max() <= 1e-12:  # written so that a NaN fails it
+        raise ValueError(f"{name} {params} admits no horizontal unit-speed lift: "
+                         f"(sphere, horizontality, speed) defects {defects.tolist()}")
     t_close, phase, q = _multi_frequency_closure(lam[np.abs(a) > 0])
 
     def gamma(t):
@@ -205,22 +231,22 @@ def _homogeneous_lift(
 def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
     """Hopf surface over the constant-curvature curve k1 = c, k2 = 0 in CP^1.
 
-    Closed form: gamma(t) = (a1 e^{i l1 t}, a2 e^{i l2 t}) with l^2 - c l -
-    1 = 0, a1^2 l1 + a2^2 l2 = 0 (horizontality) and a1^2 + a2^2 = 1; unit
-    speed a1^2 l1^2 + a2^2 l2^2 = 1 then holds automatically.  The curve
+    The two-frequency homogeneous lift gamma(t) = (a1 e^{i l1 t}, a2 e^{i
+    l2 t}), l1 > l2 the roots of l^2 - c l - 1 = 0.  The root of larger
+    magnitude comes from the quadratic formula, where it has no
+    cancellation, and the other from l1 l2 = -1, which also makes unit
+    speed follow from the sphere and horizontality constraints.  The curve
     closes at T = 2 pi / (l1 - l2) with monodromy phase 2 pi l1 / (l1 -
     l2); the chart covers t in [0, qT) with q the twist denominator.  The
     image is the product torus with radii (a1, a2); c = 0 is the Clifford
     torus in arc-length coordinates.
     """
-    disc = math.sqrt(c * c + 4.0)
-    l1 = 0.5 * (c + disc)
-    l2 = 0.5 * (c - disc)
-    a1 = math.sqrt(-l2 / (l1 - l2))
-    a2 = math.sqrt(l1 / (l1 - l2))
-    params = {"c": c, "lambda1": l1, "lambda2": l2, "a1_sq": a1 * a1, "a2_sq": a2 * a2}
-    return _homogeneous_lift(np.array([l1, l2]), np.array([a1, a2]), nu, nv,
-                             "pinkall_hopf_torus", params)
+    big = 0.5 * (c + math.copysign(math.hypot(c, 2.0), c))  # hypot: no overflow of c^2
+    l1, l2 = (big, -1.0 / big) if big > 0 else (-1.0 / big, big)
+    return _homogeneous_lift(
+        2, [l1, l2], None, nu, nv, "pinkall_hopf_torus",
+        lambda lam, a: {"c": c, "lambda1": l1, "lambda2": l2,
+                        "a1_sq": float(a[0] * a[0]), "a2_sq": float(a[1] * a[1])})
 
 
 def homogeneous_cp2_hopf(
@@ -230,47 +256,15 @@ def homogeneous_cp2_hopf(
 
     gamma(t) = (a1 e^{i l1 t}, a2 e^{i l2 t}, a3 e^{i l3 t}) subject to
     sum a^2 = 1 (sphere), sum a^2 l = 0 (horizontality), sum a^2 l^2 = 1
-    (unit speed), validated to 1e-12; `amps` defaults to the solution of
-    these constraints (`solve_cp2_amplitudes`).  Genuinely
-    three-frequency data has k2 != 0 and therefore a non-flat normal
-    bundle.
+    (unit speed); `amps` defaults to their solution.  Genuinely
+    three-frequency data has k2 != 0 and so a non-flat normal bundle.
 
     `t_window` forces a non-periodic chart over [0, t_window] instead of
     the closed covering grid; the analytic evaluation makes this the
     clean control for finite-difference refinement studies.
     """
-    if amps is None:
-        amps = solve_cp2_amplitudes(lambdas)
-    lam = np.asarray(lambdas, dtype=float)
-    a = np.asarray(amps, dtype=float)
-    if lam.shape != (3,) or a.shape != (3,):
-        raise ValueError("need exactly three frequencies and amplitudes")
-    asq = a * a
-    defects = (
-        abs(asq.sum() - 1.0),
-        abs((asq * lam).sum()),
-        abs((asq * lam * lam).sum() - 1.0),
-    )
-    if max(defects) > 1e-12:
-        raise ValueError(
-            f"constraint violation (norm, horizontality, speed) = {defects}"
-        )
-    params = {"lambdas": lam.tolist(), "amps": a.tolist()}
-    return _homogeneous_lift(lam, a, nu, nv, "homogeneous_cp2_hopf", params, t_window)
-
-
-def solve_cp2_amplitudes(lambdas) -> np.ndarray:
-    """Amplitudes for a homogeneous CP^2 Hopf lift with given frequencies.
-
-    Solves the Vandermonde system sum a^2 (1, l, l^2) = (1, 0, 1) and
-    takes square roots; raises if any squared amplitude is negative.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    vand = np.vstack([np.ones(3), lam, lam * lam])
-    asq = np.linalg.solve(vand, np.array([1.0, 0.0, 1.0]))
-    if np.any(asq < -1e-12):
-        raise ValueError(f"frequencies {lam.tolist()} admit no horizontal unit-speed lift")
-    return np.sqrt(np.maximum(asq, 0.0))
+    return _homogeneous_lift(3, lambdas, amps, nu, nv, "homogeneous_cp2_hopf",
+                             lambda lam, a: {"lambdas": lam.tolist(), "amps": a.tolist()}, t_window)
 
 
 def _curvature_at(k):
@@ -313,21 +307,20 @@ def hopf_from_curvature(nu: int, nv: int, k1=0.0, k2=0.0, t_period: float = TWO_
         return np.concatenate([xi, k1_at(t) * 1j * xi + k2_at(t) * eta - g, -k2_at(t) * xi])
 
     def reproject(y):
-        g, xi, eta = y[:m].copy(), y[m:2 * m].copy(), y[2 * m:].copy()
-        g /= np.linalg.norm(g)
-        for w in (g, 1j * g):
-            xi -= np.vdot(w, xi).real * w
-        drift = abs(np.linalg.norm(xi) - 1.0)
-        if drift > FRAME_DRIFT_ABORT:
-            raise RuntimeError(
-                f"frame degeneracy: |xi| drifted by {drift:.3e} in one segment"
-            )
-        xi /= np.linalg.norm(xi)
-        if np.linalg.norm(eta) > 0:
-            for w in (g, 1j * g, xi, 1j * xi):
-                eta -= np.vdot(w, eta).real * w
-            eta /= np.linalg.norm(eta)
-        return np.concatenate([g, xi, eta])
+        # Gram-Schmidt over the rows (gamma, xi, eta): each loses its part in
+        # the real span of the rows before it and i times them, then is made
+        # unit.  |xi| is the drift witness: eta is 0 or roundoff when m = 2
+        rows = y.reshape(3, m).copy()
+        for k, row in enumerate(rows):
+            for w in rows[:k]:
+                for v in (w, 1j * w):
+                    row -= np.vdot(v, row).real * v
+            size = np.linalg.norm(row)
+            if k == 1 and abs(size - 1.0) > FRAME_DRIFT_ABORT:
+                raise RuntimeError(f"frame degeneracy: |xi| drifted by {abs(size - 1.0):.3e} "
+                                   "in one segment")
+            row /= size or 1.0
+        return rows.ravel()
 
     y = frame0.flatten()
     edges = np.linspace(0.0, t_period, ODE_SEGMENTS_PER_PERIOD + 1)
@@ -371,8 +364,7 @@ def remark_energy(k1, t_close: float, k2=0.0) -> float:
     k1_at, k2_at = _curvature_at(k1), _curvature_at(k2)
     ts = np.linspace(0.0, t_close, 4097)
     vals = np.array([k1_at(t) ** 2 + k2_at(t) ** 2 for t in ts])
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    return float(TWO_PI * trapz(vals / 4.0 + 1.0, ts))
+    return float(TWO_PI * np.trapezoid(vals / 4.0 + 1.0, ts))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import GridSpec, diff_real, integrate, wirtinger
 from .frame import Chart, FrameField, normal_project
-from .lorentz import herm_norm, mink_inner
+from .lorentz import herm_norm, herm_norm_sq, mink_inner
 from .parallel import BLOCK_POINTS, split
 
 UMBILIC_REL_TOL = 1e-10
@@ -67,21 +67,20 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
     """
     kappa, m = frame.kappa, frame.mask
     kk = mink_inner(kappa, kappa)
-    pair, s = np.empty(m.shape, dtype=complex), np.empty(m.shape, dtype=complex)
+    kk_bar, s = np.empty(m.shape), np.empty(m.shape, dtype=complex)
     decomp, tang = np.empty(m.shape), np.empty(m.shape)
 
     def part(lo, hi):  # no conjugate of kappa, N or defect term is a whole field
         rows = slice(lo, hi)
         kap, y_zz, y_z, y = kappa[rows], frame.Y_zz[rows], frame.Y_z[rows], frame.Y[rows]
-        pair[rows] = mink_inner(kap, np.conj(kap))
+        kk_bar[rows] = herm_norm_sq(kap)
         s[rows] = 2.0 * mink_inner(y_zz, 2.0 * frame.Y_zzbar[rows]
-                                   + 2.0 * pair[rows].real[..., None] * y)  # <Y_zz, N>
+                                   + 2.0 * kk_bar[rows][..., None] * y)  # <Y_zz, N>
         decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * y + kap))
         tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
                                 np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
 
     split(part, m.shape[0], max(1, BLOCK_POINTS // m.shape[1]))
-    kk_bar = pair.real
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
     theta, theta_ok = unwrap_half_phase(kk, frame.spec)
 

@@ -29,7 +29,7 @@ from wlab.gallery import (
     pinkall_hopf_torus,
     remark_energy,
     round_sphere,
-    solve_cp2_amplitudes,
+    solve_amplitudes,
     veronese,
 )
 from wlab.lorentz import random_mobius
@@ -110,7 +110,7 @@ def test_criterion_03_pinkall_torus_closed_form(pinkall_report):
 @pytest.fixture(scope="module")
 def k2_control_reports():
     lam = [0.0, math.sqrt(5) / 2, -math.sqrt(5) / 2]
-    amps = solve_cp2_amplitudes(lam)
+    amps = solve_amplitudes(lam)
 
     def run(n):
         res = homogeneous_cp2_hopf(lam, n, 24, amps=amps, t_window=4 * np.pi)

@@ -207,7 +207,8 @@ def test_convergence_bad_sizes(tmp_path):
     assert main(["convergence", cfg, "--sizes", "16,32"]) == 2
 
 
-@pytest.mark.parametrize("sizes", ["4,5,6", "16,24,-32", "16,16,16"])
+# a repeated size would be analyzed twice and weigh the fitted order twice
+@pytest.mark.parametrize("sizes", ["4,5,6", "16,24,-32", "16,16,16", "16,16,24,32"])
 def test_convergence_sizes_below_8_or_not_distinct_exit_2(tmp_path, capsys, sizes):
     cfg = write_config(tmp_path)
     assert main(["convergence", cfg, "--sizes", sizes]) == 2
@@ -440,6 +441,19 @@ def test_wrong_param_type_is_chart_error(tmp_path, capsys, surface):
     assert main(["analyze", cfg]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "must be a number" in err, err
+
+
+@pytest.mark.parametrize("surface, name", [
+    ('{"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1, 0.5, 1e400]}}', "'lambdas'"),
+    ('{"name": "pinkall_hopf_torus", "params": {"c": 1e400}}', "'c': inf"),
+], ids=["lambdas_inf", "c_inf"])
+def test_a_param_that_parses_to_inf_is_chart_error(tmp_path, capsys, surface, name):
+    # JSON's 1e400 parses to inf, whose lift fails its constraint check
+    path = tmp_path / "cfg.json"
+    path.write_text('{"surface": %s, "grid": {"nu": 16, "nv": 16}}' % surface)
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "IndexError" not in err and name in err, err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])

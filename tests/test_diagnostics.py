@@ -34,7 +34,7 @@ from wlab.gallery import (
     homogeneous_cp2_hopf,
     include_in_higher_sphere,
     round_sphere,
-    solve_cp2_amplitudes,
+    solve_amplitudes,
     veronese,
 )
 from wlab.invariants import hopf_schwarzian
@@ -216,7 +216,7 @@ def test_six_form_clifford(clifford_data, clifford_jet):
 def test_six_form_is_mobius_invariant():
     # the CP^2 lift is full in S^5; W_conformal holds to 1e-11 under this map
     lam = [-1.0, 0.5, 2.0]
-    chart = homogeneous_cp2_hopf(lam, 96, 48, amps=solve_cp2_amplitudes(lam)).chart
+    chart = homogeneous_cp2_hopf(lam, 96, 48, amps=solve_amplitudes(lam)).chart
     moved = apply_mobius(chart, random_mobius(5, 1, 0.3))
     base = analyze(chart)
     image = analyze(moved)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wlab import gallery
 from wlab.calculus import diff_u, diff_v
@@ -19,7 +21,7 @@ from wlab.gallery import (
     pinkall_hopf_torus,
     remark_energy,
     round_sphere,
-    solve_cp2_amplitudes,
+    solve_amplitudes,
     veronese,
 )
 from wlab.invariants import hopf_schwarzian, willmore_energy_conformal
@@ -45,7 +47,7 @@ def test_all_gallery_charts_validate():
         veronese(64, 24),
         pinkall_hopf_torus(1.5, 80, 32).chart,
         homogeneous_cp2_hopf([2.0, -1.0, 0.25], 96, 24,
-                             amps=solve_cp2_amplitudes([2.0, -1.0, 0.25])).chart,
+                             amps=solve_amplitudes([2.0, -1.0, 0.25])).chart,
     ]
     for ch in charts:
         validate_chart(ch)
@@ -91,6 +93,26 @@ def test_pinkall_three_halves_closed_form():
     assert p["lambda2"] == pytest.approx(-0.5, rel=1e-15)
     assert p["a1_sq"] == pytest.approx(0.2, rel=1e-14)
     assert p["a2_sq"] == pytest.approx(0.8, rel=1e-14)
+
+
+@given(c=st.floats(-1e5, 1e5))
+@example(c=10.0)  # the old closed form gave l1 l2 + 1 = 3.4e-15 here
+@example(c=-1e5)
+def test_pinkall_roots_have_product_minus_one_and_satisfy_the_constraints(c):
+    p = pinkall_hopf_torus(c, 8, 8).chart.params
+    l1, l2, a1_sq, a2_sq = p["lambda1"], p["lambda2"], p["a1_sq"], p["a2_sq"]
+    assert l1 > l2 and l1 * l1 - c * l1 - 1 == pytest.approx(0, abs=2e-15 * max(1, l1 * l1))
+    assert abs(l1 * l2 + 1) <= 4.5e-16
+    assert abs(a1_sq + a2_sq - 1) <= 1e-14  # sphere
+    assert abs(a1_sq * l1 + a2_sq * l2) <= 1e-14  # horizontality
+    assert abs(a1_sq * l1 * l1 + a2_sq * l2 * l2 - 1) <= 1e-14  # unit speed
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, 1e200])
+def test_pinkall_without_a_lift_names_c(c):
+    with pytest.raises(ValueError, match=r"pinkall_hopf_torus \{'c': "):
+        pinkall_hopf_torus(c, 8, 8)
 
 
 def test_pinkall_irrational_twist_reports_open():
@@ -175,13 +197,39 @@ def test_homogeneous_constraint_validation():
 
 
 def test_homogeneous_amplitude_solver():
-    amps = solve_cp2_amplitudes([2.0, -1.0, 0.25])
+    amps = solve_amplitudes([2.0, -1.0, 0.25])
     asq = amps**2
     lam = np.array([2.0, -1.0, 0.25])
     assert asq.sum() == pytest.approx(1.0, abs=1e-14)
     assert (asq * lam).sum() == pytest.approx(0.0, abs=1e-14)
     assert (asq * lam**2).sum() == pytest.approx(1.0, abs=1e-14)
     assert (asq > 0).all()
+
+
+def test_solve_amplitudes_on_two_frequencies():
+    for l1 in (2.0, 1.0, 1e-3, 1e5):
+        l2 = -1.0 / l1
+        asq = solve_amplitudes([l1, l2]) ** 2
+        assert asq == pytest.approx([-l2 / (l1 - l2), l1 / (l1 - l2)], rel=1e-15)
+        # sphere, horizontality, and unit speed from l1 l2 = -1
+        assert asq.sum() == pytest.approx(1.0, abs=1e-15)
+        assert (asq * [l1, l2]).sum() == pytest.approx(0.0, abs=1e-15 * l1)
+        assert (asq * [l1 * l1, l2 * l2]).sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_homogeneous_cp2_needs_three_frequencies():
+    # the shape is checked before the amplitudes are solved
+    with pytest.raises(ValueError, match="need exactly three frequencies"):
+        homogeneous_cp2_hopf([2.0, -0.5], 32, 32)
+    with pytest.raises(ValueError, match="need exactly three frequencies"):
+        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 32, 32, amps=[0.5, 0.5])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+def test_homogeneous_non_finite_lift_is_rejected(bad):
+    with pytest.raises(ValueError, match=r"homogeneous_cp2_hopf \{'lambdas': \[-1.0, 0.5, "):
+        homogeneous_cp2_hopf([-1.0, 0.5, bad], 32, 32)
 
 
 def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
@@ -200,7 +248,7 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
 
 def test_homogeneous_generic_triple_not_flat():
     lam = [2.0, -1.0, 0.25]
-    res = homogeneous_cp2_hopf(lam, 96, 24, amps=solve_cp2_amplitudes(lam))
+    res = homogeneous_cp2_hopf(lam, 96, 24, amps=solve_amplitudes(lam))
     assert res.closed
     assert res.closing_period == pytest.approx(8 * np.pi, rel=1e-12)
     frame = build_frame(res.chart)
@@ -208,7 +256,7 @@ def test_homogeneous_generic_triple_not_flat():
     live = frame.mask & ~inv.umbilic_mask
     assert flat_normal_residual(inv)[live].min() > 1e-3
     # closed-form energy: W = ((k1^2 + k2^2)/4 + 1) T 2 pi
-    asq = solve_cp2_amplitudes(lam) ** 2
+    asq = solve_amplitudes(lam) ** 2
     k1 = float((asq * np.array(lam) ** 3).sum())
     k2_sq = float((asq * np.array(lam) ** 4).sum()) - k1**2 - 1.0
     w_expected = ((k1**2 + k2_sq) / 4 + 1) * res.closing_period * TWO_PI
@@ -222,7 +270,7 @@ def test_homogeneous_generic_triple_not_flat():
 
 def test_homogeneous_window_chart_is_fd():
     lam = [0.0, math.sqrt(5) / 2, -math.sqrt(5) / 2]
-    res = homogeneous_cp2_hopf(lam, 48, 24, amps=solve_cp2_amplitudes(lam), t_window=4 * np.pi)
+    res = homogeneous_cp2_hopf(lam, 48, 24, amps=solve_amplitudes(lam), t_window=4 * np.pi)
     assert not res.chart.spec.periodic_u
     validate_chart(res.chart)
 
