@@ -26,6 +26,8 @@ from .parallel import BLOCK_POINTS, split
 FD_ORDER = 6
 # one-sided FD rows contaminate a margin this wide; residual norms skip it
 BOUNDARY_MARGIN = 3
+# the fewest points a grid axis may have, for the library and the CLI alike
+MIN_GRID_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class GridSpec:
     v0: float = 0.0
 
     def __post_init__(self):
-        if self.nu < 8 or self.nv < 8:
-            raise ValueError("grid sizes must be >= 8")
+        if min(self.nu, self.nv) < MIN_GRID_POINTS:
+            raise ValueError(f"grid sizes must be >= {MIN_GRID_POINTS}")
         if self.Lu <= 0 or self.Lv <= 0:
             raise ValueError("grid extents must be positive")
 

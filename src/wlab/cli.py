@@ -5,7 +5,10 @@ Subcommands
     wlab analyze <config.json> [--out report.json]
     wlab convergence <config.json> --sizes 16,32,64 [--out table.json]
     wlab gallery list
-    wlab fields <config.json> --out fields.csv
+    wlab fields <config.json> [--out fields.csv]
+
+`--out` names the one file a run writes: without it `analyze` and
+`fields` write to stdout, and `convergence` prints only its text table.
 
 A run config is a JSON object:
 
@@ -15,15 +18,15 @@ A run config is a JSON object:
       "tolerances": {"flat_normal": 1e-4},          # optional overrides
       "transforms": [{"include_n": 5},
                      {"mobius": {"seed": 1, "magnitude": 1.0}}],
-      "outputs": [{"kind": "report", "path": "report.json"}],
       "seed": 0
     }
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage
-error (a tolerance that is not a positive finite number included) or an
-output that cannot be written, 3 chart error (any failure to build the
-chart, or non-unit, non-finite, degenerate or non-conformal points), 4
-analysis error; `main` maps every failure, a RunError, to its exit code.
+error (an unknown key such as `outputs`, or a tolerance that is not a
+positive finite number) or an `--out` file that cannot be written, 3
+chart error (any failure to build the chart, or non-unit, non-finite,
+degenerate or non-conformal points), 4 analysis error; `main` maps every
+failure, a RunError, to its exit code.
 
 WLAB_THREADS (a positive integer; default: all cores) caps the threads of
 one run: each `analyze` splits its per-point kernels and periodic axis
@@ -43,7 +46,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .calculus import classify_order, convergence_order
+from .calculus import MIN_GRID_POINTS, classify_order, convergence_order
 from .diagnostics import (
     RESIDUALS,
     DiagnosticsReport,
@@ -94,7 +97,7 @@ def load_config(path: str) -> dict:
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"surface", "grid", "tolerances", "transforms", "outputs", "seed"}
+    known = {"surface", "grid", "tolerances", "transforms", "seed"}
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -120,8 +123,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config key 'grid' must be an object")
     nu = grid.get("nu", 64)
     nv = grid.get("nv", 64)
-    if not (_is_int(nu) and _is_int(nv) and nu >= 8 and nv >= 8):
-        raise ConfigError("config key 'grid' needs integer nu, nv >= 8")
+    if not (_is_int(nu) and _is_int(nv) and min(nu, nv) >= MIN_GRID_POINTS):
+        raise ConfigError(f"config key 'grid' needs integer nu, nv >= {MIN_GRID_POINTS}")
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("config key 'tolerances' must map residual names to numbers")
@@ -143,13 +146,6 @@ def validate_config(cfg: dict) -> dict:
             _check_mobius(val)
         else:
             raise ConfigError(f"unknown transform {key!r}")
-    outputs = cfg.get("outputs", [])
-    if not isinstance(outputs, list) or not all(
-            isinstance(o, dict) and set(o) == {"kind", "path"} and o["kind"] in ("report", "fields")
-            and isinstance(o["path"], str) and o["path"] and "\0" not in o["path"]
-            for o in outputs):
-        raise ConfigError("config key 'outputs' must be a list of objects of 'kind' ('report' "
-                          "or 'fields') and a non-empty string 'path' without NUL")
     seed = cfg.get("seed", 0)
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"config key 'seed' must be a non-negative integer, not {seed!r}")
@@ -158,7 +154,6 @@ def validate_config(cfg: dict) -> dict:
         "grid": {"nu": nu, "nv": nv},
         "tolerances": tol,
         "transforms": transforms,
-        "outputs": outputs,
         "seed": seed,
     }
 
@@ -236,7 +231,7 @@ def _emit(text: str, path) -> None:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     report = run_analysis(cfg)
-    _emit(report_json(report, cfg["seed"]), args.out or _configured_path(cfg, "report"))
+    _emit(report_json(report, cfg["seed"]), args.out)
     for e in report.entries:
         print(f"{e.name:<18} L_inf={e.L_inf:.3e} tol={e.tolerance:.1e} {e.verdict}",
               file=sys.stderr)
@@ -249,8 +244,9 @@ def cmd_convergence(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         sizes = []
-    if len(sizes) < 3 or len(set(sizes)) < len(sizes) or min(sizes) < 8:
-        raise ConfigError("--sizes must list at least 3 integers >= 8, none repeated")
+    if len(sizes) < 3 or len(set(sizes)) < len(sizes) or min(sizes) < MIN_GRID_POINTS:
+        raise ConfigError(f"--sizes must list at least 3 integers >= {MIN_GRID_POINTS}, "
+                          "none repeated")
 
     reports = [run_analysis(cfg, n, n) for n in sizes]
 
@@ -293,18 +289,12 @@ def cmd_fields(args) -> int:
     cfg = load_config(args.config)
     report = run_analysis(cfg)
     uu, vv = report.spec.meshgrid()
-    out_path = args.out or _configured_path(cfg, "fields")
     columns = [uu, vv] + [report.fields[c] for c in RESIDUAL_CSV_COLUMNS]
     cells = [map(repr, np.asarray(col, dtype=float).ravel().tolist()) for col in columns]
     lines = [",".join(["u", "v"] + RESIDUAL_CSV_COLUMNS)]
     lines.extend(map(",".join, zip(*cells)))
-    text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _configured_path(cfg: dict, kind: str):
-    return next((out["path"] for out in cfg["outputs"] if out["kind"] == kind), None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,13 +312,13 @@ def main(argv=None) -> int:
 
     p_an = sub.add_parser("analyze", help="run the full diagnostic pipeline")
     p_an.add_argument("config")
-    p_an.add_argument("--out", help="report path (default: config outputs or stdout)")
+    p_an.add_argument("--out", help="report path (default: stdout)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_cv = sub.add_parser("convergence", help="re-run across grid sizes and fit orders")
     p_cv.add_argument("config")
     p_cv.add_argument("--sizes", required=True, help="comma-separated grid sizes")
-    p_cv.add_argument("--out", help="optional JSON table path")
+    p_cv.add_argument("--out", help="JSON table path (default: none)")
     p_cv.set_defaults(func=cmd_convergence)
 
     p_ga = sub.add_parser("gallery", help="inspect the surface gallery")
@@ -337,12 +327,12 @@ def main(argv=None) -> int:
 
     p_fd = sub.add_parser("fields", help="dump per-point fields as CSV")
     p_fd.add_argument("config")
-    p_fd.add_argument("--out", help="CSV path (default: config outputs or stdout)")
+    p_fd.add_argument("--out", help="CSV path (default: stdout)")
     p_fd.set_defaults(func=cmd_fields)
 
     try:
         args = parser.parse_args(argv)
-        if "\0" in (getattr(args, "out", None) or ""):  # as for `outputs`, before any work
+        if "\0" in (getattr(args, "out", None) or ""):  # open() refuses it only after the work
             raise ConfigError(f"output path {args.out!r} contains NUL")
         try:
             thread_cap()  # a malformed WLAB_THREADS fails every subcommand alike

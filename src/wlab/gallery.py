@@ -143,15 +143,13 @@ def _multi_frequency_closure(freqs: np.ndarray):
     2 pi Z for all pairs: T = 2 pi lcm(q_k) / d_1, where d_k are the
     frequency differences and d_k / d_1 = p_k / q_k in lowest terms.  q
     is the twist denominator of the monodromy phase, None for an
-    irrational twist or an open curve (irrational d_k / d_1).
+    irrational twist or an open curve (irrational d_k / d_1).  A lift
+    has two distinct frequencies at least: one alone, l, would need l = 0
+    for horizontality and l^2 = 1 for unit speed.
     """
     lam = np.sort(freqs)
     diffs = lam[1:] - lam[0]
     diffs = diffs[diffs > 1e-14]
-    if len(diffs) == 0:
-        # single frequency: the base point is fixed, the fiber closes trivially
-        t = TWO_PI / max(abs(lam[0]), 1e-300)
-        return t, (lam[0] * t) % TWO_PI, 1
     base = diffs[0]
     n_mult = 1
     for d in diffs[1:]:
@@ -189,9 +187,14 @@ def _hopf_chart(
 def solve_amplitudes(lambdas) -> np.ndarray:
     """Amplitudes of a homogeneous lift with two or three frequencies: the
     roots of the Vandermonde solve of sum a^2 (1, l, l^2) = (1, 0, 1), its
-    first two rows for two frequencies; raises if any a^2 is negative."""
+    first two rows for two frequencies; raises if a frequency repeats or
+    any a^2 is negative."""
     lam = np.asarray(lambdas, dtype=float)
     n = len(lam)
+    repeated = [x for x in lam.tolist() if (lam == x).sum() > 1]
+    if repeated:
+        raise ValueError(f"frequencies {lam.tolist()} repeat {repeated[0]}: "
+                         "the amplitudes need distinct frequencies")
     vand = np.vstack([np.ones(n), lam, lam * lam])[:n]
     asq = np.linalg.solve(vand, np.array([1.0, 0.0, 1.0])[:n])
     if np.any(asq < -1e-12):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+RANK_TOL = 1e-8  # span_rank's relative singular-value threshold
+
 
 def signature(dim: int) -> np.ndarray:
     """Diagonal of the Lorentzian form: (-1, +1, ..., +1) with `dim` entries."""
@@ -58,7 +60,7 @@ def herm_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(herm_norm_sq(v), 0.0))
 
 
-def span_rank(blocks, tol: float = 1e-8) -> int:
+def span_rank(blocks) -> int:
     """Rank of the linear span of a set of vectors.
 
     Parameters
@@ -66,14 +68,12 @@ def span_rank(blocks, tol: float = 1e-8) -> int:
     blocks : array (m, dim), or an iterable of such arrays
         Stacked vectors (rows); each array may be anything reshapeable to
         (m_k, dim).  The set is the rows of all blocks together.
-    tol : float
-        Relative singular-value threshold: singular values above
-        tol * sigma_max count toward the rank.
 
     The singular values are those of the stacked R factors of the blocks'
     QR decompositions, which equal those of the stacked rows (the R step of
     TSQR, Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34,
-    2012); only one block is copied at a time.
+    2012); only one block is copied at a time.  Singular values above
+    RANK_TOL * sigma_max count toward the rank.
     """
     if isinstance(blocks, np.ndarray):
         blocks = [blocks]
@@ -88,7 +88,7 @@ def span_rank(blocks, tol: float = 1e-8) -> int:
     s = np.linalg.svd(np.concatenate(factors), compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def random_mobius(n: int, seed: int, magnitude: float) -> np.ndarray:

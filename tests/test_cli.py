@@ -295,10 +295,20 @@ def test_bad_surface_params_are_config_errors(tmp_path, capsys, params, message)
     ({"transforms": [{"mobius": {"magnitude": "big"}}]}, 2, "finite number"),
     # a well-formed target below the chart's sphere is the chart's fault
     ({"transforms": [{"include_n": 2}]}, 3, "smaller than the chart"),
+    # a list is the whole config, not overrides of one
+    ([{"surface": {"name": "clifford"}}], 2, "config root must be a JSON object"),
+    ({"surface": {"params": {}}}, 2, "'surface' must be an object with a 'name'"),
+    ({"tolerances": [1e-3]}, 2, "'tolerances' must map residual names to numbers"),
+    ({"transforms": [{"include_n": 5, "mobius": {}}]}, 2, "one-key object"),
+    ({"transforms": [{"spin": 1}]}, 2, "unknown transform 'spin'"),
 ])
 def test_bad_seed_and_transforms_exit_codes(tmp_path, capsys, overrides, code, message):
-    cfg = write_config(tmp_path, **overrides)
-    assert main(["analyze", cfg]) == code
+    if isinstance(overrides, dict):
+        cfg = write_config(tmp_path, **overrides)
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+    assert main(["analyze", str(cfg)]) == code
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
 
@@ -322,6 +332,8 @@ SUBCOMMANDS = {
 }
 
 
+# `--out` is the one output path: a config naming `outputs`, well formed
+# or not, exits 2 from every subcommand before any work and writes no file
 @pytest.mark.parametrize("outputs", [
     5,
     {"kind": "report", "path": "r.json"},
@@ -334,7 +346,10 @@ SUBCOMMANDS = {
     [{"kind": ["report"], "path": "r.json"}],
     [{"kind": "report", "path": "r.json", "mode": "a"}],
     [{"kind": "report", "path": "r\0.json"}],
-    # a string is the `--out` path of a config with valid outputs
+    [],
+    [{"kind": "report", "path": "r.json"}],
+    [{"kind": "fields", "path": "f.csv"}, {"kind": "report", "path": "r.json"}],
+    # a string is an `--out` path, from a config without `outputs`
     pytest.param("r\0.json", id="nul-in-out-option"),
 ])
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
@@ -342,34 +357,32 @@ def test_malformed_outputs_exit_2_from_every_subcommand(
     tmp_path, capsys, monkeypatch, command, outputs
 ):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("wlab.cli.run_analysis", lambda *a: pytest.fail("ran the analysis"))
     via_out = isinstance(outputs, str)
-    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16}, outputs=[] if via_out else outputs)
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16},
+                       **({} if via_out else {"outputs": outputs}))
     argv = [command, cfg] + SUBCOMMANDS[command]
     if via_out:
         argv = [a for a in argv if a not in ("--out", "fields.csv")] + ["--out", outputs]
-        monkeypatch.setattr("wlab.cli.run_analysis", lambda *a: pytest.fail("ran the analysis"))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "output" in captured.err and captured.err.count("\n") == 1
+    if via_out:
+        assert "contains NUL" in captured.err and captured.err.count("\n") == 1
+    else:
+        assert captured.err == "config error: unknown config key 'outputs'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("target", ["missing/out.txt", "."])
-@pytest.mark.parametrize("command, via", [
-    ("analyze", "--out"), ("analyze", "outputs"), ("fields", "--out"),
-    ("fields", "outputs"), ("convergence", "--out"),
-])
+@pytest.mark.parametrize("command", [pytest.param(c, id=f"{c}---out") for c in sorted(SUBCOMMANDS)])
 def test_unwritable_output_exits_2_from_every_subcommand(
-    tmp_path, capsys, monkeypatch, command, via, target
+    tmp_path, capsys, monkeypatch, command, target
 ):
     monkeypatch.chdir(tmp_path)
-    outputs = [{"kind": "fields" if command == "fields" else "report", "path": target}]
-    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16},
-                       outputs=outputs if via == "outputs" else [])
+    cfg = write_config(tmp_path, grid={"nu": 16, "nv": 16})
     argv = [command, cfg] + (["--sizes", "16,24,32"] if command == "convergence" else [])
-    argv += ["--out", target] if via == "--out" else []
-    assert main(argv) == 2
+    assert main(argv + ["--out", target]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {target!r}") and err.count("\n") == 1
 
@@ -454,6 +467,20 @@ def test_a_param_that_parses_to_inf_is_chart_error(tmp_path, capsys, surface, na
     assert main(["analyze", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "IndexError" not in err and name in err, err
+
+
+@pytest.mark.parametrize("lambdas, message", [
+    ([1, 1, 2], "[1.0, 1.0, 2.0] repeat 1.0"),
+    ([2, -1, 2], "[2.0, -1.0, 2.0] repeat 2.0"),
+    ([0.5, 1, 2], "[0.5, 1.0, 2.0] admit no horizontal unit-speed lift"),  # a^2 < 0
+])
+def test_cp2_frequencies_without_a_lift_are_chart_errors(tmp_path, capsys, lambdas, message):
+    cfg = write_config(tmp_path, surface={"name": "homogeneous_cp2_hopf",
+                                          "params": {"lambdas": lambdas}},
+                       grid={"nu": 16, "nv": 16})
+    assert main(["analyze", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "LinAlgError" not in err and message in err, err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
@@ -576,6 +603,7 @@ NEAR_VALID = {
     "tolerances": st.dictionaries(st.sampled_from([r.name for r in RESIDUALS]), JSON),
     "transforms": st.lists(st.dictionaries(st.sampled_from(["include_n", "mobius"]), JSON,
                                            min_size=1, max_size=1), max_size=2),
+    # not a config key: an unknown key that looks like a real one
     "outputs": st.lists(st.fixed_dictionaries({"kind": JSON, "path": JSON}), max_size=2),
     "seed": JSON,
 }
@@ -597,8 +625,7 @@ def fuzzed_run(draw):
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=fuzzed_run())
-def test_any_config_exits_0_to_4_and_a_failure_prints_one_line(tmp_path, monkeypatch, run):
-    monkeypatch.chdir(tmp_path)  # where configured outputs land
+def test_any_config_exits_0_to_4_and_a_failure_prints_one_line(tmp_path, run):
     cfg, (command, *options) = run
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(cfg))

@@ -217,6 +217,17 @@ def test_solve_amplitudes_on_two_frequencies():
         assert (asq * [l1 * l1, l2 * l2]).sum() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("lam, amps", [
+    ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0]),  # horizontal, but at rest
+    ([1.0, 0.5, 2.0], [1.0, 0.0, 0.0]),  # unit speed, but not horizontal
+    ([-1.0, 0.5, 2.0], [0.0, 0.0, -1.0]),
+])
+def test_a_single_active_frequency_fails_the_constraint_check(lam, amps):
+    # one frequency l would need l = 0 (horizontal) and l^2 = 1 (unit speed)
+    with pytest.raises(ValueError, match=r"^homogeneous_cp2_hopf \{.* admits no horizontal"):
+        homogeneous_cp2_hopf(lam, 32, 32, amps=amps)
+
+
 def test_homogeneous_cp2_needs_three_frequencies():
     # the shape is checked before the amplitudes are solved
     with pytest.raises(ValueError, match="need exactly three frequencies"):

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from wlab.lorentz import (
+    RANK_TOL,
     herm_norm,
     herm_norm_sq,
     mink_inner,
@@ -89,18 +90,21 @@ def test_span_rank_empty():
 
 
 def test_span_rank_of_blocks_matches_the_single_matrix_call():
-    # singular values 1, 1e-2, ..., 1e-12: every threshold between two of
-    # them must count the same rank from the blocks as from the whole
+    # singular values 1, then 2 RANK_TOL just above the threshold or
+    # RANK_TOL / 2 just below it: every rank must count the same from the
+    # blocks as from the whole
     rng = np.random.default_rng(11)
     u, _ = np.linalg.qr(rng.normal(size=(90, 7)))
     v, _ = np.linalg.qr(rng.normal(size=(7, 7)))
-    pts = u @ np.diag(10.0 ** -np.arange(0, 14, 2)) @ v
-    # uneven blocks, one shorter than the dimension and one empty
-    blocks = [pts[:3], pts[3:3], pts[3:50], pts[50:]]
-    for rank, tol in enumerate(10.0 ** -np.arange(1, 15, 2), start=1):
-        assert span_rank(pts, tol) == rank
-        assert span_rank(blocks, tol) == rank
-        assert span_rank(iter(blocks), tol) == rank
+    for rank in range(1, 8):
+        sigma = np.where(np.arange(7) < rank, 2.0 * RANK_TOL, RANK_TOL / 2.0)
+        sigma[0] = 1.0
+        pts = u @ np.diag(sigma) @ v
+        # uneven blocks, one shorter than the dimension and one empty
+        blocks = [pts[:3], pts[3:3], pts[3:50], pts[50:]]
+        assert span_rank(pts) == rank
+        assert span_rank(blocks) == rank
+        assert span_rank(iter(blocks)) == rank
     with pytest.raises(ValueError):
         span_rank([pts[:0], pts[3:3]])
 
