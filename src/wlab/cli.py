@@ -10,7 +10,8 @@ Subcommands
 `--out` names the one file a run writes: without it `analyze` and
 `fields` write to stdout, and `convergence` prints only its text table.
 
-A run config is a JSON object:
+A run config is a JSON object of these keys, and every object in it
+holds only the keys shown:
 
     {
       "surface": {"name": "clifford", "params": {}},
@@ -22,11 +23,16 @@ A run config is a JSON object:
     }
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage
-error (an unknown key such as `outputs`, or a tolerance that is not a
-positive finite number) or an `--out` file that cannot be written, 3
-chart error (any failure to build the chart, or non-unit, non-finite,
-degenerate or non-conformal points), 4 analysis error; `main` maps every
-failure, a RunError, to its exit code.
+error or an `--out` file that cannot be written, 3 chart error (any
+failure to build the chart, or non-unit, non-finite, degenerate or
+non-conformal points), 4 analysis error; `main` maps every failure, a
+RunError, to its exit code.  `validate_config` gives exit 2 by three
+rules, each wherever its kind of value occurs: an object must be a JSON
+object; a key, surface name, param or transform must be a string among
+the known ones (`outputs` is none); and `grid.nu`/`nv` (>= 8),
+`include_n` and a `seed` (>= 0) must be integers at or above their
+floor.  A tolerance must be a positive finite number, a Mobius
+`magnitude` a finite one.
 
 WLAB_THREADS (a positive integer; default: all cores) caps the threads of
 one run: each `analyze` splits its per-point kernels and periodic axis
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from contextlib import nullcontext
@@ -94,116 +101,91 @@ def load_config(path: str) -> dict:
     return validate_config(cfg)
 
 
-def validate_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {"surface", "grid", "tolerances", "transforms", "seed"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-    surface = cfg.get("surface")
-    if not isinstance(surface, dict) or "name" not in surface:
-        raise ConfigError("config key 'surface' must be an object with a 'name'")
-    if surface["name"] not in GALLERY:
-        raise ConfigError(
-            f"surface name {surface['name']!r} is not in the gallery "
-            f"({', '.join(sorted(GALLERY))})"
-        )
-    params = surface.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("config key 'surface.params' must be an object")
-    unknown = sorted(set(params) - set(GALLERY[surface["name"]]))
-    if unknown:
-        raise ConfigError(
-            f"unknown param(s) {unknown} for surface {surface['name']!r}; "
-            "see `wlab gallery list`"
-        )
-    grid = cfg.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("config key 'grid' must be an object")
-    nu = grid.get("nu", 64)
-    nv = grid.get("nv", 64)
-    if not (_is_int(nu) and _is_int(nv) and min(nu, nv) >= MIN_GRID_POINTS):
-        raise ConfigError(f"config key 'grid' needs integer nu, nv >= {MIN_GRID_POINTS}")
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("config key 'tolerances' must map residual names to numbers")
+def validate_config(cfg) -> dict:
+    """The config with every default filled in and each transform as its
+    (kind, value) pair, or a ConfigError naming the first value that breaks
+    a rule of the module docstring."""
+    _object(cfg, "config root")
+    _known(cfg, {"surface", "grid", "tolerances", "transforms", "seed"}, "config key")
+    surface = _object(cfg.get("surface"), "config key 'surface'", required="name")
+    _known(surface, {"name", "params"}, "'surface' key")
+    name = surface["name"]
+    _known([name], GALLERY, "surface name", "; see `wlab gallery list`")
+    params = _object(surface.get("params", {}), "config key 'surface.params'")
+    _known(params, GALLERY[name], "param", f" for surface {name!r}; see `wlab gallery list`")
+    grid = _object(cfg.get("grid", {}), "config key 'grid'")
+    _known(grid, {"nu", "nv"}, "'grid' key")
+    nu, nv = (_integer(grid.get(k, 64), f"config key 'grid.{k}'", MIN_GRID_POINTS)
+              for k in ("nu", "nv"))
+    tol = _object(cfg.get("tolerances", {}), "config key 'tolerances'")
     try:
         check_tolerances(tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    seed = _integer(cfg.get("seed", 0), "config key 'seed'", 0)
     transforms = cfg.get("transforms", [])
     if not isinstance(transforms, list):
         raise ConfigError("config key 'transforms' must be a list")
+    steps = []
     for tr in transforms:
         if not isinstance(tr, dict) or len(tr) != 1:
             raise ConfigError("each transform must be a one-key object")
-        key, val = next(iter(tr.items()))
-        if key == "include_n":
-            if not _is_int(val):
-                raise ConfigError(f"transform 'include_n' must be an integer, not {val!r}")
-        elif key == "mobius":
-            _check_mobius(val)
-        else:
-            raise ConfigError(f"unknown transform {key!r}")
-    seed = cfg.get("seed", 0)
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"config key 'seed' must be a non-negative integer, not {seed!r}")
-    return {
-        "surface": surface,
-        "grid": {"nu": nu, "nv": nv},
-        "tolerances": tol,
-        "transforms": transforms,
-        "seed": seed,
-    }
+        _known(tr, {"include_n", "mobius"}, "transform")
+        (kind, val), = tr.items()
+        if kind == "include_n":
+            steps.append((kind, _integer(val, "transform 'include_n'")))
+            continue
+        _known(_object(val, "transform 'mobius'"), {"seed", "magnitude"}, "'mobius' key")
+        magnitude = val.get("magnitude", 1.0)
+        if not is_finite_real(magnitude):
+            raise ConfigError(f"mobius 'magnitude' must be a finite number, not {magnitude!r}")
+        steps.append((kind, {"seed": _integer(val.get("seed", seed), "mobius 'seed'", 0),
+                             "magnitude": magnitude}))
+    return {"surface": {"name": name, "params": params}, "grid": {"nu": nu, "nv": nv},
+            "tolerances": tol, "transforms": steps, "seed": seed}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _object(value, what: str, required=None) -> dict:
+    if not isinstance(value, dict) or (required and required not in value):
+        raise ConfigError(f"{what} must be an object"
+                          + (f" with a {required!r}" if required else ""))
+    return value
 
 
-def _check_mobius(val) -> None:
-    if not isinstance(val, dict):
-        raise ConfigError(f"transform 'mobius' must be an object, not {val!r}")
-    unknown = sorted(set(val) - {"seed", "magnitude"})
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in transform 'mobius'")
-    if "seed" in val and not (_is_int(val["seed"]) and val["seed"] >= 0):
-        raise ConfigError(f"mobius 'seed' must be a non-negative integer, not {val['seed']!r}")
-    if "magnitude" in val and not is_finite_real(val["magnitude"]):
-        raise ConfigError(f"mobius 'magnitude' must be a finite number, not {val['magnitude']!r}")
+def _known(names, known, what: str, hint: str = "") -> None:
+    for name in names:
+        if not (isinstance(name, str) and name in known):
+            raise ConfigError(f"unknown {what} {name!r}{hint}")
 
 
-def build_chart(cfg: dict, nu=None, nv=None) -> Chart:
-    surface = cfg["surface"]
-    chart = build_surface(
-        surface["name"],
-        nu or cfg["grid"]["nu"],
-        nv or cfg["grid"]["nv"],
-        surface.get("params", {}),
-    )
-    for tr in cfg["transforms"]:
-        key, val = next(iter(tr.items()))
-        if key == "include_n":
+def _integer(value, what: str, floor=-math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        kind = {-math.inf: "an integer", 0: "a non-negative integer"}.get(
+            floor, f"an integer >= {floor}")
+        raise ConfigError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
+def build_chart(cfg: dict) -> Chart:
+    surface, grid = cfg["surface"], cfg["grid"]
+    chart = build_surface(surface["name"], grid["nu"], grid["nv"], surface["params"])
+    for kind, val in cfg["transforms"]:
+        if kind == "include_n":
             chart = include_in_higher_sphere(chart, val)
         else:
-            mob = random_mobius(
-                chart.ambient_n,
-                val.get("seed", cfg["seed"]),
-                val.get("magnitude", 1.0),
-            )
+            mob = random_mobius(chart.ambient_n, val["seed"], val["magnitude"])
             chart = apply_mobius(chart, mob)
     return chart
 
 
-def run_analysis(cfg: dict, nu=None, nv=None) -> DiagnosticsReport:
+def run_analysis(cfg: dict) -> DiagnosticsReport:
     """The report of one run, or a RunError: any exception while the chart
     is built (bad param values, a grid too large to allocate) and any
     ChartError raised by `analyze` (the chart check in the lift) exits
     EXIT_CHART, every other exception EXIT_ANALYSIS.
     """
     try:
-        chart = build_chart(cfg, nu, nv)
+        chart = build_chart(cfg)
     except Exception as exc:  # noqa: BLE001 - construction maps to exit 3
         raise RunError(EXIT_CHART,
                        f"chart construction failed: {type(exc).__name__}: {exc}") from exc
@@ -248,7 +230,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--sizes must list at least 3 integers >= {MIN_GRID_POINTS}, "
                           "none repeated")
 
-    reports = [run_analysis(cfg, n, n) for n in sizes]
+    reports = [run_analysis({**cfg, "grid": {"nu": n, "nv": n}}) for n in sizes]
 
     table = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
     for row in RESIDUALS:

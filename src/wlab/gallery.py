@@ -433,7 +433,7 @@ def build_surface(name: str, nu: int, nv: int, params: Optional[dict] = None) ->
     that is a bool, a string or a JSON object, or a list holding one,
     raises ValueError: none is a number the builder may coerce.
     """
-    if name not in GALLERY:
+    if not (isinstance(name, str) and name in GALLERY):
         raise KeyError(f"unknown gallery surface {name!r}; see `wlab gallery list`")
     params = params or {}
     for key, value in params.items():

@@ -37,7 +37,7 @@ def test_validate_config_rejects_unknown_key():
 
 
 def test_validate_config_rejects_unknown_surface():
-    with pytest.raises(ConfigError, match="not in the gallery"):
+    with pytest.raises(ConfigError, match="unknown surface name 'torus_of_mystery'; see `wlab gallery list`"):
         validate_config({"surface": {"name": "torus_of_mystery"}})
 
 
@@ -287,7 +287,7 @@ def test_bad_surface_params_are_config_errors(tmp_path, capsys, params, message)
     ({"transforms": [{"include_n": 5.7}]}, 2, "'include_n' must be an integer"),
     ({"transforms": [{"include_n": True}]}, 2, "'include_n' must be an integer"),
     ({"transforms": [{"mobius": 5}]}, 2, "'mobius' must be an object"),
-    ({"transforms": [{"mobius": {"sed": 1}}]}, 2, "unknown key(s) ['sed']"),
+    ({"transforms": [{"mobius": {"sed": 1}}]}, 2, "unknown 'mobius' key 'sed'"),
     ({"transforms": [{"mobius": {"seed": "x"}}]}, 2, "'seed' must be a non-negative integer"),
     ({"transforms": [{"mobius": {"seed": False}}]}, 2, "'seed' must be a non-negative integer"),
     ({"transforms": [{"mobius": {"seed": -1}}]}, 2, "'seed' must be a non-negative integer"),
@@ -296,9 +296,9 @@ def test_bad_surface_params_are_config_errors(tmp_path, capsys, params, message)
     # a well-formed target below the chart's sphere is the chart's fault
     ({"transforms": [{"include_n": 2}]}, 3, "smaller than the chart"),
     # a list is the whole config, not overrides of one
-    ([{"surface": {"name": "clifford"}}], 2, "config root must be a JSON object"),
+    ([{"surface": {"name": "clifford"}}], 2, "config root must be an object"),
     ({"surface": {"params": {}}}, 2, "'surface' must be an object with a 'name'"),
-    ({"tolerances": [1e-3]}, 2, "'tolerances' must map residual names to numbers"),
+    ({"tolerances": [1e-3]}, 2, "'tolerances' must be an object"),
     ({"transforms": [{"include_n": 5, "mobius": {}}]}, 2, "one-key object"),
     ({"transforms": [{"spin": 1}]}, 2, "unknown transform 'spin'"),
 ])
@@ -371,6 +371,31 @@ def test_malformed_outputs_exit_2_from_every_subcommand(
         assert "contains NUL" in captured.err and captured.err.count("\n") == 1
     else:
         assert captured.err == "config error: unknown config key 'outputs'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# a name the config does not know, of any type, fails before any work:
+# a misspelled key would otherwise fall back to a default and run
+@pytest.mark.parametrize("overrides, message", [
+    ({"surface": {"name": ["clifford"]}}, "unknown surface name ['clifford']"),
+    ({"surface": {"name": {"a": 1}}}, "unknown surface name {'a': 1}"),
+    ({"surface": {"name": "hopf_from_curvature", "parmas": {"k1": 1.0}}},
+     "unknown 'surface' key 'parmas'"),
+    ({"grid": {"Nu": 16}}, "unknown 'grid' key 'Nu'"),
+    ({"grid": {"nu": 16, "nv": 16, "nw": 16}}, "unknown 'grid' key 'nw'"),
+], ids=["name_list", "name_object", "parmas", "grid_Nu", "grid_extra"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_an_unknown_name_exits_2_from_every_subcommand(
+    tmp_path, capsys, monkeypatch, command, overrides, message
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("wlab.cli.run_analysis", lambda *a: pytest.fail("ran the analysis"))
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, cfg] + SUBCOMMANDS[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}"), captured.err
+    assert captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -595,14 +620,24 @@ JSON = st.recursive(
     max_leaves=6,
 )
 PARAMS = sorted({param for params in GALLERY.values() for param in params})
+
+
+def with_junk(objects):
+    """`objects`, each of which may carry one more key of any name and value."""
+    return st.builds(lambda obj, junk: {**obj, **junk}, objects,
+                     st.dictionaries(st.text(max_size=6), JSON, max_size=1))
+
+
+MOBIUS = with_junk(st.fixed_dictionaries({}, optional={"seed": JSON, "magnitude": JSON}))
 # per key, arbitrary JSON or an object of the right shape with arbitrary parts
 NEAR_VALID = {
-    "surface": st.fixed_dictionaries({"name": st.sampled_from(sorted(GALLERY)),
-                                      "params": st.dictionaries(st.sampled_from(PARAMS), JSON)}),
-    "grid": st.fixed_dictionaries({"nu": JSON, "nv": JSON}),
+    "surface": with_junk(st.fixed_dictionaries({
+        "name": st.sampled_from(sorted(GALLERY)) | JSON,
+        "params": st.dictionaries(st.sampled_from(PARAMS), JSON)})),
+    "grid": with_junk(st.fixed_dictionaries({"nu": JSON, "nv": JSON})),
     "tolerances": st.dictionaries(st.sampled_from([r.name for r in RESIDUALS]), JSON),
-    "transforms": st.lists(st.dictionaries(st.sampled_from(["include_n", "mobius"]), JSON,
-                                           min_size=1, max_size=1), max_size=2),
+    "transforms": st.lists(st.fixed_dictionaries({"include_n": JSON})
+                           | st.fixed_dictionaries({"mobius": JSON | MOBIUS}), max_size=2),
     # not a config key: an unknown key that looks like a real one
     "outputs": st.lists(st.fixed_dictionaries({"kind": JSON, "path": JSON}), max_size=2),
     "seed": JSON,

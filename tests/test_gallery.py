@@ -356,3 +356,10 @@ def test_build_surface_calls_the_builder_bound_at_its_name(name, monkeypatch):
     monkeypatch.setattr(gallery, name, lambda **kwargs: calls.append(kwargs) or chart)
     assert build_surface(name, 8, 9, {"t_window": 2.0}) is chart
     assert calls == [{"nu": 8, "nv": 9, "t_window": 2.0}]
+
+
+@pytest.mark.parametrize("name", ["torus_of_mystery", ["clifford"], {"a": 1}, None])
+def test_build_surface_raises_key_error_for_any_unknown_name(name):
+    # a list or an object is no more a gallery name than a misspelled one
+    with pytest.raises(KeyError, match="unknown gallery surface"):
+        build_surface(name, 8, 8)
