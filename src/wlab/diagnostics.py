@@ -7,7 +7,7 @@ discretization) exactly when the corresponding geometric property holds:
 willmore                  |D_zbar D_zbar kappa + (conj s / 2) kappa|
 swillmore                 component of D_zbar kappa off the complex line of kappa
 flat_normal               <kappa, conj kappa> - |<kappa, kappa>|
-isothermic                |theta_z zbar| for the half-phase theta of <kappa,kappa>
+isothermic                |Im d_z d_zbar log <kappa,kappa>| / 2 = |theta_z zbar|
 gauss                     s_zbar/2 - 3<kappa, D_z conj kappa> - <D_z kappa, conj kappa>
 codazzi                   norm of Im(D_zbar D_zbar kappa + (conj s/2) kappa)
 ricci                     |(D_zbar D_z - D_z D_zbar) kappa - RHS(kappa)|
@@ -42,6 +42,7 @@ from .invariants import (
     hopf_schwarzian,
     normal_D,
     ricci_residual,
+    unwrap_half_phase,
     willmore_energy_conformal,
     willmore_energy_euclidean,
     willmore_vector,
@@ -61,8 +62,6 @@ CONVERGENCE_MARGIN = 12
 # verdict mask kinds: the points a residual's verdict is taken over
 LIVE = "live"                # the frame mask
 NON_UMBILIC = "non_umbilic"  # live points off the umbilic set
-PHASE_OK = "phase_ok"        # non-umbilic points where theta unwrapped cleanly;
-                             # empty unless the flat-normal verdict passed
 
 
 class Residual(NamedTuple):
@@ -72,14 +71,15 @@ class Residual(NamedTuple):
     csv: bool   # dumped by `wlab fields`
 
 
-# theta is the phase of a flat normal bundle, so this verdict gates PHASE_OK
+# theta is the phase of a flat normal bundle: ISOTHERMIC is skipped unless this passes
 FLAT_NORMAL = Residual("flat_normal", "res_flat", NON_UMBILIC, True)
+ISOTHERMIC = Residual("isothermic", "res_isothermic", NON_UMBILIC, False)
 
 RESIDUALS = (
     Residual("willmore", "res_willmore", LIVE, True),
     Residual("swillmore", "res_swillmore", NON_UMBILIC, True),
     FLAT_NORMAL,
-    Residual("isothermic", "res_isothermic", PHASE_OK, False),
+    ISOTHERMIC,
     Residual("gauss", "res_gauss", LIVE, True),
     Residual("codazzi", "res_codazzi", LIVE, True),
     Residual("ricci", "res_ricci", LIVE, False),
@@ -133,6 +133,14 @@ def flat_normal_residual(inv: InvariantField) -> np.ndarray:
 def phase_laplacian_residual(theta: np.ndarray, spec: GridSpec) -> np.ndarray:
     """|d_z d_zbar theta| = |theta_uu + theta_vv| / 4."""
     return np.abs(diff_real(theta, spec, 0)[1] + diff_real(theta, spec, 1)[1]) / 4.0
+
+
+def isothermic_residual(kk: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """|d_z d_zbar theta| = |Im d_z d_zbar log k| / 2, k = <kappa, kappa> = |k| e^{2i theta}:
+    no branch of log enters.  Not finite at k = 0, umbilic wherever the normal bundle is flat."""
+    k_z, k_zbar = wirtinger(kk, spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * np.abs(((kk * diff_z(k_zbar, spec) - k_z * k_zbar) / kk**2).imag)
 
 
 def six_form(inv: InvariantField, dzbar_kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,22 +371,23 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
     fields["res_flat"] = flat_normal_residual(inv)
     fields["kkbar"] = inv.kk_bar
     fields["abs_kk"] = np.abs(inv.kk)
-    fields["theta"] = np.where(inv.theta_mask, inv.theta, np.nan)
-    masks = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
+    theta, theta_ok = unwrap_half_phase(inv.kk, spec)  # the CSV column; no verdict reads it
+    fields["theta"] = np.where(theta_ok, theta, np.nan)
+    kinds = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
+    masks = {row.field: kinds[row.mask] for row in RESIDUALS}
 
     def entry(row: Residual) -> ResidualEntry:
-        mask = masks[row.mask]
+        mask = masks[row.field]
         linf, l2, frac = field_norms(fields[row.field], spec, mask)
         # NaN and inf compare False, so a non-finite value at a masked point fails
         verdict = "skipped" if not mask.any() else "pass" if linf < tol[row.name] else "fail"
         return ResidualEntry(row.name, linf, l2, tol[row.name], verdict, frac)
 
     if entry(FLAT_NORMAL).verdict == "pass":
-        masks[PHASE_OK] = masks[NON_UMBILIC] & inv.theta_mask
-        fields["res_isothermic"] = phase_laplacian_residual(inv.theta, spec)
+        fields[ISOTHERMIC.field] = isothermic_residual(inv.kk, spec)
     else:
-        masks[PHASE_OK] = np.zeros_like(live)
-        fields["res_isothermic"] = np.full(live.shape, np.nan)
+        fields[ISOTHERMIC.field] = np.full(live.shape, np.nan)
+        masks[ISOTHERMIC.field] = np.zeros_like(live)
     entries = [entry(row) for row in RESIDUALS]
     w_conformal = willmore_energy_conformal(inv)
     del inv  # the Euclidean cross-check reads only the chart, so it runs last
@@ -393,8 +402,7 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
             "wlab_version": _version}
     return DiagnosticsReport(
         chart=meta, entries=entries, energies=energies,
-        ranks=ranks, passed=passed, fields=fields,
-        masks={row.field: masks[row.mask] for row in RESIDUALS}, spec=spec,
+        ranks=ranks, passed=passed, fields=fields, masks=masks, spec=spec,
     )
 
 

@@ -45,8 +45,6 @@ class InvariantField:
     s: np.ndarray            # (nu, nv) complex Schwarzian
     kk: np.ndarray           # <kappa, kappa>, complex
     kk_bar: np.ndarray       # <kappa, conj kappa>, real >= 0
-    theta: np.ndarray        # unwrapped half-phase of <kappa, kappa>
-    theta_mask: np.ndarray   # False where unwrapping was inconsistent
     umbilic_mask: np.ndarray  # True at (near-)umbilic points
     decomposition_defect: float
     tangential_defect: float
@@ -82,7 +80,6 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
 
     split(part, m.shape[0], max(1, BLOCK_POINTS // m.shape[1]))
     umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
-    theta, theta_ok = unwrap_half_phase(kk, frame.spec)
 
     return InvariantField(
         chart=frame.chart,
@@ -91,8 +88,6 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
         s=s,
         kk=kk,
         kk_bar=kk_bar,
-        theta=theta,
-        theta_mask=theta_ok,
         umbilic_mask=umbilic,
         decomposition_defect=float(decomp[m].max()),
         tangential_defect=float(tang[m].max()),

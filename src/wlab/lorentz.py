@@ -31,12 +31,9 @@ def mink_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Complex inputs get the bilinear extension, with no conjugation:
     <i e1, e1> = i and conj(<v, w>) = <conj v, conj w>.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}"
-        )
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     q = signature(a.shape[-1])
     return np.einsum("...k,...k,k->...", a, b, q)
 

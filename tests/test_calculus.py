@@ -134,6 +134,20 @@ def test_integrate_trig(torus_spec):
     assert integrate(np.sin(u) ** 2, torus_spec) == pytest.approx(2 * np.pi**2, abs=1e-12)
 
 
+def test_integrate_is_exact_for_linear_functions_on_open_axes():
+    # the trapezoid rule, end weights h/2, is exact for linear functions: a
+    # bilinear f integrates to its value at the centre times the area, and
+    # a periodic v factor 2 + cos v to 4 pi
+    open_spec = GridSpec(9, 13, 2.0, 3.0, False, False, u0=-0.5, v0=1.0)
+    u, v = open_spec.meshgrid()
+    f = 1.0 + 2.0 * u - 3.0 * v + u * v
+    assert integrate(f, open_spec) == pytest.approx(6.0 * -4.25, rel=1e-14)
+    mixed_spec = GridSpec(9, 16, 2.0, TWO_PI, False, True, u0=-0.5)
+    u, v = mixed_spec.meshgrid()
+    assert integrate((1.0 + 2.0 * u) * (2.0 + np.cos(v)), mixed_spec) == pytest.approx(
+        4.0 * 4.0 * np.pi, rel=1e-14)
+
+
 def test_integral_of_derivative_vanishes(torus_spec):
     u, v = torus_spec.meshgrid()
     f = np.exp(np.cos(u) * np.sin(v))

@@ -23,6 +23,7 @@ from wlab.invariants import (
     normal_D,
     ricci_residual,
     select_projection_pole,
+    unwrap_half_phase,
     willmore_energy_conformal,
     willmore_energy_euclidean,
 )
@@ -344,5 +345,6 @@ def test_coordinate_rescaling_preserves_energy():
 
 def test_theta_unwrapping_mask_clean_on_gallery(clifford_inv):
     frame, inv = clifford_inv
-    assert inv.theta_mask.all()
-    assert np.abs(inv.theta).max() < 1e-6  # <kappa,kappa> is real positive
+    theta, theta_mask = unwrap_half_phase(inv.kk, inv.spec)
+    assert theta_mask.all()
+    assert np.abs(theta).max() < 1e-6  # <kappa,kappa> is real positive

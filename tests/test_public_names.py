@@ -16,6 +16,7 @@ ALLOWED_UNUSED = {
     "codazzi_gauss_residuals": "span tracer binding",
     "diff_v": "span tracer binding",
     "normal_basis": "span tracer binding",
+    "phase_laplacian_residual": "span tracer binding",
     "validate_chart": "span tracer binding",
     # the paper's evaluators, part of the library's surface
     "remark62_residual": "the flat-normal S^6 system of the paper's Remark 6.2",
