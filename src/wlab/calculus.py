@@ -50,8 +50,10 @@ class GridSpec:
     def __post_init__(self):
         if min(self.nu, self.nv) < MIN_GRID_POINTS:
             raise ValueError(f"grid sizes must be >= {MIN_GRID_POINTS}")
-        if self.Lu <= 0 or self.Lv <= 0:
-            raise ValueError("grid extents must be positive")
+        if not (0 < self.Lu < np.inf and 0 < self.Lv < np.inf):  # False for NaN
+            raise ValueError(f"grid extents must be positive and finite, not {self.Lu}, {self.Lv}")
+        if not (np.isfinite(self.u0) and np.isfinite(self.v0)):
+            raise ValueError(f"grid origins must be finite, not {self.u0}, {self.v0}")
 
     @property
     def u(self) -> np.ndarray:

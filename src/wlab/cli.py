@@ -197,9 +197,11 @@ def run_analysis(cfg: dict) -> DiagnosticsReport:
         raise RunError(EXIT_ANALYSIS, f"analysis failed: {exc}") from exc
 
 
-def report_json(report: DiagnosticsReport, seed: int) -> str:
-    """The report as JSON, with the config `seed` its Mobius maps were drawn from."""
-    return json.dumps({**report.to_json_dict(), "seed": seed}, sort_keys=True, indent=2) + "\n"
+def report_json(report: DiagnosticsReport, seed: int, transforms: list) -> str:
+    """The report as JSON, with the config `seed` and the validated (kind,
+    value) `transforms` applied, each a one-key object with defaults filled in."""
+    applied = {"seed": seed, "transforms": [{kind: value} for kind, value in transforms]}
+    return json.dumps({**report.to_json_dict(), **applied}, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(text: str, path) -> None:
@@ -213,7 +215,7 @@ def _emit(text: str, path) -> None:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     report = run_analysis(cfg)
-    _emit(report_json(report, cfg["seed"]), args.out)
+    _emit(report_json(report, cfg["seed"], cfg["transforms"]), args.out)
     for e in report.entries:
         print(f"{e.name:<18} L_inf={e.L_inf:.3e} tol={e.tolerance:.1e} {e.verdict}",
               file=sys.stderr)

@@ -21,7 +21,8 @@ Q = diag(-1, 1, ..., 1), the projector onto V^perp along V is
 P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram matrix stays invertible
 at umbilic points because <Y, Y_zzbar> = -1/2.  Blocks of P, from these
 16 rank-one terms, project Y_zz to kappa; every other vector is projected
-along a Q-orthonormal basis e_k of V, as w - sum_k eps_k <w, e_k> e_k.
+along a Q-orthonormal basis e_k of V, as w - sum_k eps_k <w, e_k> e_k,
+which Gram-Schmidt builds from the null pair (Y, N) and Re Y_z, Im Y_z.
 The pipeline needs no orthonormal basis of V^perp: every criterion pairs
 kappa and its normal derivatives, which no choice of normal frame
 changes.  `normal_basis` builds one on demand.
@@ -186,11 +187,11 @@ def canonical_lift(chart: Chart) -> FrameField:
 def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
     """(kappa, V basis): Y_zz projected onto V^perp_C, and the basis of V.
 
-    Per PROJECTOR_BLOCK of points: the basis [Y, Re Y_z, Im Y_z, Y_zzbar],
-    its Gram matrix, the V basis from it, and the 16 terms (b_ia g^ij)(q_b
-    b_jb) of P added in (i, j) row-major order into a zeroed (d, d, points)
-    buffer, the einsum "uvia,uvij,uvjb,b->uvab" bit for bit, which projects
-    that block of Y_zz and goes.
+    Per PROJECTOR_BLOCK of points: the 16 terms (b_ia g^ij)(q_b b_jb) of P,
+    from b = [Y, Re Y_z, Im Y_z, Y_zzbar] and its inverse Gram matrix g^ij,
+    added in (i, j) row-major order into a zeroed (d, d, points) buffer (the
+    einsum "uvia,uvij,uvjb,b->uvab" bit for bit), project that block of Y_zz
+    to kappa; then `_v_basis` builds its V basis from Y and that kappa's N.
     """
     q = signature(frame.dim)
     nu, nv, d = frame.Y.shape
@@ -203,10 +204,9 @@ def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
     def part(lo, hi):
         rows = slice(lo, hi)
         b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]], axis=1)
-        g = np.einsum("pik,pjk,k->pij", b, b, q)
-        np.matmul(_v_coefficients(b, g), b, out=basis[rows])
+        ginv = np.linalg.inv(np.einsum("pik,pjk,k->pij", b, b, q))
         b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (i, a, points)
-        ginv = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))  # (i, j, points)
+        ginv = np.ascontiguousarray(ginv.transpose(1, 2, 0))  # (i, j, points)
         acc = np.zeros((d, d, b.shape[-1]))
         term, bg = np.empty_like(acc), np.empty_like(b[0])
         for i in range(4):
@@ -218,42 +218,36 @@ def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
         p = np.negative(acc.transpose(2, 0, 1), out=term.reshape(-1, d, d))
         p[:, idx, idx] += 1.0
         kappa[rows] = np.einsum("pab,pb->pa", p, y_zz[rows])
+        n = _null_partner(b[0], b[3], herm_norm_sq(kappa[rows]))  # (a, points)
+        basis[rows] = _v_basis(b, n).transpose(2, 0, 1)
 
     split(part, nu * nv, PROJECTOR_BLOCK)
     return kappa.reshape(nu, nv, d), basis.reshape(nu, nv, 4, d)
 
 
-def _v_coefficients(b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(points, 4, 4) coefficients on b = [Y, Re Y_z, Im Y_z, Y_zzbar] of a
-    Q-orthonormal basis e_0 (timelike), e_1, e_2, e_3 of its span, from its
-    Gram matrix g: Gram-Schmidt on Re Y_z, Im Y_z, then a closed-form
-    rotation (no eigh) of the Lorentzian 2x2 block h of Y / sigma, sigma
-    Y_zzbar, sigma^2 = |Y| / |Y_zzbar| so that e_0, e_3 stay short.  No
-    divisor reaches 0, so the basis is finite wherever g is."""
+def _null_partner(y: np.ndarray, y_zzbar: np.ndarray, kk_bar: np.ndarray) -> np.ndarray:
+    """N = 2 Y_zzbar + 2 <kappa, conj kappa> Y: the null vector of V with
+    <N, Y> = -1 and <N, Y_z> = 0, with kk_bar broadcast against Y."""
+    return 2.0 * y_zzbar + 2.0 * kk_bar * y
+
+
+def _v_basis(b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Q-orthonormal e_0 (timelike), e_1, e_2, e_3 of V, formed in place in
+    the (4, d, points) b = [Y, Re Y_z, Im Y_z, *]: Minkowski Gram-Schmidt
+    over Y/sigma + sigma N, Re Y_z, Im Y_z, Y/sigma - sigma N.  sigma^2 =
+    |Y| / |N| (Euclidean) gives the null pair equal lengths; divisors
+    floored at finfo.tiny keep the basis finite wherever its inputs are."""
     tiny = np.finfo(float).tiny
-    r1 = 1.0 / np.sqrt(np.maximum(np.abs(g[:, 1, 1]), tiny))
-    t = g[:, 1, 2] * r1 * r1
-    r2 = 1.0 / np.sqrt(np.maximum(np.abs(g[:, 2, 2] - t * g[:, 1, 2]), tiny))
-    norms = np.maximum(np.sqrt(np.einsum("pia,pia->pi", b[:, ::3], b[:, ::3])), tiny)
-    sigma = np.sqrt(norms[:, 0] / norms[:, 1])
-    scale = np.stack([1.0 / sigma, sigma], axis=1)  # of y = Y / sigma, z = sigma Y_zzbar
-    ends = g[:, ::3] * scale[:, :, None]  # <y, b_j>, <z, b_j>
-    a1 = ends[:, :, 1] * r1[:, None]  # <y, e_1>, <z, e_1>
-    a2 = (ends[:, :, 2] - t[:, None] * ends[:, :, 1]) * r2[:, None]  # with e_2
-    h = ends[:, :, ::3] * scale[:, None] - a1[:, :, None] * a1[:, None] \
-        - a2[:, :, None] * a2[:, None]
-    h00, h03, h33 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
-    angle = 0.5 * np.arctan2(2.0 * h03, h00 - h33)
-    lam_plus = np.maximum(0.5 * (h00 + h33) + 0.5 * np.hypot(h00 - h33, 2.0 * h03), tiny)
-    lam = np.stack([np.abs((h00 * h33 - h03 * h03) / lam_plus), lam_plus], axis=1)
-    c = np.zeros(g.shape)  # row k: the coefficients of e_k on b
-    c[:, 1, 1], c[:, 2, 1], c[:, 2, 2] = r1, -t * r2, r2
-    c[:, 0, 0], c[:, 3, 3] = scale[:, 0], scale[:, 1]  # y and z, then less e_1, e_2 parts
-    c[:, ::3, 1], c[:, ::3, 2] = -a1 * r1[:, None] + a2 * (r2 * t)[:, None], -a2 * r2[:, None]
-    cos, sin = np.cos(angle), np.sin(angle)
-    rot = np.stack([np.stack([-sin, cos], axis=1), np.stack([cos, sin], axis=1)], axis=1)
-    c[:, ::3] = rot / np.sqrt(np.maximum(lam, tiny))[:, :, None] @ c[:, ::3]  # e_0, e_3
-    return c
+    norm_y, norm_n = (np.maximum(np.linalg.norm(f, axis=0), tiny) for f in (b[0], n))
+    sigma = np.sqrt(norm_y) / np.sqrt(norm_n)
+    y, n = b[0] / sigma, n * sigma
+    b[0], b[3] = y + n, y - n
+    eps = signature(4)
+    for k in range(4):
+        for m in range(k):
+            b[k] -= eps[m] * mink_inner(b[k].T, b[m].T) * b[m]
+        b[k] /= np.sqrt(np.maximum(np.abs(mink_inner(b[k].T, b[k].T)), tiny))
+    return b
 
 
 def normal_project(basis: np.ndarray, field_vec: np.ndarray) -> np.ndarray:

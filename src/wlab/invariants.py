@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_real, integrate, wirtinger
-from .frame import Chart, FrameField, normal_project
+from .frame import Chart, FrameField, _null_partner, normal_project
 from .lorentz import herm_norm, herm_norm_sq, mink_inner
 from .parallel import BLOCK_POINTS, split
 
@@ -72,8 +72,8 @@ def hopf_schwarzian(frame: FrameField) -> InvariantField:
         rows = slice(lo, hi)
         kap, y_zz, y_z, y = kappa[rows], frame.Y_zz[rows], frame.Y_z[rows], frame.Y[rows]
         kk_bar[rows] = herm_norm_sq(kap)
-        s[rows] = 2.0 * mink_inner(y_zz, 2.0 * frame.Y_zzbar[rows]
-                                   + 2.0 * kk_bar[rows][..., None] * y)  # <Y_zz, N>
+        n = _null_partner(y, frame.Y_zzbar[rows], kk_bar[rows][..., None])
+        s[rows] = 2.0 * mink_inner(y_zz, n)  # <Y_zz, N>
         decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * y + kap))
         tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
                                 np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))

@@ -104,7 +104,7 @@ def test_staged_analyze_is_the_whole_jet_bit_for_bit(threads, surface, nu, nv, n
         serial = analyze(chart)
         mp.setenv("WLAB_THREADS", threads)
         report = analyze(chart)
-    assert report_json(report, 0) == report_json(serial, 0)
+    assert report_json(report, 0, []) == report_json(serial, 0, [])
     assert report.fields.keys() == serial.fields.keys()
     for key, value in report.fields.items():
         assert np.array_equal(value, serial.fields[key], equal_nan=True), key

@@ -28,6 +28,23 @@ def test_grid_validation():
         GridSpec(32, 32, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"Lu": np.nan}, "extents must be positive and finite"),
+    ({"Lv": np.nan}, "extents must be positive and finite"),
+    ({"Lu": np.inf}, "extents must be positive and finite"),
+    ({"Lv": -np.inf}, "extents must be positive and finite"),
+    ({"u0": np.nan}, "origins must be finite"),
+    ({"v0": np.inf}, "origins must be finite"),
+    ({"u0": -np.inf, "periodic_u": False}, "origins must be finite"),
+])
+def test_non_finite_extents_and_origins_are_rejected(kwargs, message):
+    # a NaN extent compares False with 0, so only an explicit check stops it
+    # before every coordinate of the grid is NaN
+    args = {"nu": 8, "nv": 8, "Lu": 1.0, "Lv": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        GridSpec(**args)
+
+
 def test_spectral_mode_is_exact(torus_spec):
     u, v = torus_spec.meshgrid()
     f = np.exp(1j * u)

@@ -242,6 +242,31 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, 
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+def test_the_report_names_the_mobius_map_it_applied(tmp_path):
+    # configs that differ only in a Mobius seed give reports that say so
+    reports = []
+    for seed in (1, 2):
+        cfg = write_config(tmp_path, name=f"cfg{seed}.json", grid={"nu": 32, "nv": 32},
+                           transforms=[{"mobius": {"seed": seed, "magnitude": 0.3}}])
+        out = tmp_path / f"r{seed}.json"
+        assert main(["analyze", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    for seed, report in zip((1, 2), reports):
+        assert report["seed"] == 0
+        assert report["transforms"] == [{"mobius": {"seed": seed, "magnitude": 0.3}}]
+    assert reports[0]["chart"] == reports[1]["chart"]
+
+
+def test_the_report_fills_in_transform_defaults(tmp_path):
+    cfg = write_config(tmp_path, seed=4, transforms=[{"include_n": 5}, {"mobius": {}}])
+    out = tmp_path / "r.json"
+    assert main(["analyze", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["transforms"] == [{"include_n": 5},
+                                    {"mobius": {"seed": 4, "magnitude": 1.0}}]
+    assert report["seed"] == 4
+
+
 def test_transform_pipeline(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -492,6 +517,24 @@ def test_a_param_that_parses_to_inf_is_chart_error(tmp_path, capsys, surface, na
     assert main(["analyze", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "IndexError" not in err and name in err, err
+
+
+@pytest.mark.parametrize("surface", [
+    '{"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1, 0.5, 2], "t_window": NaN}}',
+    '{"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1, 0.5, 2], "t_window": Infinity}}',
+    '{"name": "veronese", "params": {"extent": NaN}}',
+    '{"name": "veronese", "params": {"extent": Infinity}}',
+    '{"name": "round_sphere", "params": {"extent": -Infinity}}',
+], ids=["t_window_nan", "t_window_inf", "veronese_extent_nan", "veronese_extent_inf",
+        "sphere_extent_minus_inf"])
+def test_a_non_finite_grid_extent_is_a_construction_failure(tmp_path, capsys, surface):
+    # Python's json reads NaN and Infinity; the grid, not the points, rejects them
+    path = tmp_path / "cfg.json"
+    path.write_text('{"surface": %s, "grid": {"nu": 16, "nv": 16}}' % surface)
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("chart construction failed: ValueError: grid extents"), err
 
 
 @pytest.mark.parametrize("lambdas, message", [

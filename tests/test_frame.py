@@ -28,7 +28,7 @@ from wlab.gallery import (
     veronese,
 )
 from wlab.invariants import hopf_schwarzian
-from wlab.lorentz import mink_inner, random_mobius, signature
+from wlab.lorentz import herm_norm_sq, mink_inner, random_mobius, signature
 
 from frame_oracles import frame_N, frame_residuals, oracle_kappa
 
@@ -320,6 +320,32 @@ def test_the_frame_holds_no_dense_projector():
     fields = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
     assert all(f.shape[-2:] != (frame.dim, frame.dim) for f in fields)
     assert frame.V_basis.shape == (16, 16, 4, frame.dim)
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: clifford(16, 16),
+    lambda: include_in_higher_sphere(build_surface("homogeneous_cp2_hopf", 16, 16,
+                                                   {"lambdas": [-1.0, 0.5, 2.0]}), 7),
+], ids=["clifford_d5", "cp2_in_S7_d9"])
+def test_the_v_basis_is_finite_where_y_z_y_zzbar_and_kappa_vanish(make_chart):
+    # a point with Y_z = 0, Y_zzbar = 0 and kappa = 0, so N = 0: each Gram-Schmidt
+    # divisor there is 0 but for its floor, and one NaN would spread along an FFT line
+    frame = build_frame(make_chart())
+    d, dead = frame.dim, 37
+    y, y_z, y_zzbar, kappa = (f.reshape(-1, d).copy() for f in
+                              (frame.Y, frame.Y_z, frame.Y_zzbar, frame.kappa))
+    y_z[dead], y_zzbar[dead], kappa[dead] = 0.0, 0.0, 0.0
+    b = np.stack([y, y_z.real, y_z.imag, y_zzbar]).transpose(0, 2, 1).copy()  # (4, d, points)
+    n = wlab.frame._null_partner(b[0], b[3], herm_norm_sq(kappa))
+    assert not n[:, dead].any()
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        basis = wlab.frame._v_basis(b, n).transpose(2, 0, 1)
+    assert np.isfinite(basis).all()
+    gram = mink_inner(basis[:, :, None], basis[:, None])
+    live = np.arange(len(y)) != dead
+    assert np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0]))[live].max() < 1e-12
+    # the live points keep the basis `perp_projector` stores
+    assert np.abs(basis[live] - frame.V_basis.reshape(-1, 4, d)[live]).max() < 1e-12
 
 
 def full_frame_gram_det(frame):

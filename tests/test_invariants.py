@@ -234,13 +234,13 @@ def test_analyze_builds_no_normal_basis(cp2_s7_inv, monkeypatch):
     # every criterion pairs kappa and its normal derivatives, so no report
     # byte may depend on a choice of normal frame
     chart = cp2_s7_inv[0].chart
-    want = report_json(analyze(chart), 0)
+    want = report_json(analyze(chart), 0, [])
 
     def refuse(frame):
         raise AssertionError("analyze built a normal basis")
 
     monkeypatch.setattr(wlab.frame, "normal_basis", refuse)
-    assert report_json(analyze(chart), 0) == want
+    assert report_json(analyze(chart), 0, []) == want
 
 
 def test_ricci_peak_memory_stays_near_projector_size():

@@ -122,7 +122,7 @@ def outputs(chart):
     arrays = {"V_basis": frame.V_basis, "kappa": frame.kappa, "psi": normal_basis(frame)[0],
               "N": frame_N(frame), "mask": frame.mask}
     arrays.update({f"fields.{k}": np.asarray(v) for k, v in report.fields.items()})
-    return arrays, report_json(report, 0)
+    return arrays, report_json(report, 0, [])
 
 
 def assert_same_outputs(got, want):
