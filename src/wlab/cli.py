@@ -9,6 +9,10 @@ Subcommands
 
 `--out` names the one file a run writes: without it `analyze` and
 `fields` write to stdout, and `convergence` prints only its text table.
+Only `analyze` writes, and so computes, `W_euclidean` and the rank
+witnesses: `fields` and `convergence` run `analyze(..., witnesses=False)`,
+so an error in those stages cannot fail them.  The CSV writer derives
+its `abs_kk` and `theta` columns from the report's `kk` field.
 
 A run config is a JSON object of these keys, and every object in it
 holds only the keys shown:
@@ -64,6 +68,7 @@ from .diagnostics import (
 )
 from .frame import Chart, ChartError
 from .gallery import GALLERY, apply_mobius, build_surface, include_in_higher_sphere
+from .invariants import unwrap_half_phase
 from .lorentz import random_mobius
 from .parallel import thread_cap
 
@@ -178,11 +183,12 @@ def build_chart(cfg: dict) -> Chart:
     return chart
 
 
-def run_analysis(cfg: dict) -> DiagnosticsReport:
+def run_analysis(cfg: dict, witnesses: bool = True) -> DiagnosticsReport:
     """The report of one run, or a RunError: any exception while the chart
     is built (bad param values, a grid too large to allocate) and any
     ChartError raised by `analyze` (the chart check in the lift) exits
-    EXIT_CHART, every other exception EXIT_ANALYSIS.
+    EXIT_CHART, every other exception EXIT_ANALYSIS.  `witnesses` is
+    `analyze`'s: False skips `W_euclidean` and the ranks.
     """
     try:
         chart = build_chart(cfg)
@@ -190,7 +196,7 @@ def run_analysis(cfg: dict) -> DiagnosticsReport:
         raise RunError(EXIT_CHART,
                        f"chart construction failed: {type(exc).__name__}: {exc}") from exc
     try:
-        return analyze(chart, tolerances=cfg["tolerances"])
+        return analyze(chart, tolerances=cfg["tolerances"], witnesses=witnesses)
     except ChartError as exc:
         raise RunError(EXIT_CHART, f"chart rejected: {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - analysis stage maps to exit 4
@@ -232,7 +238,8 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--sizes must list at least 3 integers >= {MIN_GRID_POINTS}, "
                           "none repeated")
 
-    reports = [run_analysis({**cfg, "grid": {"nu": n, "nv": n}}) for n in sizes]
+    reports = [run_analysis({**cfg, "grid": {"nu": n, "nv": n}}, witnesses=False)
+               for n in sizes]
 
     table = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
     for row in RESIDUALS:
@@ -271,10 +278,15 @@ def cmd_gallery(args) -> int:
 
 def cmd_fields(args) -> int:
     cfg = load_config(args.config)
-    report = run_analysis(cfg)
-    uu, vv = report.spec.meshgrid()
-    columns = [uu, vv] + [report.fields[c] for c in RESIDUAL_CSV_COLUMNS]
-    cells = [map(repr, np.asarray(col, dtype=float).ravel().tolist()) for col in columns]
+    report = run_analysis(cfg, witnesses=False)
+    spec, kk = report.spec, report.fields["kk"]
+    theta, theta_ok = unwrap_half_phase(kk, spec)
+    fields = {**report.fields, "abs_kk": np.abs(kk), "theta": np.where(theta_ok, theta, np.nan)}
+    # u and v are formatted once per grid line; rows run over v fastest
+    u, v = (list(map(repr, x.tolist())) for x in (spec.u, spec.v))
+    cells = [[x for x in u for _ in v], v * len(u)]
+    cells += [map(repr, np.asarray(fields[c], dtype=float).ravel().tolist())
+              for c in RESIDUAL_CSV_COLUMNS]
     lines = [",".join(["u", "v"] + RESIDUAL_CSV_COLUMNS)]
     lines.extend(map(",".join, zip(*cells)))
     _emit("\n".join(lines) + "\n", args.out)

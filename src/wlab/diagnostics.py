@@ -42,7 +42,6 @@ from .invariants import (
     hopf_schwarzian,
     normal_D,
     ricci_residual,
-    unwrap_half_phase,
     willmore_energy_conformal,
     willmore_energy_euclidean,
     willmore_vector,
@@ -329,7 +328,8 @@ def default_tolerances(chart: Chart, overrides: Optional[dict] = None) -> dict:
     return tol
 
 
-def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsReport:
+def analyze(chart: Chart, tolerances: Optional[dict] = None, *,
+            witnesses: bool = True) -> DiagnosticsReport:
     """Full pipeline: frame -> invariants -> residuals -> report.
 
     The canonical lift checks the chart, so a bad chart raises ChartError
@@ -337,6 +337,15 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
     reader: the lift once kappa, s and the lift rank exist, each field of
     kappa's normal jet once its residuals and rank block are taken, the V
     basis after the last projection, kappa before the Euclidean check.
+
+    `fields["kk"]` is <kappa, kappa> itself; no phase of it is unwrapped
+    here (the CSV writer of `wlab fields` derives |kk| and theta).  With
+    `witnesses=False` the Euclidean cross-check `W_euclidean` and both rank
+    witnesses are not computed: `energies` holds only `W_conformal` and
+    `domain_truncated` and `ranks` is empty, while entries, verdicts,
+    fields and masks are those of the full report bit for bit.  Such a
+    report is for callers that read only those (`wlab fields`, `wlab
+    convergence`), not for serialization.
     """
     tol = default_tolerances(chart, tolerances)
     spec = chart.spec
@@ -344,7 +353,7 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
     frame = build_frame(chart)
     inv = hopf_schwarzian(frame)
     live = inv.mask
-    lift_rank = reduction_span_check(live, [frame.Y])
+    ranks = {"lift_rank": reduction_span_check(live, [frame.Y])} if witnesses else {}
     basis = frame.V_basis
     del frame  # Y and its derivatives
 
@@ -357,7 +366,8 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
     fields["omega_abs"] = np.abs(omega)
     del omega
     dzbar_dz = normal_project(basis, diff_zbar(dz, spec))
-    jet_rank = reduction_span_check(live, [inv.kappa, dz, dzbar_dz])
+    if witnesses:
+        ranks["kappa_jet_rank"] = reduction_span_check(live, [inv.kappa, dz, dzbar_dz])
     del dz
     dz_dzbar, willmore = normal_D(basis, dzbar, spec, out=dzbar)  # dzbar is read no more
     del dzbar, basis
@@ -370,9 +380,7 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
 
     fields["res_flat"] = flat_normal_residual(inv)
     fields["kkbar"] = inv.kk_bar
-    fields["abs_kk"] = np.abs(inv.kk)
-    theta, theta_ok = unwrap_half_phase(inv.kk, spec)  # the CSV column; no verdict reads it
-    fields["theta"] = np.where(theta_ok, theta, np.nan)
+    fields["kk"] = inv.kk
     kinds = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
     masks = {row.field: kinds[row.mask] for row in RESIDUALS}
 
@@ -389,11 +397,11 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None) -> DiagnosticsRepor
         fields[ISOTHERMIC.field] = np.full(live.shape, np.nan)
         masks[ISOTHERMIC.field] = np.zeros_like(live)
     entries = [entry(row) for row in RESIDUALS]
-    w_conformal = willmore_energy_conformal(inv)
+    energies = {"W_conformal": willmore_energy_conformal(inv),
+                "domain_truncated": not spec.fully_periodic}
     del inv  # the Euclidean cross-check reads only the chart, so it runs last
-    energies = {"W_conformal": w_conformal, "domain_truncated": not spec.fully_periodic,
-                "W_euclidean": willmore_energy_euclidean(chart)}
-    ranks = {"lift_rank": lift_rank, "kappa_jet_rank": jet_rank}
+    if witnesses:
+        energies["W_euclidean"] = willmore_energy_euclidean(chart)
 
     passed = all(e.verdict in ("pass", "skipped") for e in entries)
     meta = {"name": chart.name, "params": _jsonable(chart.params), "nu": spec.nu, "nv": spec.nv,

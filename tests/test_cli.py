@@ -13,10 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wlab.cli
+from wlab.calculus import classify_order, convergence_order
 from wlab.cli import RESIDUAL_CSV_COLUMNS, ConfigError, main, run_analysis, validate_config
 from wlab.diagnostics import RESIDUALS, analyze, convergence_L_inf
 from wlab.frame import Chart, ChartError
-from wlab.gallery import GALLERY, clifford
+from wlab.gallery import GALLERY, build_surface, clifford, veronese
+from wlab.invariants import unwrap_half_phase
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -134,7 +136,10 @@ def test_fields_csv_matches_a_row_loop(tmp_path):
     assert main(["fields", cfg, "--out", str(out)]) == 0
     report = run_analysis(validate_config(json.loads(open(cfg).read())))
     uu, vv = report.spec.meshgrid()
-    flat = {c: np.asarray(report.fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
+    kk = report.fields["kk"]
+    theta, theta_ok = unwrap_half_phase(kk, report.spec)
+    fields = {**report.fields, "abs_kk": np.abs(kk), "theta": np.where(theta_ok, theta, np.nan)}
+    flat = {c: np.asarray(fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
     rows = [["u", "v"] + RESIDUAL_CSV_COLUMNS]
     for i, (u, v) in enumerate(zip(uu.ravel(), vv.ravel())):
         rows.append([repr(float(u)), repr(float(v))]
@@ -175,6 +180,63 @@ def test_the_sweep_is_the_same_at_every_thread_count(tmp_path, capsys, monkeypat
         assert np.array_equal(got, want, equal_nan=True), n
 
 
+def test_fields_and_convergence_compute_no_witnesses(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, grid={"nu": 24, "nv": 24})
+
+    def refuse(*args):
+        raise RuntimeError("a witness was computed")
+
+    for name in ("willmore_energy_euclidean", "reduction_span_check"):
+        monkeypatch.setattr(f"wlab.diagnostics.{name}", refuse)
+    assert main(["fields", cfg, "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["convergence", cfg, "--sizes", "16,24,32"]) == 0
+    assert main(["analyze", cfg]) == 4  # the full report computes both
+    assert capsys.readouterr().err.endswith("analysis failed: a witness was computed\n")
+    monkeypatch.undo()
+    assert main(["analyze", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert sorted(report["energies"]) == ["W_conformal", "W_euclidean", "domain_truncated"]
+    assert sorted(report["ranks"]) == ["kappa_jet_rank", "lift_rank"]
+
+
+def test_a_report_without_witnesses_is_the_full_one_less_them():
+    chart = veronese(32, 16)
+    full, bare = analyze(chart), analyze(chart, witnesses=False)
+    assert bare.ranks == {}
+    assert bare.energies == {k: full.energies[k] for k in ("W_conformal", "domain_truncated")}
+    assert bare.entries == full.entries
+    assert bare.fields.keys() == full.fields.keys() and bare.masks.keys() == full.masks.keys()
+    for key, value in full.fields.items():
+        assert np.array_equal(bare.fields[key], value, equal_nan=True), key
+    for key, value in full.masks.items():
+        assert np.array_equal(bare.masks[key], value), key
+
+
+@pytest.mark.parametrize("surface", [
+    {"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1.0, 0.5, 2.0], "t_window": 6.0}},
+    {"name": "veronese", "params": {}},
+], ids=["cp2_window", "veronese"])
+def test_the_convergence_table_is_that_of_full_reports(tmp_path, surface):
+    cfg = write_config(tmp_path, surface=surface)
+    out = tmp_path / "table.json"
+    sizes = [24, 32, 48]
+    assert main(["convergence", cfg, "--sizes", ",".join(map(str, sizes)),
+                 "--out", str(out)]) == 0
+    reports = [analyze(build_surface(surface["name"], n, n, surface["params"])) for n in sizes]
+    assert all("W_euclidean" in r.energies and r.ranks for r in reports)
+    want = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
+    for row in RESIDUALS:
+        linfs = [convergence_L_inf(r, row.field) for r in reports]
+        want["residual_L_inf"][row.name] = linfs
+        if any(np.isnan(linfs)) or min(linfs) <= 0:
+            want["fitted_order"][row.name] = "skipped"
+        else:
+            slope = convergence_order(sizes, linfs)
+            want["fitted_order"][row.name] = {"slope": slope, "label": classify_order(
+                slope, linfs, reports[0].entry(row.name).tolerance)}
+    assert out.read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("sizes, code", [("16,24,32", 3), ("16,32,24", 4)])
 def test_a_sweep_exits_with_the_code_of_its_first_failing_size(
     tmp_path, capsys, monkeypatch, sizes, code
@@ -187,10 +249,10 @@ def test_a_sweep_exits_with_the_code_of_its_first_failing_size(
             raise ChartError("no chart at 24")
         return build(name, nu, nv, params)
 
-    def analyze_unless_32(chart, tolerances=None):
+    def analyze_unless_32(chart, tolerances=None, **kwargs):
         if chart.spec.nu == 32:
             raise RuntimeError("no analysis at 32")
-        return run(chart, tolerances=tolerances)
+        return run(chart, tolerances=tolerances, **kwargs)
 
     monkeypatch.setattr("wlab.cli.build_surface", build_unless_24)
     monkeypatch.setattr("wlab.cli.analyze", analyze_unless_32)

@@ -303,6 +303,15 @@ def test_round_sphere_reference_values():
     assert rep.energies["domain_truncated"]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: span_rank's RANK_TOL is relative to the largest "
+                   "singular value, so when kappa is roundoff (max 1.6e-14) it counts the "
+                   "rank of roundoff and kappa_jet_rank reads 4")
+def test_the_totally_umbilic_sphere_has_kappa_jet_rank_0():
+    for nu, nv in [(48, 24), (96, 48)]:
+        assert analyze(round_sphere(nu, nv)).ranks["kappa_jet_rank"] == 0, (nu, nv)
+
+
 # --- transformations ----------------------------------------------------------
 
 def test_identity_mobius_is_exact():
