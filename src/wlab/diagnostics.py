@@ -391,12 +391,13 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None, *,
         verdict = "skipped" if not mask.any() else "pass" if linf < tol[row.name] else "fail"
         return ResidualEntry(row.name, linf, l2, tol[row.name], verdict, frac)
 
-    if entry(FLAT_NORMAL).verdict == "pass":
+    flat = entry(FLAT_NORMAL)
+    if flat.verdict == "pass":
         fields[ISOTHERMIC.field] = isothermic_residual(inv.kk, spec)
     else:
         fields[ISOTHERMIC.field] = np.full(live.shape, np.nan)
         masks[ISOTHERMIC.field] = np.zeros_like(live)
-    entries = [entry(row) for row in RESIDUALS]
+    entries = [flat if row is FLAT_NORMAL else entry(row) for row in RESIDUALS]
     energies = {"W_conformal": willmore_energy_conformal(inv),
                 "domain_truncated": not spec.fully_periodic}
     del inv  # the Euclidean cross-check reads only the chart, so it runs last

@@ -14,15 +14,18 @@ bundle.  The frame vector N in V is pinned by
 
     <N, Y_z> = <N, Y_zbar> = <N, N> = 0,   <N, Y> = -1,
 
-and is N = 2 Y_zzbar + 2 <kappa, conj kappa> Y, formed where it is read.
-With b_i the four basis vectors above, g^{ij} the inverse of their Gram
-matrix (Burstall, Pedit and Pinkall, Contemp. Math. 308, 2002) and
-Q = diag(-1, 1, ..., 1), the projector onto V^perp along V is
+and is N = 2 Y_zzbar + 2 <kappa, conj kappa> Y.  With b_i the four basis
+vectors above, g^{ij} the inverse of their Gram matrix (Burstall, Pedit
+and Pinkall, Contemp. Math. 308, 2002) and Q = diag(-1, 1, ..., 1), the
+projector onto V^perp along V is
 P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram matrix stays invertible
 at umbilic points because <Y, Y_zzbar> = -1/2.  Blocks of P, from these
-16 rank-one terms, project Y_zz to kappa; every other vector is projected
-along a Q-orthonormal basis e_k of V, as w - sum_k eps_k <w, e_k> e_k,
-which Gram-Schmidt builds from the null pair (Y, N) and Re Y_z, Im Y_z.
+16 rank-one terms, project Y_zz to kappa, and the same walk over the lift
+splits Y_zz = -(s/2) Y + kappa: it forms <kappa, conj kappa>, N from it
+and the Schwarzian s = 2 <Y_zz, N>, the one place any of them is formed.
+Every other vector is projected along a Q-orthonormal basis e_k of V, as
+w - sum_k eps_k <w, e_k> e_k, which Gram-Schmidt builds from the null
+pair (Y, N) and Re Y_z, Im Y_z.
 The pipeline needs no orthonormal basis of V^perp: every criterion pairs
 kappa and its normal derivatives, which no choice of normal frame
 changes.  `normal_basis` builds one on demand.
@@ -30,13 +33,13 @@ changes.  `normal_basis` builds one on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .calculus import GridSpec, diff_z, wirtinger
-from .lorentz import herm_norm_sq, mink_inner, signature
+from .lorentz import herm_norm, herm_norm_sq, mink_inner, signature
 from .parallel import BLOCK_POINTS, split
 
 UNIT_TOL = 1e-12
@@ -92,10 +95,10 @@ class Chart:
 
 @dataclass
 class FrameField:
-    """Canonical lift, its derivatives, kappa and the basis of V that
-    `normal_project` projects along.  Y_zbar is conj(Y_z) and N is formed
-    from kappa where it is read; neither is stored.
-    """
+    """Canonical lift, its derivatives, and what `perp_projector` fills in:
+    the split of Y_zz, its worst defects on the mask and the basis of V
+    that `normal_project` projects along.  Y_zbar = conj(Y_z) and N are
+    not stored."""
 
     chart: Chart
     Y: np.ndarray          # (nu, nv, d) real
@@ -104,6 +107,10 @@ class FrameField:
     Y_zzbar: np.ndarray    # real
     mask: np.ndarray
     kappa: Optional[np.ndarray] = None    # V^perp_C part of Y_zz, complex
+    s: Optional[np.ndarray] = None        # (nu, nv) complex Schwarzian
+    kk_bar: Optional[np.ndarray] = None   # <kappa, conj kappa>, real >= 0
+    decomposition_defect: Optional[float] = None  # max |Y_zz + (s/2) Y - kappa|
+    tangential_defect: Optional[float] = None     # max 2|<Y_zz, Y_z>|, 2|<Y_zz, Y_zbar>|
     V_basis: Optional[np.ndarray] = None  # (nu, nv, 4, d): e_0 timelike, e_1..e_3
 
     @property
@@ -184,14 +191,17 @@ def canonical_lift(chart: Chart) -> FrameField:
     )
 
 
-def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa, V basis): Y_zz projected onto V^perp_C, and the basis of V.
+def perp_projector(frame: FrameField) -> FrameField:
+    """A copy of the lift's frame, sharing its arrays, with the split
+    Y_zz = -(s/2) Y + kappa, its defects and the V basis filled in.
 
     Per PROJECTOR_BLOCK of points: the 16 terms (b_ia g^ij)(q_b b_jb) of P,
     from b = [Y, Re Y_z, Im Y_z, Y_zzbar] and its inverse Gram matrix g^ij,
     added in (i, j) row-major order into a zeroed (d, d, points) buffer (the
     einsum "uvia,uvij,uvjb,b->uvab" bit for bit), project that block of Y_zz
-    to kappa; then `_v_basis` builds its V basis from Y and that kappa's N.
+    to kappa.  Its rows then give kk_bar, N, s = 2 <Y_zz, N>, the V basis and
+    the worst, on the mask, of the closure |Y_zz + (s/2) Y - kappa| and the
+    tangential 2|<Y_zz, Y_z>|, 2|<Y_zz, Y_zbar>| (zero for canonical lifts).
     """
     q = signature(frame.dim)
     nu, nv, d = frame.Y.shape
@@ -199,6 +209,9 @@ def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
                              (frame.Y, frame.Y_z, frame.Y_zz, frame.Y_zzbar))
     kappa = np.empty((nu * nv, d), dtype=complex)
     basis = np.empty((nu * nv, 4, d))
+    s, kk_bar = np.empty(nu * nv, dtype=complex), np.empty(nu * nv)
+    # each block keeps its worst defects on the mask, so no defect field exists
+    mask, worst = frame.mask.reshape(-1), {}
     idx = np.arange(d)
 
     def part(lo, hi):
@@ -217,18 +230,24 @@ def perp_projector(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
                 np.add(acc, term, out=acc)
         p = np.negative(acc.transpose(2, 0, 1), out=term.reshape(-1, d, d))
         p[:, idx, idx] += 1.0
-        kappa[rows] = np.einsum("pab,pb->pa", p, y_zz[rows])
-        n = _null_partner(b[0], b[3], herm_norm_sq(kappa[rows]))  # (a, points)
-        basis[rows] = _v_basis(b, n).transpose(2, 0, 1)
+        zz = y_zz[rows]
+        kap = kappa[rows] = np.einsum("pab,pb->pa", p, zz)
+        del acc, term, p, ginv, bg  # P is read no more; free it before the split forms its own
+        kk_bar[rows] = herm_norm_sq(kap)
+        # N as (points, a), like Y_zz, for s; the V basis takes an (a, points) copy
+        n = 2.0 * y_zzbar[rows] + 2.0 * kk_bar[rows, None] * y[rows]
+        s[rows] = 2.0 * mink_inner(zz, n)  # <Y_zz, N>
+        decomp = herm_norm(zz - (-0.5 * s[rows, None] * y[rows] + kap))
+        tang = np.maximum(np.abs(2.0 * mink_inner(zz, y_z[rows])),
+                          np.abs(2.0 * mink_inner(zz, np.conj(y_z[rows]))))
+        worst[lo] = [np.max(f, where=mask[rows], initial=-np.inf) for f in (decomp, tang)]
+        basis[rows] = _v_basis(b, np.ascontiguousarray(n.T)).transpose(2, 0, 1)
 
     split(part, nu * nv, PROJECTOR_BLOCK)
-    return kappa.reshape(nu, nv, d), basis.reshape(nu, nv, 4, d)
-
-
-def _null_partner(y: np.ndarray, y_zzbar: np.ndarray, kk_bar: np.ndarray) -> np.ndarray:
-    """N = 2 Y_zzbar + 2 <kappa, conj kappa> Y: the null vector of V with
-    <N, Y> = -1 and <N, Y_z> = 0, with kk_bar broadcast against Y."""
-    return 2.0 * y_zzbar + 2.0 * kk_bar * y
+    decomp, tang = np.max(list(worst.values()), axis=0)  # a NaN on the mask stays NaN
+    return replace(frame, kappa=kappa.reshape(nu, nv, d), s=s.reshape(nu, nv),
+                   kk_bar=kk_bar.reshape(nu, nv), decomposition_defect=float(decomp),
+                   tangential_defect=float(tang), V_basis=basis.reshape(nu, nv, 4, d))
 
 
 def _v_basis(b: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -301,8 +320,6 @@ def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_frame(chart: Chart) -> FrameField:
-    """Full frame pipeline: the checked canonical lift, kappa and the V
-    basis.  Raises what `validate_chart` raises."""
-    frame = canonical_lift(chart)
-    frame.kappa, frame.V_basis = perp_projector(frame)
-    return frame
+    """Full frame pipeline: the checked canonical lift, the split of Y_zz
+    and the V basis.  Raises what `validate_chart` raises."""
+    return perp_projector(canonical_lift(chart))

@@ -5,12 +5,13 @@ For the canonical lift Y the basic decomposition is
     Y_zz = -(s/2) Y + kappa,
 
 with kappa the V^perp_C part (the conformal Hopf differential) and s the
-Schwarzian, recovered as s = 2 <Y_zz, N> since <Y, N> = -1.  The normal
-connection is D_z v = P d_z v for sections v of V^perp_C, and the
-conformally invariant metric is <kappa, conj kappa> |dz|^2, whose total
-integral 2i Int <kappa, conj kappa> dz ^ dzbar = 4 Int <kappa, conj
-kappa> du dv is the Willmore energy.  The independent Euclidean pipeline
-stereographically projects the chart to R^n and integrates H^2 - K.
+Schwarzian, s = 2 <Y_zz, N> since <Y, N> = -1; `frame.perp_projector`
+makes this split, once.  The normal connection is D_z v = P d_z v for
+sections v of V^perp_C, and the conformally invariant metric is <kappa,
+conj kappa> |dz|^2, whose total integral 2i Int <kappa, conj kappa> dz ^
+dzbar = 4 Int <kappa, conj kappa> du dv is the Willmore energy.  The
+independent Euclidean pipeline stereographically projects the chart to
+R^n and integrates H^2 - K.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridSpec, diff_real, integrate, wirtinger
-from .frame import Chart, FrameField, _null_partner, normal_project
-from .lorentz import herm_norm, herm_norm_sq, mink_inner
-from .parallel import BLOCK_POINTS, split
+from .frame import Chart, FrameField, normal_project
+from .lorentz import herm_norm, mink_inner
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
@@ -55,42 +55,21 @@ class InvariantField:
 
 
 def hopf_schwarzian(frame: FrameField) -> InvariantField:
-    """Split Y_zz into Schwarzian and conformal Hopf differential.
-
-    kappa, the V^perp_C part of Y_zz, is the one `build_frame` stored; s =
-    2 <Y_zz, N>, N formed from kk_bar.  The tangential components of Y_zz
-    vanish identically for canonical lifts; their measured size is recorded
-    as `tangential_defect`, and the closure of the decomposition itself as
-    `decomposition_defect`.  These are the last readers of Y_zz.
-    """
-    kappa, m = frame.kappa, frame.mask
-    kk = mink_inner(kappa, kappa)
-    kk_bar, s = np.empty(m.shape), np.empty(m.shape, dtype=complex)
-    decomp, tang = np.empty(m.shape), np.empty(m.shape)
-
-    def part(lo, hi):  # no conjugate of kappa, N or defect term is a whole field
-        rows = slice(lo, hi)
-        kap, y_zz, y_z, y = kappa[rows], frame.Y_zz[rows], frame.Y_z[rows], frame.Y[rows]
-        kk_bar[rows] = herm_norm_sq(kap)
-        n = _null_partner(y, frame.Y_zzbar[rows], kk_bar[rows][..., None])
-        s[rows] = 2.0 * mink_inner(y_zz, n)  # <Y_zz, N>
-        decomp[rows] = herm_norm(y_zz - (-0.5 * s[rows][..., None] * y + kap))
-        tang[rows] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
-                                np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
-
-    split(part, m.shape[0], max(1, BLOCK_POINTS // m.shape[1]))
-    umbilic = kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL)
-
+    """The split of Y_zz into Schwarzian and conformal Hopf differential,
+    as the invariants the report reads: `perp_projector` formed kappa, s,
+    <kappa, conj kappa> and the split's defects; this adds <kappa, kappa>
+    and the umbilic mask, and reads no derivative of the lift."""
+    kk_bar, m = frame.kk_bar, frame.mask
     return InvariantField(
         chart=frame.chart,
         mask=m,
-        kappa=kappa,
-        s=s,
-        kk=kk,
+        kappa=frame.kappa,
+        s=frame.s,
+        kk=mink_inner(frame.kappa, frame.kappa),
         kk_bar=kk_bar,
-        umbilic_mask=umbilic,
-        decomposition_defect=float(decomp[m].max()),
-        tangential_defect=float(tang[m].max()),
+        umbilic_mask=kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL),
+        decomposition_defect=frame.decomposition_defect,
+        tangential_defect=frame.tangential_defect,
     )
 
 

@@ -10,9 +10,10 @@ from typing import NamedTuple
 import numpy as np
 
 from wlab.calculus import diff_z, diff_zbar
-from wlab.frame import normal_basis, normal_project
-from wlab.invariants import normal_D, willmore_vector
+from wlab.frame import PROJECTOR_BLOCK, _v_basis, normal_basis, normal_project
+from wlab.invariants import UMBILIC_ABS_TOL, UMBILIC_REL_TOL, normal_D, willmore_vector
 from wlab.lorentz import herm_norm, herm_norm_sq, mink_inner, signature
+from wlab.parallel import BLOCK_POINTS
 
 
 class KappaJet(NamedTuple):
@@ -96,6 +97,50 @@ def einsum_perp_projector(frame):
 def oracle_kappa(frame):
     """The dense oracle P applied to Y_zz: kappa, bit for bit."""
     return np.einsum("uvab,uvb->uva", einsum_perp_projector(frame), frame.Y_zz)
+
+
+def two_walk_split(frame) -> dict:
+    """The split Y_zz = -(s/2) Y + kappa in two walks over the lift, each
+    in its own layout, which the one walk of `perp_projector` reproduces bit
+    for bit.  First, per PROJECTOR_BLOCK of points, the V basis from N in
+    the (d, points) layout (kappa is the dense oracle's, which the blocked
+    kappa equals); then, per BLOCK_POINTS of grid rows, <kappa, conj kappa>,
+    N again in the (rows, nv, d) layout, s and the split's defects.
+    Returns the split by the names of `InvariantField`, plus `V_basis`."""
+    nu, nv, d = frame.Y.shape
+    kappa = oracle_kappa(frame)
+    y, y_z, y_zzbar, kap = (f.reshape(-1, d) for f in (frame.Y, frame.Y_z, frame.Y_zzbar, kappa))
+    basis = np.empty((nu * nv, 4, d))
+    for lo in range(0, nu * nv, PROJECTOR_BLOCK):
+        rows = slice(lo, lo + PROJECTOR_BLOCK)
+        b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]])
+        b = b.transpose(0, 2, 1).copy()  # (4, d, points)
+        n = 2.0 * b[3] + 2.0 * herm_norm_sq(kap[rows]) * b[0]
+        basis[rows] = _v_basis(b, n).transpose(2, 0, 1)
+
+    kk_bar, s = np.empty((nu, nv)), np.empty((nu, nv), dtype=complex)
+    decomp, tang = np.empty((nu, nv)), np.empty((nu, nv))
+    step = max(1, BLOCK_POINTS // nv)
+    for lo in range(0, nu, step):
+        r = slice(lo, lo + step)
+        kap, y_zz, y_z, y = kappa[r], frame.Y_zz[r], frame.Y_z[r], frame.Y[r]
+        kk_bar[r] = herm_norm_sq(kap)
+        n = 2.0 * frame.Y_zzbar[r] + 2.0 * kk_bar[r][..., None] * y
+        s[r] = 2.0 * mink_inner(y_zz, n)
+        decomp[r] = herm_norm(y_zz - (-0.5 * s[r][..., None] * y + kap))
+        tang[r] = np.maximum(np.abs(2.0 * mink_inner(y_zz, y_z)),
+                             np.abs(2.0 * mink_inner(y_zz, np.conj(y_z))))
+    m = frame.mask
+    return {
+        "kappa": kappa,
+        "s": s,
+        "kk": mink_inner(kappa, kappa),
+        "kk_bar": kk_bar,
+        "umbilic_mask": kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL),
+        "decomposition_defect": float(decomp[m].max()),
+        "tangential_defect": float(tang[m].max()),
+        "V_basis": basis.reshape(nu, nv, 4, d),
+    }
 
 
 def constant_section(frame, w):

@@ -8,7 +8,8 @@ to the whole jet at once, and its report bytes must not depend on the
 thread count.  kappa must be the dense einsum oracle's P Y_zz, bit for
 bit, and the rank-4 `normal_project` must be that oracle's projector to
 roundoff: on S^3 to S^20 charts, finite-difference charts and Mobius
-images, for any thread count.
+images, for any thread count.  The one walk of `perp_projector` that
+splits Y_zz must give every bit the two walks that preceded it gave.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ from wlab.gallery import (
 from wlab.invariants import hopf_schwarzian, ricci_residual
 from wlab.lorentz import mink_inner, random_mobius
 
-from frame_oracles import einsum_perp_projector, kappa_jet, oracle_kappa
+from frame_oracles import einsum_perp_projector, kappa_jet, oracle_kappa, two_walk_split
 
 
 SURFACES = {
@@ -121,9 +122,24 @@ def test_perp_projector_is_the_einsum_bit_for_bit(threads, surface, nu, nv, n, s
     frame = canonical_lift(make_chart(surface, nu, nv, n, seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("WLAB_THREADS", threads)
-        kappa, basis = perp_projector(frame)
-    assert np.array_equal(kappa, oracle_kappa(frame))
-    assert basis.shape == frame.Y.shape[:2] + (4, frame.dim)
+        split = perp_projector(frame)
+    assert np.array_equal(split.kappa, oracle_kappa(frame))
+    assert split.V_basis.shape == frame.Y.shape[:2] + (4, frame.dim)
+
+
+@given(**charts)
+@example(surface="cp2", nu=35, nv=30, n=7, seed=0)  # 1050 = PROJECTOR_BLOCK + 26
+@example(surface="veronese_fd", nu=40, nv=39, n=5, seed=0)
+def test_the_one_walk_splits_y_zz_as_the_two_walks_did(surface, nu, nv, n, seed):
+    lift = canonical_lift(make_chart(surface, nu, nv, n, seed))
+    want = two_walk_split(lift)
+    for threads in ("1", "2", "3"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("WLAB_THREADS", threads)
+            frame = perp_projector(lift)
+            got = dict(vars(hopf_schwarzian(frame)), V_basis=frame.V_basis)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), (threads, key)
 
 
 projection_charts = dict(charts, n=st.sampled_from([3, 5, 7, 10, 20]))

@@ -300,14 +300,13 @@ def test_perp_projector_is_bit_identical_to_einsum(make_chart, dim):
     # kappa, the one vector a dense block of P projects, is the oracle's P Y_zz
     frame = canonical_lift(make_chart())
     assert frame.dim == dim
-    kappa, _ = perp_projector(frame)
-    assert np.array_equal(kappa, oracle_kappa(frame))
+    assert np.array_equal(perp_projector(frame).kappa, oracle_kappa(frame))
 
 
 def test_perp_projector_peak_memory_stays_near_its_output(monkeypatch):
-    # kappa and the V basis are 6x Y, and each part's block buffers (a block
-    # of P among them) add about 2.3x at d = 9 (8.3x and 10.7x in all at 1
-    # and 2 threads); one (nu, nv, d, d) field would add 9x
+    # kappa and the V basis are 6x Y, s and kk_bar 0.3x at d = 9, and each
+    # part's block buffers (a block of P among them) add the rest (8.0x and
+    # 9.6x in all at 1 and 2 threads); one (nu, nv, d, d) field would add 9x
     frame = canonical_lift(include_in_higher_sphere(clifford(128, 128), 7))
     y_bytes = frame.Y.nbytes
     for threads in ("1", "2"):
@@ -336,7 +335,7 @@ def test_the_v_basis_is_finite_where_y_z_y_zzbar_and_kappa_vanish(make_chart):
                               (frame.Y, frame.Y_z, frame.Y_zzbar, frame.kappa))
     y_z[dead], y_zzbar[dead], kappa[dead] = 0.0, 0.0, 0.0
     b = np.stack([y, y_z.real, y_z.imag, y_zzbar]).transpose(0, 2, 1).copy()  # (4, d, points)
-    n = wlab.frame._null_partner(b[0], b[3], herm_norm_sq(kappa))
+    n = 2.0 * b[3] + 2.0 * herm_norm_sq(kappa) * b[0]  # frame_N's N, as (d, points)
     assert not n[:, dead].any()
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         basis = wlab.frame._v_basis(b, n).transpose(2, 0, 1)
@@ -379,6 +378,18 @@ def test_clifford_kappa_closed_form():
     assert np.abs(inv.s).max() < 1e-10
     assert inv.decomposition_defect < 1e-8
     assert inv.tangential_defect < 1e-8
+
+
+@pytest.mark.parametrize("make_chart, s_min", [
+    (lambda: pinkall_hopf_torus(1.5, 64, 32).chart, 0.9),
+    (lambda: build_surface("homogeneous_cp2_hopf", 64, 32, {"lambdas": [-1.0, 0.5, 2.0]}), 0.35),
+], ids=["pinkall", "cp2"])
+def test_the_split_of_y_zz_closes_where_s_is_not_zero(make_chart, s_min):
+    # Clifford's s vanishes, so only charts like these see the s term of the closure
+    inv = hopf_schwarzian(build_frame(make_chart()))
+    assert np.abs(inv.s[inv.mask]).max() > s_min
+    assert inv.decomposition_defect < 1e-12
+    assert inv.tangential_defect < 1e-12
 
 
 def test_degenerate_metric_masked():

@@ -58,6 +58,16 @@ def test_round_sphere_is_totally_umbilic():
     assert inv.umbilic_mask[frame.mask].all()
 
 
+def test_hopf_schwarzian_reads_no_lift_derivative():
+    frame = build_frame(pinkall_hopf_torus(1.5, 32, 16).chart)
+    want = hopf_schwarzian(frame)
+    got = hopf_schwarzian(replace(frame, Y_z=None, Y_zz=None, Y_zzbar=None))
+    assert got.chart is want.chart
+    for key, value in vars(want).items():
+        if key != "chart":
+            assert np.array_equal(getattr(got, key), value), key
+
+
 def test_kappa_is_normal(clifford_inv):
     frame, inv = clifford_inv
     for vec in (frame.Y, frame.Y_z, np.conj(frame.Y_z), frame_N(frame)):
