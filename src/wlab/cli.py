@@ -9,6 +9,9 @@ Subcommands
 
 `--out` names the one file a run writes: without it `analyze` and
 `fields` write to stdout, and `convergence` prints only its text table.
+`fields` formats and writes its CSV one block of BLOCK_POINTS grid
+points (whole grid lines) at a time, so a write that fails or is
+interrupted leaves a partial file, as a failed single write could.
 Only `analyze` writes, and so computes, `W_euclidean` and the rank
 witnesses: `fields` and `convergence` run `analyze(..., witnesses=False)`,
 so an error in those stages cannot fail them.  The CSV writer derives
@@ -70,7 +73,7 @@ from .frame import Chart, ChartError
 from .gallery import GALLERY, apply_mobius, build_surface, include_in_higher_sphere
 from .invariants import unwrap_half_phase
 from .lorentz import random_mobius
-from .parallel import thread_cap
+from .parallel import BLOCK_POINTS, thread_cap
 
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
@@ -210,10 +213,12 @@ def report_json(report: DiagnosticsReport, seed: int, transforms: list) -> str:
     return json.dumps({**report.to_json_dict(), **applied}, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, path) -> None:
+def _emit(pieces, path) -> None:
+    """Write the text pieces, in order, to `path` or stdout; an OSError
+    is a config error (exit 2)."""
     try:
         with open(path, "w") if path else nullcontext(sys.stdout) as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write {path or '<stdout>'!r}: {exc}") from exc
 
@@ -221,7 +226,7 @@ def _emit(text: str, path) -> None:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     report = run_analysis(cfg)
-    _emit(report_json(report, cfg["seed"], cfg["transforms"]), args.out)
+    _emit((report_json(report, cfg["seed"], cfg["transforms"]),), args.out)
     for e in report.entries:
         print(f"{e.name:<18} L_inf={e.L_inf:.3e} tol={e.tolerance:.1e} {e.verdict}",
               file=sys.stderr)
@@ -264,7 +269,7 @@ def cmd_convergence(args) -> int:
         )
         print(f"{line}  {label}")
     if args.out:
-        _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
+        _emit((json.dumps(table, sort_keys=True, indent=2) + "\n",), args.out)
     return 0
 
 
@@ -282,15 +287,23 @@ def cmd_fields(args) -> int:
     spec, kk = report.spec, report.fields["kk"]
     theta, theta_ok = unwrap_half_phase(kk, spec)
     fields = {**report.fields, "abs_kk": np.abs(kk), "theta": np.where(theta_ok, theta, np.nan)}
-    # u and v are formatted once per grid line; rows run over v fastest
-    u, v = (list(map(repr, x.tolist())) for x in (spec.u, spec.v))
-    cells = [[x for x in u for _ in v], v * len(u)]
-    cells += [map(repr, np.asarray(fields[c], dtype=float).ravel().tolist())
-              for c in RESIDUAL_CSV_COLUMNS]
-    lines = [",".join(["u", "v"] + RESIDUAL_CSV_COLUMNS)]
-    lines.extend(map(",".join, zip(*cells)))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv_pieces(spec, [np.asarray(fields[c], dtype=float) for c in RESIDUAL_CSV_COLUMNS]),
+          args.out)
     return 0
+
+
+def _csv_pieces(spec, columns):
+    """The CSV text: its header line, then the rows of one block of
+    BLOCK_POINTS grid points (whole grid lines, v fastest) per piece."""
+    yield ",".join(["u", "v"] + RESIDUAL_CSV_COLUMNS) + "\n"
+    # u and v are formatted once per grid line
+    u, v = (list(map(repr, x.tolist())) for x in (spec.u, spec.v))
+    step = max(1, BLOCK_POINTS // len(v))
+    for lo in range(0, len(u), step):
+        lines = u[lo:lo + step]
+        cells = [[x for x in lines for _ in v], v * len(lines)]
+        cells += [map(repr, col[lo:lo + step].ravel().tolist()) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):

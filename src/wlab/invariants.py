@@ -30,7 +30,7 @@ UMBILIC_ABS_TOL = 1e-13
 POLE_MIN_DISTANCE = 0.1
 # chart points per block in the pole search: its (candidates, points)
 # matrix of dot products is formed one block at a time
-POLE_SEARCH_BLOCK = 4096
+POLE_SEARCH_BLOCK = 1024
 
 
 @dataclass

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,22 +130,48 @@ def test_fields_dump(tmp_path):
     assert np.abs(kkbar - 0.125).max() < 1e-9
 
 
-def test_fields_csv_matches_a_row_loop(tmp_path):
+def test_fields_csv_matches_a_row_loop(tmp_path, capsys):
+    # 32x16 is one block; 100x48 is blocks of 42, 42 and 16 grid lines
+    for nu, nv in ((32, 16), (100, 48)):
+        cfg = write_config(tmp_path, surface={"name": "veronese", "params": {}},
+                           grid={"nu": nu, "nv": nv})
+        out = tmp_path / "fields.csv"
+        assert main(["fields", cfg, "--out", str(out)]) == 0
+        report = run_analysis(validate_config(json.loads(open(cfg).read())))
+        uu, vv = report.spec.meshgrid()
+        kk = report.fields["kk"]
+        theta, theta_ok = unwrap_half_phase(kk, report.spec)
+        fields = {**report.fields, "abs_kk": np.abs(kk),
+                  "theta": np.where(theta_ok, theta, np.nan)}
+        flat = {c: np.asarray(fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
+        rows = [["u", "v"] + RESIDUAL_CSV_COLUMNS]
+        for i, (u, v) in enumerate(zip(uu.ravel(), vv.ravel())):
+            rows.append([repr(float(u)), repr(float(v))]
+                        + [repr(float(flat[c][i])) for c in RESIDUAL_CSV_COLUMNS])
+        assert out.read_text() == "\n".join(",".join(r) for r in rows) + "\n"
+        capsys.readouterr()
+        assert main(["fields", cfg]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+
+def _traced_peak(job) -> int:
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fields_holds_less_than_half_its_csv_beyond_analyze(tmp_path):
+    # the CSV is written a block of grid lines at a time, so only one
+    # block's text is held beside the report's fields
     cfg = write_config(tmp_path, surface={"name": "veronese", "params": {}},
-                       grid={"nu": 32, "nv": 16})
+                       grid={"nu": 256, "nv": 64})
     out = tmp_path / "fields.csv"
-    assert main(["fields", cfg, "--out", str(out)]) == 0
-    report = run_analysis(validate_config(json.loads(open(cfg).read())))
-    uu, vv = report.spec.meshgrid()
-    kk = report.fields["kk"]
-    theta, theta_ok = unwrap_half_phase(kk, report.spec)
-    fields = {**report.fields, "abs_kk": np.abs(kk), "theta": np.where(theta_ok, theta, np.nan)}
-    flat = {c: np.asarray(fields[c]).ravel() for c in RESIDUAL_CSV_COLUMNS}
-    rows = [["u", "v"] + RESIDUAL_CSV_COLUMNS]
-    for i, (u, v) in enumerate(zip(uu.ravel(), vv.ravel())):
-        rows.append([repr(float(u)), repr(float(v))]
-                    + [repr(float(flat[c][i])) for c in RESIDUAL_CSV_COLUMNS])
-    assert out.read_text() == "\n".join(",".join(r) for r in rows) + "\n"
+    analyze_peak = _traced_peak(lambda: analyze(veronese(256, 64), witnesses=False))
+    fields_peak = _traced_peak(lambda: main(["fields", cfg, "--out", str(out)]))
+    assert fields_peak - analyze_peak < 0.5 * out.stat().st_size
 
 
 def test_convergence_table(tmp_path, capsys):
@@ -497,6 +524,15 @@ def test_unwritable_output_exits_2_from_every_subcommand(
     assert main(argv + ["--out", target]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {target!r}") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_that_fails_inside_the_block_stream_exits_2(tmp_path, capsys):
+    # the file opens, and the write of the first block of rows fails
+    cfg = write_config(tmp_path, grid={"nu": 96, "nv": 48})
+    assert main(["fields", cfg, "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write '/dev/full'") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))

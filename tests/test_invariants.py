@@ -11,6 +11,7 @@ from wlab.cli import report_json
 from wlab.diagnostics import analyze, convergence_L_inf
 from wlab.frame import Chart, build_frame
 from wlab.gallery import (
+    apply_mobius,
     build_surface,
     clifford,
     include_in_higher_sphere,
@@ -27,7 +28,7 @@ from wlab.invariants import (
     willmore_energy_conformal,
     willmore_energy_euclidean,
 )
-from wlab.lorentz import herm_norm_sq, mink_inner
+from wlab.lorentz import herm_norm_sq, mink_inner, random_mobius
 
 from frame_oracles import (
     constant_section,
@@ -277,7 +278,31 @@ def test_projection_pole_search_memory_stays_near_chart_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * chart.points.nbytes
+    assert peak < 2 * chart.points.nbytes
+
+
+def whole_matrix_pole(chart: Chart) -> np.ndarray:
+    """`select_projection_pole` with its (candidates, points) matrix of dot
+    products formed at once: the reference for the blocked maximum."""
+    pts = chart.points.reshape(-1, chart.ambient_n + 1)
+    rng = np.random.default_rng(12345)
+    cand = rng.normal(size=(256, pts.shape[1]))
+    cand /= np.linalg.norm(cand, axis=1)[:, None]
+    axes = np.concatenate([np.eye(pts.shape[1]), -np.eye(pts.shape[1])])
+    cand = np.concatenate([axes, cand])
+    min_d = np.sqrt(np.maximum(2.0 - 2.0 * (cand @ pts.T).max(axis=1), 0.0))
+    return cand[int(np.argmax(min_d))]
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: clifford(128, 128),
+    lambda: veronese(256, 64),
+    lambda: apply_mobius(include_in_higher_sphere(clifford(192, 192), 7),
+                         random_mobius(7, 5, 1.0)),
+], ids=["clifford", "veronese", "mobius_clifford_s7"])
+def test_projection_pole_is_the_whole_matrix_choice(make_chart):
+    chart = make_chart()
+    assert np.array_equal(select_projection_pole(chart), whole_matrix_pole(chart))
 
 
 def test_willmore_energy_clifford(clifford_inv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -11,6 +13,9 @@ from wlab.lorentz import (
     signature,
     span_rank,
 )
+
+from wlab.gallery import clifford, include_in_higher_sphere
+from wlab.parallel import BLOCK_POINTS
 
 from frame_oracles import mobius_form_defect, mobius_inverse
 
@@ -107,6 +112,36 @@ def test_span_rank_of_blocks_matches_the_single_matrix_call():
         assert span_rank(iter(blocks)) == rank
     with pytest.raises(ValueError):
         span_rank([pts[:0], pts[3:3]])
+
+
+def test_span_rank_counts_every_leaf():
+    # 2 BLOCK_POINTS + 3 rows: two full leaves and a last one of 3 rows,
+    # fewer than the dimension 9
+    rng = np.random.default_rng(12)
+    n, dim = 2 * BLOCK_POINTS + 3, 9
+    pts = rng.normal(size=(n, 4)) @ rng.normal(size=(4, dim))
+    pts[-3:] = rng.normal(size=(3, dim))
+    assert span_rank(pts) == 7  # the last leaf adds 3 directions to the 4 before it
+    u, _ = np.linalg.qr(rng.normal(size=(n, dim)))
+    v, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    for rank in range(1, dim + 1):
+        sigma = np.where(np.arange(dim) < rank, 2.0 * RANK_TOL, RANK_TOL / 2.0)
+        sigma[0] = 1.0
+        assert span_rank(u @ np.diag(sigma) @ v) == rank
+
+
+def test_span_rank_copies_one_leaf_at_a_time():
+    chart = include_in_higher_sphere(clifford(256, 256), 7)
+    lift = np.concatenate([np.ones(chart.points.shape[:-1] + (1,)), chart.points], axis=-1)
+    f = lift * np.exp(1j * chart.spec.meshgrid()[0])[..., None]
+    tracemalloc.start()
+    try:
+        assert span_rank([f.real, f.imag]) == 5
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a copy of the strided block f.real would be 1.0x
+    assert peak < 0.25 * f.real.nbytes
 
 
 def test_clifford_lifts_span_five_dimensions():
