@@ -39,7 +39,6 @@ from .gallery import (
     veronese,
 )
 from .invariants import (
-    InvariantField,
     hopf_schwarzian,
     normal_D,
     ricci_residual,

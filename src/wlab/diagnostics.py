@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__ as _version
 from .calculus import GridSpec, diff_real, diff_z, diff_zbar, wirtinger
-from .frame import Chart, build_frame, normal_project
+from .frame import Chart, FrameField, build_frame, normal_project
 from .invariants import (
-    InvariantField,
     hopf_schwarzian,
     normal_D,
     ricci_residual,
@@ -103,30 +102,30 @@ def willmore_residual(willmore_vector: np.ndarray) -> np.ndarray:
     return herm_norm(willmore_vector)
 
 
-def s_willmore_residual(inv: InvariantField, dzbar_kappa: np.ndarray) -> np.ndarray:
+def s_willmore_residual(frame: FrameField, dzbar_kappa: np.ndarray) -> np.ndarray:
     """Norm of the part of D_zbar kappa orthogonal to the line of kappa.
 
     Zero exactly when D_zbar kappa = mu kappa for some function mu.
     Meaningless at umbilic points (the quotient by <kappa, conj kappa>);
     callers mask those.
     """
-    kkb = np.where(inv.umbilic_mask, 1.0, inv.kk_bar)
+    kkb = np.where(frame.umbilic_mask, 1.0, frame.kk_bar)
     out = np.empty(kkb.shape)
 
     def part(lo, hi):
         r = slice(lo, hi)
-        coef = mink_inner(dzbar_kappa[r], np.conj(inv.kappa[r])) / kkb[r]
-        out[r] = herm_norm(dzbar_kappa[r] - coef[..., None] * inv.kappa[r])
+        coef = mink_inner(dzbar_kappa[r], np.conj(frame.kappa[r])) / kkb[r]
+        out[r] = herm_norm(dzbar_kappa[r] - coef[..., None] * frame.kappa[r])
 
     split(part, len(out), max(1, BLOCK_POINTS // kkb.shape[1]))
     return out
 
 
-def flat_normal_residual(inv: InvariantField) -> np.ndarray:
+def flat_normal_residual(frame: FrameField) -> np.ndarray:
     """<kappa, conj kappa> - |<kappa, kappa>|: zero iff kappa is a common
     phase times a real normal vector (flat normal bundle away from
     umbilics).  Always >= 0 by Cauchy-Schwarz."""
-    return inv.kk_bar - np.abs(inv.kk)
+    return frame.kk_bar - np.abs(frame.kk)
 
 
 def phase_laplacian_residual(theta: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -142,15 +141,15 @@ def isothermic_residual(kk: np.ndarray, spec: GridSpec) -> np.ndarray:
         return 0.5 * np.abs(((kk * diff_z(k_zbar, spec) - k_z * k_zbar) / kk**2).imag)
 
 
-def six_form(inv: InvariantField, dzbar_kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def six_form(frame: FrameField, dzbar_kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The holomorphic-form candidate Omega and its |d_zbar Omega|.
 
     Omega = <D_zbar kappa, kappa>^2 - <D_zbar kappa, D_zbar kappa>
     <kappa, kappa>; it vanishes identically whenever D_zbar kappa is
     parallel to kappa, and d_zbar Omega vanishes on Willmore data.
     """
-    omega = six_form_scalar(inv.kappa, dzbar_kappa)
-    holo = np.abs(diff_zbar(omega, inv.spec))
+    omega = six_form_scalar(frame.kappa, dzbar_kappa)
+    holo = np.abs(diff_zbar(omega, frame.spec))
     return omega, holo
 
 
@@ -161,15 +160,15 @@ def six_form_scalar(kappa: np.ndarray, dzbar_kappa: np.ndarray) -> np.ndarray:
     return dot(dzbar_kappa, kappa) ** 2 - dot(dzbar_kappa, dzbar_kappa) * dot(kappa, kappa)
 
 
-def gauss_residual(inv: InvariantField, dz_kappa: np.ndarray,
+def gauss_residual(frame: FrameField, dz_kappa: np.ndarray,
                    dzbar_kappa: np.ndarray) -> np.ndarray:
     """|s_zbar / 2 - 3 <kappa, D_z conj kappa> - <D_z kappa, conj kappa>|,
     the pointwise defect of the Gauss row of the integrability system."""
-    s_zbar = diff_zbar(inv.s, inv.spec)
+    s_zbar = diff_zbar(frame.s, frame.spec)
     return np.abs(
         0.5 * s_zbar
-        - 3.0 * mink_inner(inv.kappa, np.conj(dzbar_kappa))  # D_z conj kappa
-        - mink_inner(dz_kappa, np.conj(inv.kappa))
+        - 3.0 * mink_inner(frame.kappa, np.conj(dzbar_kappa))  # D_z conj kappa
+        - mink_inner(dz_kappa, np.conj(frame.kappa))
     )
 
 
@@ -180,11 +179,11 @@ def codazzi_residual(willmore_vector: np.ndarray) -> np.ndarray:
     return herm_norm(willmore_vector.imag)
 
 
-def codazzi_gauss_residuals(inv: InvariantField, dz_kappa: np.ndarray, dzbar_kappa: np.ndarray,
+def codazzi_gauss_residuals(frame: FrameField, dz_kappa: np.ndarray, dzbar_kappa: np.ndarray,
                             willmore_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gauss, codazzi): both integrability rows, for a caller holding the
     whole jet.  `analyze` takes each row at its own stage."""
-    return gauss_residual(inv, dz_kappa, dzbar_kappa), codazzi_residual(willmore_vector)
+    return gauss_residual(frame, dz_kappa, dzbar_kappa), codazzi_residual(willmore_vector)
 
 
 def reduction_span_check(mask: np.ndarray, fields) -> int:
@@ -330,13 +329,14 @@ def default_tolerances(chart: Chart, overrides: Optional[dict] = None) -> dict:
 
 def analyze(chart: Chart, tolerances: Optional[dict] = None, *,
             witnesses: bool = True) -> DiagnosticsReport:
-    """Full pipeline: frame -> invariants -> residuals -> report.
+    """Full pipeline: frame record (lift, split, invariants) -> residuals -> report.
 
     The canonical lift checks the chart, so a bad chart raises ChartError
-    before any other work.  Each (nu, nv, d) field is deleted after its last
-    reader: the lift once kappa, s and the lift rank exist, each field of
-    kappa's normal jet once its residuals and rank block are taken, the V
-    basis after the last projection, kappa before the Euclidean check.
+    before any other work.  Each (nu, nv, d) field is released after its
+    last reader: the lift leaves the record once kappa, s and the lift rank
+    exist, each field of kappa's normal jet goes once its residuals and rank
+    block are taken, the V basis after the last projection, kappa before
+    the Euclidean check.
 
     `fields["kk"]` is <kappa, kappa> itself; no phase of it is unwrapped
     here (the CSV writer of `wlab fields` derives |kk| and theta).  With
@@ -350,38 +350,37 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None, *,
     tol = default_tolerances(chart, tolerances)
     spec = chart.spec
 
-    frame = build_frame(chart)
-    inv = hopf_schwarzian(frame)
-    live = inv.mask
+    frame = hopf_schwarzian(build_frame(chart))
+    live = frame.mask
     ranks = {"lift_rank": reduction_span_check(live, [frame.Y])} if witnesses else {}
-    basis = frame.V_basis
-    del frame  # Y and its derivatives
+    basis = frame.V_basis  # held apart, so that it goes after its last projection
+    frame = replace(frame, Y=None, Y_z=None, Y_zz=None, Y_zzbar=None, V_basis=None)
 
-    dz, dzbar = normal_D(basis, inv.kappa, spec)
+    dz, dzbar = normal_D(basis, frame.kappa, spec)
     fields = {
-        "res_swillmore": s_willmore_residual(inv, dzbar),
-        "res_gauss": gauss_residual(inv, dz, dzbar),
+        "res_swillmore": s_willmore_residual(frame, dzbar),
+        "res_gauss": gauss_residual(frame, dz, dzbar),
     }
-    omega, fields["omega_holomorphy"] = six_form(inv, dzbar)
+    omega, fields["omega_holomorphy"] = six_form(frame, dzbar)
     fields["omega_abs"] = np.abs(omega)
     del omega
     dzbar_dz = normal_project(basis, diff_zbar(dz, spec))
     if witnesses:
-        ranks["kappa_jet_rank"] = reduction_span_check(live, [inv.kappa, dz, dzbar_dz])
+        ranks["kappa_jet_rank"] = reduction_span_check(live, [frame.kappa, dz, dzbar_dz])
     del dz
     dz_dzbar, willmore = normal_D(basis, dzbar, spec, out=dzbar)  # dzbar is read no more
     del dzbar, basis
-    fields["res_ricci"] = ricci_residual(inv, dzbar_dz, dz_dzbar)
+    fields["res_ricci"] = ricci_residual(frame, dzbar_dz, dz_dzbar)
     del dzbar_dz, dz_dzbar
-    willmore = willmore_vector(inv, willmore)
+    willmore = willmore_vector(frame, willmore)
     fields["res_willmore"] = willmore_residual(willmore)
     fields["res_codazzi"] = codazzi_residual(willmore)
     del willmore
 
-    fields["res_flat"] = flat_normal_residual(inv)
-    fields["kkbar"] = inv.kk_bar
-    fields["kk"] = inv.kk
-    kinds = {LIVE: live, NON_UMBILIC: live & ~inv.umbilic_mask}
+    fields["res_flat"] = flat_normal_residual(frame)
+    fields["kkbar"] = frame.kk_bar
+    fields["kk"] = frame.kk
+    kinds = {LIVE: live, NON_UMBILIC: live & ~frame.umbilic_mask}
     masks = {row.field: kinds[row.mask] for row in RESIDUALS}
 
     def entry(row: Residual) -> ResidualEntry:
@@ -393,14 +392,14 @@ def analyze(chart: Chart, tolerances: Optional[dict] = None, *,
 
     flat = entry(FLAT_NORMAL)
     if flat.verdict == "pass":
-        fields[ISOTHERMIC.field] = isothermic_residual(inv.kk, spec)
+        fields[ISOTHERMIC.field] = isothermic_residual(frame.kk, spec)
     else:
         fields[ISOTHERMIC.field] = np.full(live.shape, np.nan)
         masks[ISOTHERMIC.field] = np.zeros_like(live)
     entries = [flat if row is FLAT_NORMAL else entry(row) for row in RESIDUALS]
-    energies = {"W_conformal": willmore_energy_conformal(inv),
+    energies = {"W_conformal": willmore_energy_conformal(frame),
                 "domain_truncated": not spec.fully_periodic}
-    del inv  # the Euclidean cross-check reads only the chart, so it runs last
+    del frame  # the Euclidean cross-check reads only the chart, so it runs last
     if witnesses:
         energies["W_euclidean"] = willmore_energy_euclidean(chart)
 

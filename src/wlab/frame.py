@@ -28,7 +28,9 @@ w - sum_k eps_k <w, e_k> e_k, which Gram-Schmidt builds from the null
 pair (Y, N) and Re Y_z, Im Y_z.
 The pipeline needs no orthonormal basis of V^perp: every criterion pairs
 kappa and its normal derivatives, which no choice of normal frame
-changes.  `normal_basis` builds one on demand.
+changes.  `normal_basis` builds one on demand.  `FrameField` is the one
+record from lift to verdict: `invariants.hopf_schwarzian` adds <kappa,
+kappa> and the umbilic mask to it.
 """
 
 from __future__ import annotations
@@ -95,16 +97,17 @@ class Chart:
 
 @dataclass
 class FrameField:
-    """Canonical lift, its derivatives, and what `perp_projector` fills in:
-    the split of Y_zz, its worst defects on the mask and the basis of V
-    that `normal_project` projects along.  Y_zbar = conj(Y_z) and N are
-    not stored."""
+    """The one record from lift to verdict: the canonical lift and its
+    derivatives (None once `analyze` has read them), what `perp_projector`
+    fills in (the split of Y_zz, its worst defects on the mask and the
+    basis of V that `normal_project` projects along) and what
+    `hopf_schwarzian` adds.  Y_zbar = conj(Y_z) and N are not stored."""
 
     chart: Chart
-    Y: np.ndarray          # (nu, nv, d) real
-    Y_z: np.ndarray        # complex
-    Y_zz: np.ndarray       # complex
-    Y_zzbar: np.ndarray    # real
+    Y: Optional[np.ndarray]        # (nu, nv, d) real
+    Y_z: Optional[np.ndarray]      # complex
+    Y_zz: Optional[np.ndarray]     # complex
+    Y_zzbar: Optional[np.ndarray]  # real
     mask: np.ndarray
     kappa: Optional[np.ndarray] = None    # V^perp_C part of Y_zz, complex
     s: Optional[np.ndarray] = None        # (nu, nv) complex Schwarzian
@@ -112,6 +115,8 @@ class FrameField:
     decomposition_defect: Optional[float] = None  # max |Y_zz + (s/2) Y - kappa|
     tangential_defect: Optional[float] = None     # max 2|<Y_zz, Y_z>|, 2|<Y_zz, Y_zbar>|
     V_basis: Optional[np.ndarray] = None  # (nu, nv, 4, d): e_0 timelike, e_1..e_3
+    kk: Optional[np.ndarray] = None       # <kappa, kappa>, complex
+    umbilic_mask: Optional[np.ndarray] = None  # True at (near-)umbilic points
 
     @property
     def spec(self) -> GridSpec:
@@ -119,7 +124,7 @@ class FrameField:
 
     @property
     def dim(self) -> int:
-        return self.Y.shape[-1]
+        return self.chart.dim
 
 
 def light_cone_lift(chart: Chart) -> np.ndarray:

@@ -6,7 +6,9 @@ For the canonical lift Y the basic decomposition is
 
 with kappa the V^perp_C part (the conformal Hopf differential) and s the
 Schwarzian, s = 2 <Y_zz, N> since <Y, N> = -1; `frame.perp_projector`
-makes this split, once.  The normal connection is D_z v = P d_z v for
+makes this split, once, into the frame record, and `hopf_schwarzian` adds
+<kappa, kappa> and the umbilic mask to it: every evaluator here reads that
+one `FrameField`.  The normal connection is D_z v = P d_z v for
 sections v of V^perp_C, and the conformally invariant metric is <kappa,
 conj kappa> |dz|^2, whose total integral 2i Int <kappa, conj kappa> dz ^
 dzbar = 4 Int <kappa, conj kappa> du dv is the Willmore energy.  The
@@ -16,7 +18,7 @@ R^n and integrates H^2 - K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -33,44 +35,14 @@ POLE_MIN_DISTANCE = 0.1
 POLE_SEARCH_BLOCK = 1024
 
 
-@dataclass
-class InvariantField:
-    """Per-point conformal invariants of a chart: kappa, s and the scalars
-    the report reads.  `analyze` holds kappa's normal derivatives apart,
-    each only until its last reader."""
-
-    chart: Chart
-    mask: np.ndarray         # the frame mask
-    kappa: np.ndarray        # (nu, nv, d) complex, in V^perp_C
-    s: np.ndarray            # (nu, nv) complex Schwarzian
-    kk: np.ndarray           # <kappa, kappa>, complex
-    kk_bar: np.ndarray       # <kappa, conj kappa>, real >= 0
-    umbilic_mask: np.ndarray  # True at (near-)umbilic points
-    decomposition_defect: float
-    tangential_defect: float
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.chart.spec
-
-
-def hopf_schwarzian(frame: FrameField) -> InvariantField:
-    """The split of Y_zz into Schwarzian and conformal Hopf differential,
-    as the invariants the report reads: `perp_projector` formed kappa, s,
-    <kappa, conj kappa> and the split's defects; this adds <kappa, kappa>
-    and the umbilic mask, and reads no derivative of the lift."""
-    kk_bar, m = frame.kk_bar, frame.mask
-    return InvariantField(
-        chart=frame.chart,
-        mask=m,
-        kappa=frame.kappa,
-        s=frame.s,
-        kk=mink_inner(frame.kappa, frame.kappa),
-        kk_bar=kk_bar,
-        umbilic_mask=kk_bar < np.maximum(UMBILIC_REL_TOL * kk_bar[m].max(), UMBILIC_ABS_TOL),
-        decomposition_defect=frame.decomposition_defect,
-        tangential_defect=frame.tangential_defect,
-    )
+def hopf_schwarzian(frame: FrameField) -> FrameField:
+    """The frame with <kappa, kappa> and the umbilic mask added to the split
+    that `perp_projector` formed (kappa, s, <kappa, conj kappa> and its
+    defects); it reads no derivative of the lift and shares every other
+    array with `frame`."""
+    kk_bar = frame.kk_bar
+    floor = np.maximum(UMBILIC_REL_TOL * kk_bar[frame.mask].max(), UMBILIC_ABS_TOL)
+    return replace(frame, kk=mink_inner(frame.kappa, frame.kappa), umbilic_mask=kk_bar < floor)
 
 
 def normal_D(basis: np.ndarray, section: np.ndarray, spec: GridSpec,
@@ -82,10 +54,10 @@ def normal_D(basis: np.ndarray, section: np.ndarray, spec: GridSpec,
     return normal_project(basis, v_z), normal_project(basis, v_zbar)
 
 
-def willmore_vector(inv: InvariantField, dzbar_dzbar_kappa: np.ndarray) -> np.ndarray:
+def willmore_vector(frame: FrameField, dzbar_dzbar_kappa: np.ndarray) -> np.ndarray:
     """D_zbar D_zbar kappa + (conj s / 2) kappa, formed in the buffer of the
     D_zbar D_zbar kappa it is given."""
-    dzbar_dzbar_kappa += 0.5 * np.conj(inv.s)[..., None] * inv.kappa
+    dzbar_dzbar_kappa += 0.5 * np.conj(frame.s)[..., None] * frame.kappa
     return dzbar_dzbar_kappa
 
 
@@ -119,7 +91,7 @@ def unwrap_half_phase(kk: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.nd
     return theta, ok
 
 
-def ricci_residual(inv: InvariantField, dzbar_dz_kappa: np.ndarray,
+def ricci_residual(frame: FrameField, dzbar_dz_kappa: np.ndarray,
                    dz_dzbar_kappa: np.ndarray) -> np.ndarray:
     """Pointwise |R^D kappa - RHS|: the Ricci equation applied to kappa.
 
@@ -130,24 +102,24 @@ def ricci_residual(inv: InvariantField, dzbar_dz_kappa: np.ndarray,
     2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for v = kappa this
     vanishes exactly where the normal bundle is flat.
     """
-    if inv.kappa.shape[-1] == 4:  # V^perp = 0: kappa is projector roundoff, not a section
-        return np.zeros(inv.mask.shape)
-    kap = inv.kappa
+    if frame.kappa.shape[-1] == 4:  # V^perp = 0: kappa is projector roundoff, not a section
+        return np.zeros(frame.mask.shape)
+    kap = frame.kappa
     # right side first, then the left side minus it: two fields alive at once
-    defect = 2.0 * inv.kk[..., None] * np.conj(kap)
-    defect -= 2.0 * inv.kk_bar[..., None] * kap
+    defect = 2.0 * frame.kk[..., None] * np.conj(kap)
+    defect -= 2.0 * frame.kk_bar[..., None] * kap
     defect = dzbar_dz_kappa - dz_dzbar_kappa - defect
     return herm_norm(defect)
 
 
-def willmore_energy_conformal(inv: InvariantField) -> float:
+def willmore_energy_conformal(frame: FrameField) -> float:
     """W = 2i Int <kappa, conj kappa> dz ^ dzbar = 4 Int <k,kbar> du dv.
 
     Covering charts report the energy of a single cover.  On charts that
     are not fully periodic this is the energy of the truncated domain.
     """
-    w = 4.0 * float(integrate(inv.kk_bar, inv.spec))
-    return w / inv.chart.cover_count
+    w = 4.0 * float(integrate(frame.kk_bar, frame.spec))
+    return w / frame.chart.cover_count
 
 
 def select_projection_pole(chart: Chart) -> np.ndarray:

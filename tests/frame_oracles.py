@@ -31,14 +31,14 @@ def frame_N(frame) -> np.ndarray:
     return 2.0 * frame.Y_zzbar + 2.0 * herm_norm_sq(frame.kappa)[..., None] * frame.Y
 
 
-def kappa_jet(frame, inv) -> KappaJet:
+def kappa_jet(frame) -> KappaJet:
     """kappa's normal 2-jet from the steps `analyze` takes, which holds
     each field only until its last reader."""
     basis, spec = frame.V_basis, frame.spec
-    dz, dzbar = normal_D(basis, inv.kappa, spec)
+    dz, dzbar = normal_D(basis, frame.kappa, spec)
     dzbar_dz = normal_project(basis, diff_zbar(dz, spec))
     dz_dzbar, dzbar_dzbar = normal_D(basis, dzbar, spec)
-    return KappaJet(dz, dzbar, dzbar_dz, dz_dzbar, willmore_vector(inv, dzbar_dzbar))
+    return KappaJet(dz, dzbar, dzbar_dz, dz_dzbar, willmore_vector(frame, dzbar_dzbar))
 
 
 def frame_residuals(frame) -> dict:
@@ -106,7 +106,8 @@ def two_walk_split(frame) -> dict:
     the (d, points) layout (kappa is the dense oracle's, which the blocked
     kappa equals); then, per BLOCK_POINTS of grid rows, <kappa, conj kappa>,
     N again in the (rows, nv, d) layout, s and the split's defects.
-    Returns the split by the names of `InvariantField`, plus `V_basis`."""
+    Returns the split, the V basis and what `hopf_schwarzian` adds, keyed
+    by their `FrameField` names."""
     nu, nv, d = frame.Y.shape
     kappa = oracle_kappa(frame)
     y, y_z, y_zzbar, kap = (f.reshape(-1, d) for f in (frame.Y, frame.Y_z, frame.Y_zzbar, kappa))
@@ -148,7 +149,7 @@ def constant_section(frame, w):
     return normal_project(frame.V_basis, np.broadcast_to(np.asarray(w, complex), frame.Y_z.shape).copy())
 
 
-def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
+def structure_closure_residuals(frame, jet: KappaJet) -> dict:
     """L_inf defects of the structure equations, reconstructed vs. direct.
 
     Checks d_z of Y_z, of N, and of a smooth normal section (the V^perp
@@ -162,13 +163,13 @@ def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
         return float(herm_norm(vec)[m].max())
 
     out = {}
-    rhs_yzz = -0.5 * inv.s[..., None] * frame.Y + inv.kappa
+    rhs_yzz = -0.5 * frame.s[..., None] * frame.Y + frame.kappa
     out["Y_zz"] = worst(frame.Y_zz - rhs_yzz)
 
     nz = diff_z(frame_N(frame), spec)
     rhs_n = (
-        -2.0 * inv.kk_bar[..., None] * frame.Y_z
-        - inv.s[..., None] * np.conj(frame.Y_z)
+        -2.0 * frame.kk_bar[..., None] * frame.Y_z
+        - frame.s[..., None] * np.conj(frame.Y_z)
         + 2.0 * jet.Dzbar_kappa
     )
     out["N_z"] = worst(nz - rhs_n)
@@ -180,7 +181,7 @@ def structure_closure_residuals(frame, inv, jet: KappaJet) -> dict:
     rhs_psi = (
         normal_project(frame.V_basis, sz.copy())
         + 2.0 * mink_inner(section, jet.Dzbar_kappa)[..., None] * frame.Y
-        - 2.0 * mink_inner(section, inv.kappa)[..., None] * np.conj(frame.Y_z)
+        - 2.0 * mink_inner(section, frame.kappa)[..., None] * np.conj(frame.Y_z)
     )
     out["psi_z"] = worst(sz - rhs_psi)
     return out

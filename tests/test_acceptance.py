@@ -70,7 +70,7 @@ def test_criterion_01_clifford_reference_values(clifford_report):
     every residual vanishes identically for this minimal flat torus.
     """
     rep = clifford_report
-    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-6)
+    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
     assert np.abs(rep.fields["kkbar"] - 0.125).max() < 1e-8
     for name in RESIDUAL_NAMES:
         assert rep.entry(name).L_inf < 1e-8, name
@@ -100,7 +100,7 @@ def test_criterion_03_pinkall_torus_closed_form(pinkall_report):
     assert res.closed
     assert res.closing_period == pytest.approx(4 * np.pi / 5, rel=1e-14)
     w = pinkall_report.energies["W_conformal"]
-    assert w == pytest.approx(2.5 * np.pi**2, abs=1e-5)
+    assert w == pytest.approx(2.5 * np.pi**2, rel=1e-12)
     closed_form = remark_energy(1.5, res.closing_period)
     assert abs(w - closed_form) / closed_form < 1e-8
     assert pinkall_report.entry("flat_normal").L_inf < 1e-8

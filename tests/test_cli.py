@@ -56,7 +56,7 @@ def test_analyze_clifford_passes(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["schema_version"] == 1
     assert report["passed"] is True
-    assert report["energies"]["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-6)
+    assert report["energies"]["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
     assert report["ranks"] == {"kappa_jet_rank": 4, "lift_rank": 5}
 
 
@@ -366,7 +366,7 @@ def test_transform_pipeline(tmp_path):
     report = json.loads(out.read_text())
     assert report["chart"]["ambient_n"] == 5
     assert report["ranks"]["lift_rank"] == 5
-    assert report["energies"]["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-7)
+    assert report["energies"]["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("tolerances, message", [

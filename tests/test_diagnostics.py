@@ -51,14 +51,13 @@ TWO_PI = 2 * np.pi
 
 
 @pytest.fixture(scope="module")
-def clifford_data():
-    frame = build_frame(clifford(48, 48))
-    return frame, hopf_schwarzian(frame)
+def clifford_frame():
+    return hopf_schwarzian(build_frame(clifford(48, 48)))
 
 
 @pytest.fixture(scope="module")
-def clifford_jet(clifford_data):
-    return kappa_jet(*clifford_data)
+def clifford_jet(clifford_frame):
+    return kappa_jet(clifford_frame)
 
 
 def synthetic_field(vecs):
@@ -75,14 +74,14 @@ def e(i, dim=4):
 
 # --- willmore -------------------------------------------------------------
 
-def test_willmore_residual_clifford(clifford_data, clifford_jet):
-    frame, _ = clifford_data
+def test_willmore_residual_clifford(clifford_frame, clifford_jet):
+    frame = clifford_frame
     assert willmore_residual(clifford_jet.willmore_vector)[frame.mask].max() < 1e-8
 
 
 def test_willmore_residual_round_sphere():
     frame = build_frame(round_sphere(64, 24))
-    jet = kappa_jet(frame, hopf_schwarzian(frame))
+    jet = kappa_jet(frame)
     assert willmore_residual(jet.willmore_vector)[frame.mask].max() < 1e-10
 
 
@@ -99,43 +98,42 @@ def test_willmore_residual_perturbed_control(monkeypatch):
     pts = ch.points + bump
     pts /= np.linalg.norm(pts, axis=-1)[..., None]
     pert = Chart(ch.spec, pts, name="perturbed_clifford")
-    frame = build_frame(pert)
-    inv = hopf_schwarzian(frame)
-    jet = kappa_jet(frame, inv)
+    frame = hopf_schwarzian(build_frame(pert))
+    jet = kappa_jet(frame)
     assert willmore_residual(jet.willmore_vector)[frame.mask].max() > 1e-3
-    gauss = gauss_residual(inv, jet.Dz_kappa, jet.Dzbar_kappa)
+    gauss = gauss_residual(frame, jet.Dz_kappa, jet.Dzbar_kappa)
     assert gauss[frame.mask].max() > 1e-3
 
 
 # --- S-Willmore -----------------------------------------------------------
 
-def _synthetic_inv(kappa, dzbar_kappa):
-    """(invariants, D_zbar kappa) of one kappa and D_zbar kappa at every point."""
+def _synthetic_frame(kappa, dzbar_kappa):
+    """(frame, D_zbar kappa) of one kappa and D_zbar kappa at every point."""
     kap = synthetic_field(kappa)
     kk = np.einsum("...k,...k->...", kap, kap)
     kk_bar = np.einsum("...k,...k->...", kap, np.conj(kap)).real
-    inv = SimpleNamespace(
+    frame = SimpleNamespace(
         kappa=kap, kk=kk, kk_bar=kk_bar,
         umbilic_mask=np.zeros((8, 8), dtype=bool),
         mask=np.ones((8, 8), dtype=bool),
     )
-    return inv, synthetic_field(dzbar_kappa)
+    return frame, synthetic_field(dzbar_kappa)
 
 
 def test_s_willmore_parallel_is_zero():
-    inv, dzb = _synthetic_inv(e(0), 5.0 * e(0))
-    assert np.abs(s_willmore_residual(inv, dzb)).max() < 1e-14
+    frame, dzb = _synthetic_frame(e(0), 5.0 * e(0))
+    assert np.abs(s_willmore_residual(frame, dzb)).max() < 1e-14
 
 
 def test_s_willmore_orthogonal_is_one():
-    inv, dzb = _synthetic_inv(e(0), e(1))
-    assert np.abs(s_willmore_residual(inv, dzb) - 1.0).max() < 1e-14
+    frame, dzb = _synthetic_frame(e(0), e(1))
+    assert np.abs(s_willmore_residual(frame, dzb) - 1.0).max() < 1e-14
 
 
-def test_s_willmore_clifford(clifford_data, clifford_jet):
-    frame, inv = clifford_data
-    live = frame.mask & ~inv.umbilic_mask
-    assert s_willmore_residual(inv, clifford_jet.Dzbar_kappa)[live].max() < 1e-9
+def test_s_willmore_clifford(clifford_frame, clifford_jet):
+    frame = clifford_frame
+    live = frame.mask & ~frame.umbilic_mask
+    assert s_willmore_residual(frame, clifford_jet.Dzbar_kappa)[live].max() < 1e-9
 
 
 # --- flat normal bundle ---------------------------------------------------
@@ -150,24 +148,23 @@ def test_flat_residual_quarter_phase():
     assert flat_normal_scalar(kappa) == pytest.approx(2.0)
 
 
-def test_flat_residual_clifford(clifford_data):
-    frame, inv = clifford_data
-    live = frame.mask & ~inv.umbilic_mask
-    assert flat_normal_residual(inv)[live].max() < 1e-10
+def test_flat_residual_clifford(clifford_frame):
+    frame = clifford_frame
+    live = frame.mask & ~frame.umbilic_mask
+    assert flat_normal_residual(frame)[live].max() < 1e-10
 
 
 def test_flat_residual_veronese_bounded_below():
-    frame = build_frame(veronese(64, 32))
-    inv = hopf_schwarzian(frame)
-    live = frame.mask & ~inv.umbilic_mask
-    assert flat_normal_residual(inv)[live].min() > 1e-2
+    frame = hopf_schwarzian(build_frame(veronese(64, 32)))
+    live = frame.mask & ~frame.umbilic_mask
+    assert flat_normal_residual(frame)[live].min() > 1e-2
 
 
 # --- isothermic -----------------------------------------------------------
 
-def test_isothermic_clifford(clifford_data):
-    frame, inv = clifford_data
-    res = phase_laplacian_residual(unwrap_half_phase(inv.kk, inv.spec)[0], inv.spec)
+def test_isothermic_clifford(clifford_frame):
+    frame = clifford_frame
+    res = phase_laplacian_residual(unwrap_half_phase(frame.kk, frame.spec)[0], frame.spec)
     assert res[frame.mask].max() < 1e-9
 
 
@@ -218,12 +215,12 @@ def resolved_mobius_image(base, n, magnitude, seed):
 def test_the_log_form_is_the_laplacian_of_the_unwrapped_phase(base, n, magnitude, seed):
     image = resolved_mobius_image(base, n, magnitude, seed)
     assume(image is not None)
-    inv = hopf_schwarzian(build_frame(image))
-    theta, theta_mask = unwrap_half_phase(inv.kk, inv.spec)
-    non_umbilic = inv.mask & ~inv.umbilic_mask
+    frame = hopf_schwarzian(build_frame(image))
+    theta, theta_mask = unwrap_half_phase(frame.kk, frame.spec)
+    non_umbilic = frame.mask & ~frame.umbilic_mask
     # the phase unwraps cleanly at every point the isothermic verdict reads
     assert ((non_umbilic & theta_mask) == non_umbilic).all()
-    diff = isothermic_residual(inv.kk, inv.spec) - phase_laplacian_residual(theta, inv.spec)
+    diff = isothermic_residual(frame.kk, frame.spec) - phase_laplacian_residual(theta, frame.spec)
     assert np.abs(diff[non_umbilic & theta_mask]).max() <= 1e-9
 
 
@@ -250,9 +247,9 @@ def test_six_form_orthonormal_pair():
     assert six_form_scalar(e(0) + 0j, e(1) + 0j) == pytest.approx(-1.0)
 
 
-def test_six_form_clifford(clifford_data, clifford_jet):
-    frame, inv = clifford_data
-    omega, holo = six_form(inv, clifford_jet.Dzbar_kappa)
+def test_six_form_clifford(clifford_frame, clifford_jet):
+    frame = clifford_frame
+    omega, holo = six_form(frame, clifford_jet.Dzbar_kappa)
     assert np.abs(omega)[frame.mask].max() < 1e-12
     assert holo[frame.mask].max() < 1e-12
 
@@ -273,17 +270,17 @@ def test_six_form_is_mobius_invariant():
 
 # --- Gauss / Codazzi --------------------------------------------------------
 
-def test_codazzi_gauss_clifford(clifford_data, clifford_jet):
-    frame, inv = clifford_data
+def test_codazzi_gauss_clifford(clifford_frame, clifford_jet):
+    frame = clifford_frame
     gauss, codazzi = codazzi_gauss_residuals(
-        inv, clifford_jet.Dz_kappa, clifford_jet.Dzbar_kappa, clifford_jet.willmore_vector)
+        frame, clifford_jet.Dz_kappa, clifford_jet.Dzbar_kappa, clifford_jet.willmore_vector)
     assert gauss[frame.mask].max() < 1e-8
     assert codazzi[frame.mask].max() < 1e-8
 
 
-def test_codazzi_below_willmore(clifford_data, clifford_jet):
+def test_codazzi_below_willmore(clifford_frame, clifford_jet):
     # the Codazzi row is the imaginary part of the Willmore expression
-    frame, _ = clifford_data
+    frame = clifford_frame
     codazzi = codazzi_residual(clifford_jet.willmore_vector)
     will = willmore_residual(clifford_jet.willmore_vector)
     assert codazzi[frame.mask].max() <= will[frame.mask].max() + 1e-12
@@ -291,10 +288,10 @@ def test_codazzi_below_willmore(clifford_data, clifford_jet):
 
 # --- rank witnesses --------------------------------------------------------
 
-def test_reduction_span_clifford(clifford_data, clifford_jet):
-    frame, inv = clifford_data
+def test_reduction_span_clifford(clifford_frame, clifford_jet):
+    frame = clifford_frame
     assert reduction_span_check(frame.mask, [frame.Y]) == 5
-    jet = [inv.kappa, clifford_jet.Dz_kappa, clifford_jet.Dzbar_Dz_kappa]
+    jet = [frame.kappa, clifford_jet.Dz_kappa, clifford_jet.Dzbar_Dz_kappa]
     assert reduction_span_check(frame.mask, jet) == 4
 
 
@@ -377,8 +374,8 @@ def test_grid_origin_shift_invariance():
 
 # --- report assembly --------------------------------------------------------
 
-def test_report_norm_inequality(clifford_data):
-    frame, _ = clifford_data
+def test_report_norm_inequality(clifford_frame):
+    frame = clifford_frame
     rep = analyze(frame.chart)
     area = math.sqrt(4 * np.pi**2)
     for entry in rep.entries:
@@ -465,14 +462,14 @@ def test_analyze_rejects_a_constant_chart_as_a_chart_error():
         analyze(Chart(spec, pts))
 
 
-def test_nan_at_live_point_fails(clifford_data, monkeypatch):
+def test_nan_at_live_point_fails(clifford_frame, monkeypatch):
     # a NaN among passing values must not read as `skipped`, which counts
     # as success
-    frame, _ = clifford_data
+    frame = clifford_frame
     holo = np.zeros(frame.mask.shape)
     holo[tuple(np.argwhere(frame.mask)[0])] = np.nan
     monkeypatch.setattr(diagnostics, "six_form",
-                        lambda inv, dzbar_kappa: (np.zeros_like(holo), holo))
+                        lambda frame, dzbar_kappa: (np.zeros_like(holo), holo))
     rep = analyze(frame.chart)
     assert rep.entry("omega_abs").verdict == "pass"
     assert rep.entry("omega_holomorphy").verdict == "fail"

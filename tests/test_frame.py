@@ -27,7 +27,6 @@ from wlab.gallery import (
     round_sphere,
     veronese,
 )
-from wlab.invariants import hopf_schwarzian
 from wlab.lorentz import herm_norm_sq, mink_inner, random_mobius, signature
 
 from frame_oracles import frame_N, frame_residuals, oracle_kappa
@@ -368,16 +367,15 @@ def test_full_frame_spans_everything():
 def test_clifford_kappa_closed_form():
     ch = clifford(32, 32)
     fr = build_frame(ch)
-    inv = hopf_schwarzian(fr)
     n = clifford_normal(ch)
     expected = (np.sqrt(2) / 4) * np.concatenate(
         [np.zeros(n.shape[:2] + (1,)), n], axis=-1
     )
-    assert np.abs(inv.kappa - expected).max() < 1e-10
-    assert np.abs(inv.kk_bar - 0.125).max() < 1e-10
-    assert np.abs(inv.s).max() < 1e-10
-    assert inv.decomposition_defect < 1e-8
-    assert inv.tangential_defect < 1e-8
+    assert np.abs(fr.kappa - expected).max() < 1e-10
+    assert np.abs(fr.kk_bar - 0.125).max() < 1e-10
+    assert np.abs(fr.s).max() < 1e-10
+    assert fr.decomposition_defect < 1e-8
+    assert fr.tangential_defect < 1e-8
 
 
 @pytest.mark.parametrize("make_chart, s_min", [
@@ -386,10 +384,10 @@ def test_clifford_kappa_closed_form():
 ], ids=["pinkall", "cp2"])
 def test_the_split_of_y_zz_closes_where_s_is_not_zero(make_chart, s_min):
     # Clifford's s vanishes, so only charts like these see the s term of the closure
-    inv = hopf_schwarzian(build_frame(make_chart()))
-    assert np.abs(inv.s[inv.mask]).max() > s_min
-    assert inv.decomposition_defect < 1e-12
-    assert inv.tangential_defect < 1e-12
+    frame = build_frame(make_chart())
+    assert np.abs(frame.s[frame.mask]).max() > s_min
+    assert frame.decomposition_defect < 1e-12
+    assert frame.tangential_defect < 1e-12
 
 
 def test_degenerate_metric_masked():

@@ -80,7 +80,7 @@ def test_pinkall_at_zero_curvature_is_clifford():
     assert res.lift_monodromy_phase == pytest.approx(np.pi, rel=1e-15)
     rep = analyze(res.chart)
     assert rep.passed
-    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-8)
+    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
     # arc-length coordinates double the invariant density of the half-angle
     # product chart: <kappa, conj kappa> = 1/4, constant
     kkbar = rep.fields["kkbar"]
@@ -124,10 +124,9 @@ def test_pinkall_irrational_twist_reports_open():
 
 def test_pinkall_flatness_spectral():
     res = pinkall_hopf_torus(1.5, 80, 48)
-    frame = build_frame(res.chart)
-    inv = hopf_schwarzian(frame)
-    live = frame.mask & ~inv.umbilic_mask
-    assert flat_normal_residual(inv)[live].max() < 1e-8
+    frame = hopf_schwarzian(build_frame(res.chart))
+    live = frame.mask & ~frame.umbilic_mask
+    assert flat_normal_residual(frame)[live].max() < 1e-8
 
 
 # --- ODE route ---------------------------------------------------------------
@@ -155,18 +154,17 @@ def test_frame_ode_geodesic_gives_clifford_invariants():
     assert res.closed and res.chart.cover_count == 2
     rep = analyze(res.chart)
     assert rep.passed
-    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-6)
+    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
 
 
 def test_frame_ode_k2_surface_is_not_flat():
     t_close = 4 * np.pi / math.sqrt(5.0)
     res = hopf_from_curvature(64, 32, k1=0.0, k2=0.5, t_period=t_close, ambient_complex_dim=3)
     assert res.closed and res.chart.cover_count == 1
-    frame = build_frame(res.chart)
-    inv = hopf_schwarzian(frame)
-    live = frame.mask & ~inv.umbilic_mask
-    assert flat_normal_residual(inv)[live].min() > 1e-2
-    w = willmore_energy_conformal(inv)
+    frame = hopf_schwarzian(build_frame(res.chart))
+    live = frame.mask & ~frame.umbilic_mask
+    assert flat_normal_residual(frame)[live].min() > 1e-2
+    w = willmore_energy_conformal(frame)
     assert w == pytest.approx(remark_energy(0.0, t_close, k2=0.5), rel=1e-5)
 
 
@@ -262,16 +260,15 @@ def test_homogeneous_generic_triple_not_flat():
     res = homogeneous_cp2_hopf(lam, 96, 24, amps=solve_amplitudes(lam))
     assert res.closed
     assert res.closing_period == pytest.approx(8 * np.pi, rel=1e-12)
-    frame = build_frame(res.chart)
-    inv = hopf_schwarzian(frame)
-    live = frame.mask & ~inv.umbilic_mask
-    assert flat_normal_residual(inv)[live].min() > 1e-3
+    frame = hopf_schwarzian(build_frame(res.chart))
+    live = frame.mask & ~frame.umbilic_mask
+    assert flat_normal_residual(frame)[live].min() > 1e-3
     # closed-form energy: W = ((k1^2 + k2^2)/4 + 1) T 2 pi
     asq = solve_amplitudes(lam) ** 2
     k1 = float((asq * np.array(lam) ** 3).sum())
     k2_sq = float((asq * np.array(lam) ** 4).sum()) - k1**2 - 1.0
     w_expected = ((k1**2 + k2_sq) / 4 + 1) * res.closing_period * TWO_PI
-    w = willmore_energy_conformal(inv)
+    w = willmore_energy_conformal(frame)
     assert w == pytest.approx(w_expected, rel=1e-10)
     # the integrability rows hold on any genuine immersion
     rep = analyze(res.chart)
@@ -335,7 +332,7 @@ def test_inclusion_preserves_diagnostics():
 def test_random_mobius_preserves_energy():
     mob = random_mobius(3, seed=1, magnitude=1.0)
     rep = analyze(apply_mobius(clifford(64, 64), mob))
-    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, abs=1e-7)
+    assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
 
 
 def test_mobius_guard_rejects_degenerate_map():

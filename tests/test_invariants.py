@@ -40,50 +40,52 @@ from frame_oracles import (
 
 
 @pytest.fixture(scope="module")
-def clifford_inv():
-    frame = build_frame(clifford(48, 48))
-    return frame, hopf_schwarzian(frame)
+def clifford_frame():
+    return _frame(clifford(48, 48))
 
 
 @pytest.fixture(scope="module")
-def veronese_inv():
-    frame = build_frame(veronese(96, 48))
-    return frame, hopf_schwarzian(frame)
+def veronese_frame():
+    return _frame(veronese(96, 48))
 
 
 def test_round_sphere_is_totally_umbilic():
-    frame = build_frame(round_sphere(96, 32))
-    inv = hopf_schwarzian(frame)
-    kappa_norm = np.sqrt(np.maximum(herm_norm_sq(inv.kappa), 0))
+    frame = _frame(round_sphere(96, 32))
+    kappa_norm = np.sqrt(np.maximum(herm_norm_sq(frame.kappa), 0))
     assert kappa_norm[frame.mask].max() < 1e-9
-    assert inv.umbilic_mask[frame.mask].all()
+    assert frame.umbilic_mask[frame.mask].all()
 
 
 def test_hopf_schwarzian_reads_no_lift_derivative():
     frame = build_frame(pinkall_hopf_torus(1.5, 32, 16).chart)
-    want = hopf_schwarzian(frame)
-    got = hopf_schwarzian(replace(frame, Y_z=None, Y_zz=None, Y_zzbar=None))
-    assert got.chart is want.chart
-    for key, value in vars(want).items():
-        if key != "chart":
-            assert np.array_equal(getattr(got, key), value), key
+    bare = replace(frame, Y_z=None, Y_zz=None, Y_zzbar=None)
+    want, got = hopf_schwarzian(frame), hopf_schwarzian(bare)
+    formed = ("kk", "umbilic_mask", "kappa", "s", "kk_bar",
+              "decomposition_defect", "tangential_defect")
+    for key in formed:
+        assert getattr(want, key) is not None, key
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    # the lift, the mask and the V basis are the input's own objects
+    for key in vars(want).keys() - set(formed):
+        assert getattr(want, key) is getattr(frame, key), key
+        assert getattr(got, key) is getattr(bare, key), key
 
 
-def test_kappa_is_normal(clifford_inv):
-    frame, inv = clifford_inv
+def test_kappa_is_normal(clifford_frame):
+    frame = clifford_frame
     for vec in (frame.Y, frame.Y_z, np.conj(frame.Y_z), frame_N(frame)):
-        pair = np.abs(mink_inner(inv.kappa, vec.astype(complex)))
+        pair = np.abs(mink_inner(frame.kappa, vec.astype(complex)))
         assert pair[frame.mask].max() < 1e-8
 
 
-def test_cauchy_schwarz_between_kk_and_kkbar(clifford_inv, veronese_inv):
-    for frame, inv in (clifford_inv, veronese_inv):
-        assert inv.kk_bar.min() >= 0
-        assert (np.abs(inv.kk) <= inv.kk_bar + 1e-12).all()
+def test_cauchy_schwarz_between_kk_and_kkbar(clifford_frame, veronese_frame):
+    for frame in (clifford_frame, veronese_frame):
+        assert frame.kk_bar.min() >= 0
+        assert (np.abs(frame.kk) <= frame.kk_bar + 1e-12).all()
 
 
-def test_clifford_normal_derivatives_vanish(clifford_inv):
-    jet = kappa_jet(*clifford_inv)
+def test_clifford_normal_derivatives_vanish(clifford_frame):
+    jet = kappa_jet(clifford_frame)
     # kappa_zbar is purely tangential: n_zbar = -x_z, so D_zbar kappa = 0
     assert np.sqrt(herm_norm_sq(jet.Dzbar_kappa)).max() < 1e-10
     assert np.sqrt(herm_norm_sq(jet.Dz_kappa)).max() < 1e-10
@@ -109,32 +111,32 @@ def test_normal_D_linearity():
         assert np.abs(lhs - (a * d1 + b * d2)).max() < 1e-11
 
 
-def ricci(frame, inv, scale=1.0):
+def ricci(frame, scale=1.0):
     """`ricci_residual` on kappa's normal 2-jet divided by `scale`."""
-    jet = kappa_jet(frame, inv)
-    return ricci_residual(inv, jet.Dzbar_Dz_kappa / scale, jet.Dz_Dzbar_kappa / scale)
+    jet = kappa_jet(frame)
+    return ricci_residual(frame, jet.Dzbar_Dz_kappa / scale, jet.Dz_Dzbar_kappa / scale)
 
 
-def test_ricci_residual_clifford(clifford_inv):
-    frame, inv = clifford_inv
-    assert ricci(frame, inv)[frame.mask].max() < 1e-8
+def test_ricci_residual_clifford(clifford_frame):
+    frame = clifford_frame
+    assert ricci(frame)[frame.mask].max() < 1e-8
 
 
-def test_ricci_residual_veronese(veronese_inv):
-    frame, inv = veronese_inv
-    assert ricci(frame, inv)[frame.mask].max() < 1e-4
+def test_ricci_residual_veronese(veronese_frame):
+    frame = veronese_frame
+    assert ricci(frame)[frame.mask].max() < 1e-4
 
 
 def _cp2_chart(nu, nv):
     return build_surface("homogeneous_cp2_hopf", nu, nv, {"lambdas": [-1.0, 0.5, 2.0]})
 
 
-def _frame_inv(chart):
-    frame = build_frame(chart)
-    return frame, hopf_schwarzian(frame)
+def _frame(chart):
+    """The one frame record `analyze` holds: the lift, its split and the invariants."""
+    return hopf_schwarzian(build_frame(chart))
 
 
-def dense_ricci_residual(frame, inv, kappa_rhs=None):
+def dense_ricci_residual(frame, kappa_rhs=None):
     """Reference: the dense operator F = -(i/2) P [P_u, P_v] P, the normal
     curvature taken from the differentiated projector, applied to kappa."""
     p = einsum_perp_projector(frame)
@@ -142,25 +144,25 @@ def dense_ricci_residual(frame, inv, kappa_rhs=None):
     pv = diff_v(p, frame.spec)
     comm = np.einsum("uvab,uvbc->uvac", pu, pv) - np.einsum("uvab,uvbc->uvac", pv, pu)
     f_op = -0.5j * np.einsum("uvab,uvbc,uvcd->uvad", p, comm, p)
-    kap = inv.kappa if kappa_rhs is None else kappa_rhs
+    kap = frame.kappa if kappa_rhs is None else kappa_rhs
     kap_c = np.conj(kap)
-    lhs = np.einsum("uvab,uvb->uva", f_op, inv.kappa)
-    rhs = 2 * mink_inner(inv.kappa, kap)[..., None] * kap_c \
-        - 2 * mink_inner(inv.kappa, kap_c)[..., None] * kap
+    lhs = np.einsum("uvab,uvb->uva", f_op, frame.kappa)
+    rhs = 2 * mink_inner(frame.kappa, kap)[..., None] * kap_c \
+        - 2 * mink_inner(frame.kappa, kap_c)[..., None] * kap
     return np.sqrt(np.maximum(herm_norm_sq(lhs - rhs), 0))
 
 
-def ricci_residual_2kappa_rhs(frame, inv):
+def ricci_residual_2kappa_rhs(frame):
     """`ricci_residual` with 2 kappa on the right-hand side only.  The right
     side is quadratic in kappa, so this is 4 |J/4 - RHS(kappa)| for the
     jet J; scaling by a power of two is exact."""
-    return 4 * ricci(frame, inv, scale=4.0)
+    return 4 * ricci(frame, scale=4.0)
 
 
-def ricci_pairs(frame, inv):
+def ricci_pairs(frame):
     """(kappa_rhs of the dense oracle, the matching residual) for the
     plain and the 2 kappa right-hand side."""
-    return ((None, ricci(frame, inv)), (2.0 * inv.kappa, ricci_residual_2kappa_rhs(frame, inv)))
+    return ((None, ricci(frame)), (2.0 * frame.kappa, ricci_residual_2kappa_rhs(frame)))
 
 
 # the oracle differentiates P, ricci_residual the sections D_z kappa and
@@ -173,18 +175,18 @@ def ricci_pairs(frame, inv):
     (lambda: veronese(96, 48), 1e-5),
 ], ids=["clifford_s7", "cp2_torus", "veronese"])
 def test_ricci_matches_dense_operator(build, tol):
-    frame, inv = _frame_inv(build())
-    for kappa_rhs, res in ricci_pairs(frame, inv):
-        ref = dense_ricci_residual(frame, inv, kappa_rhs)
+    frame = _frame(build())
+    for kappa_rhs, res in ricci_pairs(frame):
+        ref = dense_ricci_residual(frame, kappa_rhs)
         assert np.abs(res - ref).max() < tol
 
 
 def test_ricci_dense_operator_gap_falls_under_fd_refinement():
     def gaps(nu):
-        frame, inv = _frame_inv(veronese(nu, 48))
+        frame = _frame(veronese(nu, 48))
         return [
-            np.abs(res - dense_ricci_residual(frame, inv, k)).max()
-            for k, res in ricci_pairs(frame, inv)
+            np.abs(res - dense_ricci_residual(frame, k)).max()
+            for k, res in ricci_pairs(frame)
         ]
 
     for coarse, fine in zip(gaps(96), gaps(192)):
@@ -207,17 +209,17 @@ def test_ricci_flags_an_under_resolved_fd_chart():
 
 
 def test_ricci_without_normal_directions_is_zero():
-    frame, inv = _frame_inv(round_sphere(32, 16, ambient_n=2))
+    frame = _frame(round_sphere(32, 16, ambient_n=2))
     assert frame.dim == 4
-    res = ricci(frame, inv)
+    res = ricci(frame)
     assert res.shape == frame.mask.shape and not res.any()
 
 
-def _assert_controlled_violation(frame, inv, rel, tol):
+def _assert_controlled_violation(frame, rel, tol):
     # RHS is quadratic in kappa: replacing kappa by 2 kappa on the RHS only
     # makes the curvature defect 3 |RHS(kappa)|
-    broken = ricci_residual_2kappa_rhs(frame, inv)
-    kap, kap_c = inv.kappa, np.conj(inv.kappa)
+    broken = ricci_residual_2kappa_rhs(frame)
+    kap, kap_c = frame.kappa, np.conj(frame.kappa)
     rhs = 2 * mink_inner(kap, kap)[..., None] * kap_c \
         - 2 * mink_inner(kap, kap_c)[..., None] * kap
     rhs_norm = np.sqrt(np.maximum(herm_norm_sq(rhs), 0))
@@ -226,25 +228,25 @@ def _assert_controlled_violation(frame, inv, rel, tol):
     assert np.abs(broken - 3.0 * rhs_norm)[m].max() < rel * rhs_norm[m].max() + tol
 
 
-def test_ricci_controlled_violation(veronese_inv):
-    _assert_controlled_violation(*veronese_inv, rel=1e-2, tol=1e-4)
+def test_ricci_controlled_violation(veronese_frame):
+    _assert_controlled_violation(veronese_frame, rel=1e-2, tol=1e-4)
 
 
 @pytest.fixture(scope="module")
-def cp2_s7_inv():
-    return _frame_inv(include_in_higher_sphere(_cp2_chart(64, 32), 7))
+def cp2_s7_frame():
+    return _frame(include_in_higher_sphere(_cp2_chart(64, 32), 7))
 
 
-def test_ricci_controlled_violation_spectral_s7(cp2_s7_inv):
+def test_ricci_controlled_violation_spectral_s7(cp2_s7_frame):
     # Clifford in S^7 has a flat normal bundle, so RHS = 0 and 2 kappa would
     # violate nothing; the CP^2 torus in S^7 is spectral and non-flat
-    _assert_controlled_violation(*cp2_s7_inv, rel=0.0, tol=1e-10)
+    _assert_controlled_violation(cp2_s7_frame, rel=0.0, tol=1e-10)
 
 
-def test_analyze_builds_no_normal_basis(cp2_s7_inv, monkeypatch):
+def test_analyze_builds_no_normal_basis(cp2_s7_frame, monkeypatch):
     # every criterion pairs kappa and its normal derivatives, so no report
     # byte may depend on a choice of normal frame
-    chart = cp2_s7_inv[0].chart
+    chart = cp2_s7_frame.chart
     want = report_json(analyze(chart), 0, [])
 
     def refuse(frame):
@@ -258,11 +260,11 @@ def test_ricci_peak_memory_stays_near_projector_size():
     # the complex (nu, nv, d) defect and its conjugate peak near 0.5x the
     # d x Y of a (d, d) projector field; one such field costs 1x, so the
     # bound catches it
-    frame, inv = _frame_inv(include_in_higher_sphere(clifford(128, 128), 7))
-    jet = kappa_jet(frame, inv)
+    frame = _frame(include_in_higher_sphere(clifford(128, 128), 7))
+    jet = kappa_jet(frame)
     tracemalloc.start()
     try:
-        ricci_residual(inv, jet.Dzbar_Dz_kappa, jet.Dz_Dzbar_kappa)
+        ricci_residual(frame, jet.Dzbar_Dz_kappa, jet.Dz_Dzbar_kappa)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -305,57 +307,55 @@ def test_projection_pole_is_the_whole_matrix_choice(make_chart):
     assert np.array_equal(select_projection_pole(chart), whole_matrix_pole(chart))
 
 
-def test_willmore_energy_clifford(clifford_inv):
-    frame, inv = clifford_inv
-    w = willmore_energy_conformal(inv)
-    assert w == pytest.approx(2 * np.pi**2, abs=1e-6)
+def test_willmore_energy_clifford(clifford_frame):
+    frame = clifford_frame
+    w = willmore_energy_conformal(frame)
+    assert w == pytest.approx(2 * np.pi**2, rel=1e-12)
     w_e = willmore_energy_euclidean(frame.chart)
     assert w_e == pytest.approx(2 * np.pi**2, abs=1e-4)
 
 
 def test_willmore_energy_round_sphere():
     ch = round_sphere(96, 32)
-    frame = build_frame(ch)
-    inv = hopf_schwarzian(frame)
-    assert abs(willmore_energy_conformal(inv)) < 1e-8
+    frame = _frame(ch)
+    assert abs(willmore_energy_conformal(frame)) < 1e-8
     assert abs(willmore_energy_euclidean(ch)) < 1e-8
 
 
-def test_two_pipeline_agreement_veronese(veronese_inv):
-    frame, inv = veronese_inv
-    w_c = willmore_energy_conformal(inv)
+def test_two_pipeline_agreement_veronese(veronese_frame):
+    frame = veronese_frame
+    w_c = willmore_energy_conformal(frame)
     w_e = willmore_energy_euclidean(frame.chart)
     assert abs(w_c - w_e) / w_c < 0.01
 
 
-def test_veronese_kkbar_profile(veronese_inv):
+def test_veronese_kkbar_profile(veronese_frame):
     # minimal in S^4 with K = 1/3 and induced metric 3 sech^2(u) |dz|^2:
     # the invariant density is (1 - K) dA / 4 = sech^2(u) / 2
-    frame, inv = veronese_inv
+    frame = veronese_frame
     u = frame.spec.u
     predicted = 0.5 / np.cosh(u) ** 2
-    err = np.abs(inv.kk_bar - predicted[:, None])[frame.mask].max()
+    err = np.abs(frame.kk_bar - predicted[:, None])[frame.mask].max()
     assert err < 1e-6
 
 
-def test_structure_equations_close_spectral(clifford_inv):
-    frame, inv = clifford_inv
-    res = structure_closure_residuals(frame, inv, kappa_jet(frame, inv))
+def test_structure_equations_close_spectral(clifford_frame):
+    frame = clifford_frame
+    res = structure_closure_residuals(frame, kappa_jet(frame))
     for name, val in res.items():
         assert val < 1e-8, (name, val)
 
 
-def test_structure_equations_close_fd(veronese_inv):
-    frame, inv = veronese_inv
-    res = structure_closure_residuals(frame, inv, kappa_jet(frame, inv))
+def test_structure_equations_close_fd(veronese_frame):
+    frame = veronese_frame
+    res = structure_closure_residuals(frame, kappa_jet(frame))
     for name, val in res.items():
         assert val < 1e-3, (name, val)
 
 
 def test_structure_equations_close_pinkall():
-    frame = build_frame(pinkall_hopf_torus(1.5, 80, 48).chart)
-    inv = hopf_schwarzian(frame)
-    res = structure_closure_residuals(frame, inv, kappa_jet(frame, inv))
+    frame = _frame(pinkall_hopf_torus(1.5, 80, 48).chart)
+    res = structure_closure_residuals(frame, kappa_jet(frame))
     for name, val in res.items():
         assert val < 1e-8, (name, val)
 
@@ -378,8 +378,8 @@ def test_coordinate_rescaling_preserves_energy():
         ).max() < 1e-8 * lam**2
 
 
-def test_theta_unwrapping_mask_clean_on_gallery(clifford_inv):
-    frame, inv = clifford_inv
-    theta, theta_mask = unwrap_half_phase(inv.kk, inv.spec)
+def test_theta_unwrapping_mask_clean_on_gallery(clifford_frame):
+    frame = clifford_frame
+    theta, theta_mask = unwrap_half_phase(frame.kk, frame.spec)
     assert theta_mask.all()
     assert np.abs(theta).max() < 1e-6  # <kappa,kappa> is real positive
