@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .parallel import BLOCK_POINTS, split
+from .parallel import lines, split
 
 FD_ORDER = 6
 # one-sided FD rows contaminate a margin this wide; residual norms skip it
@@ -140,9 +140,10 @@ def _fd_matrix(n: int, h: float) -> np.ndarray:
     half = FD_ORDER // 2
     d = np.zeros((n, n))
     nodes = np.arange(width) * h
+    stencils = [_fornberg_weights(nodes, k * h, 1) for k in range(width)]
     for i in range(n):
         lo = min(max(0, i - half), n - width)
-        d[i, lo : lo + width] = _fornberg_weights(nodes, (i - lo) * h, 1)
+        d[i, lo : lo + width] = stencils[i - lo]
     return d
 
 
@@ -162,9 +163,9 @@ def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
     the other axis; each line's FFTs do not depend on the split, so the
     result is bit-identical for any number of parts.  A BLAS product rounds
     by the shape of its operands, so the finite-difference product is
-    never split.  With `combine`, each block of lines of the derivative,
-    about BLOCK_POINTS points, goes to combine(index of f, block) in place
-    of a whole result.
+    never split.  With `combine`, each block of `parallel.lines(n)` lines
+    of the derivative goes to combine(index of f, block) in place of a
+    whole result.
     """
     if f.shape[axis] != n:
         raise ValueError(f"field has {f.shape[axis]} points on axis {axis}, grid has {n}")
@@ -187,7 +188,7 @@ def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
         if combine:
             combine(lines, fhat)
 
-    split(part, f.shape[other], max(1, BLOCK_POINTS // n) if combine else 0)
+    split(part, f.shape[other], lines(n) if combine else 0)
     return out
 
 

@@ -9,9 +9,9 @@ Subcommands
 
 `--out` names the one file a run writes: without it `analyze` and
 `fields` write to stdout, and `convergence` prints only its text table.
-`fields` formats and writes its CSV one block of BLOCK_POINTS grid
-points (whole grid lines) at a time, so a write that fails or is
-interrupted leaves a partial file, as a failed single write could.
+`fields` formats and writes its CSV a block of whole grid lines at a
+time (`wlab.parallel.lines`), so a write that fails or is interrupted
+leaves a partial file, as a failed single write could.
 Only `analyze` writes, and so computes, `W_euclidean` and the rank
 witnesses: `fields` and `convergence` run `analyze(..., witnesses=False)`,
 so an error in those stages cannot fail them.  The CSV writer derives
@@ -73,7 +73,7 @@ from .frame import Chart, ChartError
 from .gallery import GALLERY, apply_mobius, build_surface, include_in_higher_sphere
 from .invariants import unwrap_half_phase
 from .lorentz import random_mobius
-from .parallel import BLOCK_POINTS, thread_cap
+from .parallel import lines, thread_cap
 
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
@@ -294,14 +294,14 @@ def cmd_fields(args) -> int:
 
 def _csv_pieces(spec, columns):
     """The CSV text: its header line, then the rows of one block of
-    BLOCK_POINTS grid points (whole grid lines, v fastest) per piece."""
+    `parallel.lines(nv)` grid lines (v fastest) per piece."""
     yield ",".join(["u", "v"] + RESIDUAL_CSV_COLUMNS) + "\n"
     # u and v are formatted once per grid line
     u, v = (list(map(repr, x.tolist())) for x in (spec.u, spec.v))
-    step = max(1, BLOCK_POINTS // len(v))
+    step = lines(len(v))
     for lo in range(0, len(u), step):
-        lines = u[lo:lo + step]
-        cells = [[x for x in lines for _ in v], v * len(lines)]
+        block = u[lo:lo + step]
+        cells = [[x for x in block for _ in v], v * len(block)]
         cells += [map(repr, col[lo:lo + step].ravel().tolist()) for col in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 

@@ -46,7 +46,7 @@ from .invariants import (
     willmore_vector,
 )
 from .lorentz import herm_norm, mink_inner, span_rank
-from .parallel import BLOCK_POINTS, split
+from .parallel import lines, split
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL_SPECTRAL = 1e-6
@@ -117,7 +117,7 @@ def s_willmore_residual(frame: FrameField, dzbar_kappa: np.ndarray) -> np.ndarra
         coef = mink_inner(dzbar_kappa[r], np.conj(frame.kappa[r])) / kkb[r]
         out[r] = herm_norm(dzbar_kappa[r] - coef[..., None] * frame.kappa[r])
 
-    split(part, len(out), max(1, BLOCK_POINTS // kkb.shape[1]))
+    split(part, len(out), lines(kkb.shape[1]))
     return out
 
 
@@ -192,13 +192,15 @@ def reduction_span_check(mask: np.ndarray, fields) -> int:
     A complex field adds its real and imaginary parts.  The lift's rank
     k+2 witnesses containment in a conformal S^k; the kappa jet (kappa,
     D_z kappa, D_zbar D_z kappa) of flat-normal Willmore data spans at
-    most 4 dimensions.  A full mask takes the fields themselves, not
-    masked copies of them.
+    most 4 dimensions.  Each leaf of `span_rank` gathers its masked rows
+    by index: no masked copy of a field exists.
     """
     if int(mask.sum()) < MIN_RANK_SAMPLES:
         raise ValueError(f"need >= {MIN_RANK_SAMPLES} unmasked samples for rank checks")
-    fields = (f if mask.all() else f[mask] for f in fields)
-    return span_rank(p for f in fields for p in ((f.real, f.imag) if np.iscomplexobj(f) else (f,)))
+    idx, step = np.flatnonzero(mask), lines(1)
+    parts = (p for f in fields for p in ((f.real, f.imag) if np.iscomplexobj(f) else (f,)))
+    return span_rank(p.reshape(-1, p.shape[-1])[idx[lo:lo + step]]
+                     for p in parts for lo in range(0, len(idx), step))
 
 
 def remark62_residual(

@@ -19,7 +19,7 @@ vectors above, g^{ij} the inverse of their Gram matrix (Burstall, Pedit
 and Pinkall, Contemp. Math. 308, 2002) and Q = diag(-1, 1, ..., 1), the
 projector onto V^perp along V is
 P = I - sum_{i,j} b_i g^{ij} (Q b_j)^T; the Gram matrix stays invertible
-at umbilic points because <Y, Y_zzbar> = -1/2.  Blocks of P, from these
+at umbilic points because <Y, Y_zzbar> = -1/2.  Line blocks of P, from these
 16 rank-one terms, project Y_zz to kappa, and the same walk over the lift
 splits Y_zz = -(s/2) Y + kappa: it forms <kappa, conj kappa>, N from it
 and the Schwarzian s = 2 <Y_zz, N>, the one place any of them is formed.
@@ -42,7 +42,7 @@ import numpy as np
 
 from .calculus import GridSpec, diff_z, wirtinger
 from .lorentz import herm_norm, herm_norm_sq, mink_inner, signature
-from .parallel import BLOCK_POINTS, split
+from .parallel import lines, split
 
 UNIT_TOL = 1e-12
 CONFORMAL_TOL_SPECTRAL = 1e-8
@@ -52,7 +52,6 @@ CONFORMAL_TOL_SPECTRAL = 1e-8
 CONFORMAL_TOL_FD = 1e-3
 DEGENERATE_METRIC_TOL = 1e-14
 PSI_RANK_TOL = 1e-8
-PROJECTOR_BLOCK = 1024  # grid points per block of `perp_projector`'s sums
 
 
 class ChartError(ValueError):
@@ -200,7 +199,7 @@ def perp_projector(frame: FrameField) -> FrameField:
     """A copy of the lift's frame, sharing its arrays, with the split
     Y_zz = -(s/2) Y + kappa, its defects and the V basis filled in.
 
-    Per PROJECTOR_BLOCK of points: the 16 terms (b_ia g^ij)(q_b b_jb) of P,
+    Per block of whole grid lines: the 16 terms (b_ia g^ij)(q_b b_jb) of P,
     from b = [Y, Re Y_z, Im Y_z, Y_zzbar] and its inverse Gram matrix g^ij,
     added in (i, j) row-major order into a zeroed (d, d, points) buffer (the
     einsum "uvia,uvij,uvjb,b->uvab" bit for bit), project that block of Y_zz
@@ -220,7 +219,7 @@ def perp_projector(frame: FrameField) -> FrameField:
     idx = np.arange(d)
 
     def part(lo, hi):
-        rows = slice(lo, hi)
+        rows = slice(lo * nv, hi * nv)
         b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]], axis=1)
         ginv = np.linalg.inv(np.einsum("pik,pjk,k->pij", b, b, q))
         b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (i, a, points)
@@ -248,7 +247,7 @@ def perp_projector(frame: FrameField) -> FrameField:
         worst[lo] = [np.max(f, where=mask[rows], initial=-np.inf) for f in (decomp, tang)]
         basis[rows] = _v_basis(b, np.ascontiguousarray(n.T)).transpose(2, 0, 1)
 
-    split(part, nu * nv, PROJECTOR_BLOCK)
+    split(part, nu, lines(nv))
     decomp, tang = np.max(list(worst.values()), axis=0)  # a NaN on the mask stays NaN
     return replace(frame, kappa=kappa.reshape(nu, nv, d), s=s.reshape(nu, nv),
                    kk_bar=kk_bar.reshape(nu, nv), decomposition_defect=float(decomp),
@@ -288,7 +287,7 @@ def normal_project(basis: np.ndarray, field_vec: np.ndarray) -> np.ndarray:
         coef *= eps
         pairs[lo:hi] -= np.matmul(np.swapaxes(e, -1, -2), coef)
 
-    split(part, len(field_vec), max(1, BLOCK_POINTS // field_vec.shape[1]))
+    split(part, len(field_vec), lines(field_vec.shape[1]))
     return field_vec
 
 

@@ -26,13 +26,11 @@ import numpy as np
 from .calculus import GridSpec, diff_real, integrate, wirtinger
 from .frame import Chart, FrameField, normal_project
 from .lorentz import herm_norm, mink_inner
+from .parallel import lines
 
 UMBILIC_REL_TOL = 1e-10
 UMBILIC_ABS_TOL = 1e-13
 POLE_MIN_DISTANCE = 0.1
-# chart points per block in the pole search: its (candidates, points)
-# matrix of dot products is formed one block at a time
-POLE_SEARCH_BLOCK = 1024
 
 
 def hopf_schwarzian(frame: FrameField) -> FrameField:
@@ -135,9 +133,11 @@ def select_projection_pole(chart: Chart) -> np.ndarray:
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     axes = np.concatenate([np.eye(pts.shape[1]), -np.eye(pts.shape[1])])
     cand = np.concatenate([axes, cand])
-    # |p - x|^2 = 2 - 2 p.x  on the unit sphere
-    max_dot = np.max([(cand @ pts[i:i + POLE_SEARCH_BLOCK].T).max(axis=1)
-                      for i in range(0, len(pts), POLE_SEARCH_BLOCK)], axis=0)
+    # |p - x|^2 = 2 - 2 p.x  on the unit sphere; the (candidates, points)
+    # products are formed a block of whole grid lines at a time
+    step = lines(chart.spec.nv) * chart.spec.nv
+    max_dot = np.max([(cand @ pts[i:i + step].T).max(axis=1)
+                      for i in range(0, len(pts), step)], axis=0)
     min_d = np.sqrt(np.maximum(2.0 - 2.0 * max_dot, 0.0))
     best = int(np.argmax(min_d))
     if min_d[best] < POLE_MIN_DISTANCE:

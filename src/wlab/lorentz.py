@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .parallel import BLOCK_POINTS
+from .parallel import lines
 
 RANK_TOL = 1e-8  # span_rank's relative singular-value threshold
 
@@ -69,20 +69,20 @@ def span_rank(blocks) -> int:
         (m_k, dim).  The set is the rows of all blocks together.
 
     The singular values are those of the stacked R factors of the QR
-    decompositions of leaves of at most BLOCK_POINTS rows of each block,
+    decompositions of leaves of `parallel.lines(1)` rows of each block,
     which equal those of the stacked rows (the R step of TSQR, Demmel,
     Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012); one leaf
-    of BLOCK_POINTS rows is copied at a time.  Singular values above
-    RANK_TOL * sigma_max count toward the rank.
+    is copied at a time.  Singular values above RANK_TOL * sigma_max count
+    toward the rank.
     """
     if isinstance(blocks, np.ndarray):
         blocks = [blocks]
-    factors = []
+    factors, step = [], lines(1)
     for block in blocks:
         block = np.asarray(block, dtype=float)
         block = block.reshape(-1, block.shape[-1])
-        factors.extend(np.linalg.qr(block[lo:lo + BLOCK_POINTS], mode="r")
-                       for lo in range(0, len(block), BLOCK_POINTS))
+        factors.extend(np.linalg.qr(block[lo:lo + step], mode="r")
+                       for lo in range(0, len(block), step))
     if not factors:
         raise ValueError("span_rank needs at least one vector")
     s = np.linalg.svd(np.concatenate(factors), compute_uv=False)

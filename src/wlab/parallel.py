@@ -2,15 +2,18 @@
 
 `split(job, n, block)` runs job(lo, hi) over contiguous parts of range(n):
 part 0 on the calling thread, the others on a process-wide pool of helper
-threads created on first use.  Each part walks its range in blocks of at
-most `block` units, so a kernel's memory per thread is set by its block,
-not by the grid.  Every block does the arithmetic the whole would do on its
-slice, so results are bit-identical for any thread count.  Only the main
-thread splits; a call from any other thread runs as one part.  Jobs
-write only into arrays their caller allocated, and run no large BLAS
-product: OpenBLAS gives each calling thread its own buffer, so splitting
-the pole search's `cand @ pts.T` raised the `spectral_s3` benchmark's peak
-RSS from about 64.5 to 71.6 MiB.
+threads created on first use; a call from any thread but the main one
+runs as one part.  Each part walks its range in blocks, so a kernel's
+memory per thread is set by its block, not by the grid.  One rule, read
+when a walk starts, sizes the blocks of every walk over grid points, split
+or serial: `lines(nv)` whole lines of nv points, about BLOCK_POINTS.  Each
+block does the arithmetic the whole would do on its slice, so no field
+depends on the thread count or BLOCK_POINTS (`lorentz.span_rank`'s
+singular values move at roundoff).  Jobs write only into arrays their
+caller allocated, and run no large BLAS product: OpenBLAS gives each
+calling thread its own buffer, so splitting the pole search's `cand @
+pts.T` raised the `spectral_s3` benchmark's peak RSS from about 64.5 to
+71.6 MiB.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-BLOCK_POINTS = 2048  # grid points per block of the row-blocked kernels
+BLOCK_POINTS = 1024  # fits the widest per-point buffers: P's blocks, the pole search
 
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
@@ -61,6 +64,11 @@ def _helpers(count: int) -> ThreadPoolExecutor:
         _pool = ThreadPoolExecutor(max_workers=count, thread_name_prefix="wlab-part")
         _pool_size = count
     return _pool
+
+
+def lines(points_per_line: int) -> int:
+    """Lines of `points_per_line` points in a block of BLOCK_POINTS: at least one."""
+    return max(1, BLOCK_POINTS // points_per_line)
 
 
 def split(job, n: int, block: int = 0) -> None:

@@ -10,10 +10,10 @@ from typing import NamedTuple
 import numpy as np
 
 from wlab.calculus import diff_z, diff_zbar
-from wlab.frame import PROJECTOR_BLOCK, _v_basis, normal_basis, normal_project
+from wlab.frame import _v_basis, normal_basis, normal_project
 from wlab.invariants import UMBILIC_ABS_TOL, UMBILIC_REL_TOL, normal_D, willmore_vector
 from wlab.lorentz import herm_norm, herm_norm_sq, mink_inner, signature
-from wlab.parallel import BLOCK_POINTS
+from wlab.parallel import lines
 
 
 class KappaJet(NamedTuple):
@@ -102,18 +102,19 @@ def oracle_kappa(frame):
 def two_walk_split(frame) -> dict:
     """The split Y_zz = -(s/2) Y + kappa in two walks over the lift, each
     in its own layout, which the one walk of `perp_projector` reproduces bit
-    for bit.  First, per PROJECTOR_BLOCK of points, the V basis from N in
-    the (d, points) layout (kappa is the dense oracle's, which the blocked
-    kappa equals); then, per BLOCK_POINTS of grid rows, <kappa, conj kappa>,
-    N again in the (rows, nv, d) layout, s and the split's defects.
+    for bit.  Each walks blocks of `lines(nv)` grid lines.  First, the V
+    basis from N in the (d, points) layout (kappa is the dense oracle's,
+    which the blocked kappa equals); then <kappa, conj kappa>, N again in
+    the (rows, nv, d) layout, s and the split's defects.
     Returns the split, the V basis and what `hopf_schwarzian` adds, keyed
     by their `FrameField` names."""
     nu, nv, d = frame.Y.shape
     kappa = oracle_kappa(frame)
     y, y_z, y_zzbar, kap = (f.reshape(-1, d) for f in (frame.Y, frame.Y_z, frame.Y_zzbar, kappa))
     basis = np.empty((nu * nv, 4, d))
-    for lo in range(0, nu * nv, PROJECTOR_BLOCK):
-        rows = slice(lo, lo + PROJECTOR_BLOCK)
+    step = lines(nv)
+    for lo in range(0, nu, step):
+        rows = slice(lo * nv, (lo + step) * nv)
         b = np.stack([y[rows], y_z[rows].real, y_z[rows].imag, y_zzbar[rows]])
         b = b.transpose(0, 2, 1).copy()  # (4, d, points)
         n = 2.0 * b[3] + 2.0 * herm_norm_sq(kap[rows]) * b[0]
@@ -121,7 +122,6 @@ def two_walk_split(frame) -> dict:
 
     kk_bar, s = np.empty((nu, nv)), np.empty((nu, nv), dtype=complex)
     decomp, tang = np.empty((nu, nv)), np.empty((nu, nv))
-    step = max(1, BLOCK_POINTS // nv)
     for lo in range(0, nu, step):
         r = slice(lo, lo + step)
         kap, y_zz, y_z, y = kappa[r], frame.Y_zz[r], frame.Y_z[r], frame.Y[r]

@@ -1,8 +1,8 @@
 """Bit identity of the staged `analyze`, as properties over random charts.
 
 `analyze` forms kappa's normal jet one field at a time and drops each
-after its last reader.  Over random grids (many of them not a multiple
-of PROJECTOR_BLOCK points), ambient spheres and thread counts, its
+after its last reader.  Over random grids (many of them not a whole
+number of blocks of grid lines), ambient spheres and thread counts, its
 fields must equal, bit for bit, those of the public evaluators applied
 to the whole jet at once, and its report bytes must not depend on the
 thread count.  kappa must be the dense einsum oracle's P Y_zz, bit for
@@ -114,7 +114,7 @@ def test_staged_analyze_is_the_whole_jet_bit_for_bit(threads, surface, nu, nv, n
 
 
 @given(threads=threads, **charts)
-@example(threads="2", surface="cp2", nu=35, nv=30, n=7, seed=0)  # 1050 = PROJECTOR_BLOCK + 26
+@example(threads="2", surface="cp2", nu=35, nv=30, n=7, seed=0)  # blocks of 34 lines and 1
 @example(threads="3", surface="clifford_mobius", nu=40, nv=39, n=3, seed=2)  # 1560 points
 def test_perp_projector_is_the_einsum_bit_for_bit(threads, surface, nu, nv, n, seed):
     # kappa, the one vector a dense block of P projects, is the oracle's P Y_zz
@@ -127,7 +127,7 @@ def test_perp_projector_is_the_einsum_bit_for_bit(threads, surface, nu, nv, n, s
 
 
 @given(**charts)
-@example(surface="cp2", nu=35, nv=30, n=7, seed=0)  # 1050 = PROJECTOR_BLOCK + 26
+@example(surface="cp2", nu=35, nv=30, n=7, seed=0)  # blocks of 34 lines and 1
 @example(surface="veronese_fd", nu=40, nv=39, n=5, seed=0)
 def test_the_one_walk_splits_y_zz_as_the_two_walks_did(surface, nu, nv, n, seed):
     lift = canonical_lift(make_chart(surface, nu, nv, n, seed))

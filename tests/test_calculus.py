@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from wlab.calculus import (
+    FD_ORDER,
     GridSpec,
     _diff_axis,
+    _fd_matrix,
+    _fornberg_weights,
     classify_order,
     convergence_order,
     diff_real,
@@ -236,3 +239,21 @@ def test_convergence_floor_counts_as_converged():
 def test_convergence_needs_three_sizes():
     with pytest.raises(ValueError):
         convergence_order([16, 32], [1.0 / 16, 1.0 / 32])
+
+
+def per_row_fd_matrix(n: int, h: float) -> np.ndarray:
+    """The FD matrix with each row's stencil solved on its own: the
+    reference for the seven stencils `_fd_matrix` solves once."""
+    width, half = FD_ORDER + 1, FD_ORDER // 2
+    d = np.zeros((n, n))
+    nodes = np.arange(width) * h
+    for i in range(n):
+        lo = min(max(0, i - half), n - width)
+        d[i, lo : lo + width] = _fornberg_weights(nodes, (i - lo) * h, 1)
+    return d
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 256, 257])
+def test_fd_matrix_is_the_per_row_construction(n):
+    h = 5.0 / (n - 1)
+    assert np.array_equal(_fd_matrix.__wrapped__(n, h), per_row_fd_matrix(n, h))

@@ -131,7 +131,7 @@ def test_fields_dump(tmp_path):
 
 
 def test_fields_csv_matches_a_row_loop(tmp_path, capsys):
-    # 32x16 is one block; 100x48 is blocks of 42, 42 and 16 grid lines
+    # 32x16 is one block; 100x48 is four blocks of 21 grid lines and one of 16
     for nu, nv in ((32, 16), (100, 48)):
         cfg = write_config(tmp_path, surface={"name": "veronese", "params": {}},
                            grid={"nu": nu, "nv": nv})

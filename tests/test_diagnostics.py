@@ -42,7 +42,7 @@ from wlab.gallery import (
     veronese,
 )
 from wlab.invariants import hopf_schwarzian, unwrap_half_phase
-from wlab.lorentz import random_mobius
+from wlab.lorentz import random_mobius, span_rank
 
 from flatness_oracles import flat_normal_scalar, ricci_rhs_max
 from frame_oracles import kappa_jet
@@ -300,6 +300,26 @@ def test_reduction_span_round_sphere():
     assert reduction_span_check(frame.mask, [frame.Y]) == 4
 
 
+def test_reduction_span_copies_no_masked_field():
+    # three (256, 64, 6) complex fields in a common 3-dimensional span under
+    # the Veronese mask: the masked rows are gathered one leaf at a time,
+    # where masked copies of a field were 2.1x one field's bytes
+    rng = np.random.default_rng(3)
+    mask = veronese(256, 64).mask
+    span = rng.normal(size=(3, 6))
+    fields = [(rng.normal(size=(256, 64, 2)) + 1j * rng.normal(size=(256, 64, 2)))
+              @ rng.normal(size=(2, 3)) @ span for _ in range(3)]
+    want = span_rank([p for f in fields for p in (f[mask].real, f[mask].imag)])
+    tracemalloc.start()
+    try:
+        rank = reduction_span_check(mask, fields)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == want == 3
+    assert peak <= 0.5 * fields[0].nbytes
+
+
 def test_reduction_span_needs_samples(monkeypatch):
     # 8 x 8 misses the FD conformality tolerance, which the lift checks
     monkeypatch.setattr("wlab.frame.CONFORMAL_TOL_FD", math.inf)
@@ -431,7 +451,7 @@ def analyze_peak_over_y(monkeypatch, threads, ambient_n):
 # thread; 16.7x, 17.6x and 21.2x at two) sits where kappa's normal jet is
 # widest (the V basis, 4x Y, with kappa, D_z kappa, D_zbar kappa and D_zbar
 # D_z kappa alive at the jet rank) or in `perp_projector`, whose parts each
-# hold a block of P, d^2 numbers a point of PROJECTOR_BLOCK points.  A lift
+# hold a block of P, d^2 numbers a point of a block of grid lines.  A lift
 # or jet field held past its last reader adds 1x to 2x; a stored dense
 # projector (d x Y), the (6m, d) kappa-jet matrix (46.8x in S^7) or a stored
 # normal basis would add far more.

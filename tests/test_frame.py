@@ -8,7 +8,6 @@ import wlab.frame
 from wlab.diagnostics import analyze
 from wlab.calculus import GridSpec
 from wlab.frame import (
-    PROJECTOR_BLOCK,
     Chart,
     ChartError,
     build_frame,
@@ -28,6 +27,7 @@ from wlab.gallery import (
     veronese,
 )
 from wlab.lorentz import herm_norm_sq, mink_inner, random_mobius, signature
+from wlab.parallel import BLOCK_POINTS
 
 from frame_oracles import frame_N, frame_residuals, oracle_kappa
 
@@ -289,8 +289,8 @@ def test_normal_basis_peak_memory_stays_near_projector_size(monkeypatch):
         (lambda: build_surface("homogeneous_cp2_hopf", 48, 24, {"lambdas": [-1.0, 0.5, 2.0]}), 7),
         (lambda: include_in_higher_sphere(clifford(32, 32), 7), 9),
         (lambda: include_in_higher_sphere(clifford(24, 24), 10), 12),
-        # 2 PROJECTOR_BLOCK + 32 points: two full blocks and a partial one
-        (lambda: include_in_higher_sphere(clifford(PROJECTOR_BLOCK // 16 + 1, 32), 7), 9),
+        # 2 BLOCK_POINTS + 32 points: two full blocks of 32 lines and a partial one
+        (lambda: include_in_higher_sphere(clifford(BLOCK_POINTS // 16 + 1, 32), 7), 9),
     ],
     ids=["pinkall_d5", "veronese_fd_d6", "cp2_d7", "clifford_s7_d9", "clifford_s10_d12",
          "partial_block_d9"],

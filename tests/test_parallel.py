@@ -1,4 +1,7 @@
+import ast
+import json
 import os
+import pathlib
 import signal
 import sys
 import threading
@@ -6,11 +9,12 @@ import threading
 import numpy as np
 import pytest
 
-from wlab.cli import report_json
+import wlab.parallel
+from wlab.cli import main, report_json
 from wlab.diagnostics import analyze
-from wlab.frame import PROJECTOR_BLOCK, build_frame, normal_basis
+from wlab.frame import build_frame, normal_basis
 from wlab.gallery import build_surface, clifford, include_in_higher_sphere, pinkall_hopf_torus, veronese
-from wlab.parallel import split, thread_cap
+from wlab.parallel import BLOCK_POINTS, lines, split, thread_cap
 
 from frame_oracles import frame_N
 
@@ -129,7 +133,9 @@ def assert_same_outputs(got, want):
     (arrays, text), (want_arrays, want_text) = got, want
     assert arrays.keys() == want_arrays.keys()
     for key, value in arrays.items():
-        assert np.array_equal(value, want_arrays[key], equal_nan=True), key
+        want_value = want_arrays[key]
+        assert value.dtype == want_value.dtype and value.shape == want_value.shape, key
+        assert value.tobytes() == want_value.tobytes(), key
     assert text == want_text
 
 
@@ -139,7 +145,8 @@ CHARTS = {
     "cp2_d7": (lambda: build_surface("homogeneous_cp2_hopf", 48, 24,
                                      {"lambdas": [-1.0, 0.5, 2.0]}), 7),
     "clifford_s10_d12": (lambda: include_in_higher_sphere(clifford(40, 32), 10), 12),
-    # 8385 points: neither the parts nor PROJECTOR_BLOCK divide the grid
+    # 129 lines of 65 points: neither the parts nor blocks of lines(65) = 15
+    # lines divide the grid
     "odd_129x65_d9": (lambda: include_in_higher_sphere(clifford(129, 65), 7), 9),
 }
 
@@ -149,7 +156,7 @@ def test_outputs_are_bit_identical_for_every_thread_count(monkeypatch, name):
     make_chart, dim = CHARTS[name]
     chart = make_chart()
     assert chart.dim == dim
-    assert chart.spec.nu * chart.spec.nv > PROJECTOR_BLOCK
+    assert chart.spec.nu * chart.spec.nv > BLOCK_POINTS
     runs = {}
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("WLAB_THREADS", threads)
@@ -183,3 +190,61 @@ def test_more_parts_than_cores_under_rapid_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert_same_outputs(got, want)
+
+
+BLOCK_CHARTS = {
+    "clifford_48_s7": lambda: include_in_higher_sphere(clifford(48, 48), 7),
+    "pinkall_64x32": lambda: pinkall_hopf_torus(1.5, 64, 32).chart,
+    "cp2_window_48_fd": lambda: build_surface("homogeneous_cp2_hopf", 48, 48, {
+        "lambdas": [-1.0, 0.5, 2.0], "t_window": 6.0}),
+    "veronese_64x32_fd": lambda: veronese(64, 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHARTS))
+def test_outputs_are_bit_identical_for_every_block_size(monkeypatch, name):
+    # each block does per point or per line what the whole array would, so
+    # no field, energy or entry moves with BLOCK_POINTS; span_rank's leaves
+    # move its singular values at roundoff, and no rank
+    chart = BLOCK_CHARTS[name]()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WLAB_THREADS", threads)
+        monkeypatch.setattr(wlab.parallel, "BLOCK_POINTS", BLOCK_POINTS)
+        want = outputs(chart)
+        for points in (37, 1000, 5000):
+            monkeypatch.setattr(wlab.parallel, "BLOCK_POINTS", points)
+            assert_same_outputs(outputs(chart), want)
+
+
+def test_fields_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
+    # 64 lines of 32 points: blocks of 1, 31, 32 and all 64 lines
+    cfg = tmp_path / "veronese.json"
+    cfg.write_text(json.dumps({"surface": {"name": "veronese"}, "grid": {"nu": 64, "nv": 32}}))
+    csv = {}
+    for points in (37, 1000, BLOCK_POINTS, 5000):
+        monkeypatch.setattr(wlab.parallel, "BLOCK_POINTS", points)
+        out = tmp_path / f"fields{points}.csv"
+        assert main(["fields", str(cfg), "--out", str(out)]) == 0
+        csv[points] = out.read_bytes()
+    assert len(set(csv.values())) == 1
+
+
+def names_used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_parallel_sizes_blocks():
+    # one constant and one line rule, read when a walk starts: no other
+    # module names a block constant or reads BLOCK_POINTS, whose import
+    # would also freeze its value
+    assert lines(1) == BLOCK_POINTS and lines(BLOCK_POINTS + 1) == 1
+    for path in sorted(pathlib.Path(wlab.parallel.__file__).parent.glob("*.py")):
+        if path.name != "parallel.py":
+            tree = ast.parse(path.read_text())
+            assert [n for n in names_used(tree) if "BLOCK" in n] == [], path.name
