@@ -165,7 +165,22 @@ def test_frame_ode_k2_surface_is_not_flat():
     live = frame.mask & ~frame.umbilic_mask
     assert flat_normal_residual(frame)[live].min() > 1e-2
     w = willmore_energy_conformal(frame)
-    assert w == pytest.approx(remark_energy(0.0, t_close, k2=0.5), rel=1e-5)
+    assert w == pytest.approx(remark_energy(0.0, t_close, k2=0.5), rel=1e-12)
+
+
+# the frame ODE is never reprojected onto its constraints: the integrator's
+# error control alone must keep xi unit and perpendicular to gamma, i gamma,
+# which the conformality of x = e^{i theta} gamma measures
+@pytest.mark.parametrize("nu", [128, 256])
+@pytest.mark.parametrize("curve", [
+    dict(k1=1.5, t_period=TWO_PI / 2.5),
+    dict(k1=0.0, t_period=np.pi),
+    dict(k1=0.0, k2=0.5, t_period=4 * np.pi / math.sqrt(5.0), ambient_complex_dim=3),
+])
+def test_frame_ode_keeps_its_constraints_without_reprojection(curve, nu):
+    res = hopf_from_curvature(nu, 64, **curve)
+    assert res.closed
+    assert validate_chart(res.chart)["conformality"] <= 1e-12
 
 
 def test_frame_ode_requires_room_for_k2():

@@ -10,17 +10,20 @@ when its base curve is a free elastica (Pinkall, Invent. Math. 81, 1985);
 a circle is not one unless c = 0, and the residual reads c (4 + c^2) / 32
 at every point.  The closed surfaces have W = 2 pi^2 (Clifford) and
 W = (c^2 / 4 + 1) T 2 pi = 5 pi^2 / 2 (Pinkall, c = 3/2), and Mobius
-maps keep W.
+maps keep W.  The frame ODE over k1 = c for one closing period T = 2 pi /
+sqrt(c^2 + 4) builds the same torus up to a unitary map, so it has the
+same values.
 """
 
 import numpy as np
 import pytest
 
 from wlab.diagnostics import analyze
-from wlab.gallery import apply_mobius, clifford, pinkall_hopf_torus
+from wlab.gallery import apply_mobius, clifford, hopf_from_curvature, pinkall_hopf_torus
 from wlab.lorentz import random_mobius
 
 ENERGY_REL = 1e-12
+TWO_PI = 2 * np.pi
 
 
 def pinkall_willmore(c):
@@ -43,6 +46,14 @@ def test_the_pinkall_willmore_residual_is_its_closed_form(c, nu, nv, rel):
     assert report.entry("willmore").L_inf == pytest.approx(pinkall_willmore(c), rel=rel)
     if c == 1.5:
         assert report.energies["W_conformal"] == pytest.approx(2.5 * np.pi**2, rel=ENERGY_REL)
+
+
+def test_the_frame_ode_torus_over_a_circle_has_the_pinkall_values():
+    res = hopf_from_curvature(64, 32, k1=1.5, t_period=TWO_PI / 2.5)
+    assert res.closed and res.chart.cover_count == 5
+    report = analyze(res.chart, witnesses=False)
+    assert report.energies["W_conformal"] == pytest.approx(2.5 * np.pi**2, rel=ENERGY_REL)
+    assert report.entry("willmore").L_inf == pytest.approx(pinkall_willmore(1.5), rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
