@@ -292,34 +292,26 @@ def normal_project(basis: np.ndarray, field_vec: np.ndarray) -> np.ndarray:
 
 
 def normal_basis(frame: FrameField) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal spacelike basis psi of V^perp by pivoted Gram-Schmidt.
-
-    Built on demand only: the pivoted gauge is not smooth across grid
-    points, and no criterion reads it.  The candidates are the columns
-    P e_j = e_j - q_j sum_k eps_k e_kj e_k, formed from the V basis.  P is
-    self-adjoint for the Minkowski pairing, so candidate j, deflated by the
-    picks psi_m so far, is P e_j - sum_m q_j psi_mj psi_m with squared norm
-    q_j P_jj - sum_m psi_mj^2; only the largest is formed and normalized.
-    Returns (psi, ok_mask): psi is (nu, nv, n-2, d), and ok_mask is False
-    where fewer than n-2 candidates clear PSI_RANK_TOL.
-    """
+    """Orthonormal spacelike basis psi of V^perp, on demand: its gauge is not
+    smooth across grid points, and no criterion reads it.  Per block of lines,
+    QP = Q - sum_k eps_k (Q e_k)(Q e_k)^T, the Minkowski Gram of P's columns,
+    is 0 on V and positive on V^perp; its n-2 largest eigenpairs (w, u), eigh's
+    last, give psi = sqrt(w) Q u, as P u = w Q u.  Returns (psi, ok_mask): psi
+    is (nu, nv, n-2, d), ok_mask False where a kept w is <= PSI_RANK_TOL."""
     nu, nv, _, d = frame.V_basis.shape
     e = frame.V_basis.reshape(-1, 4, d)
     q, eps = signature(d), signature(4)
-    psi = np.zeros((nu * nv, d - 4, d))
-    ok = np.ones(nu * nv, dtype=bool)
-    sq = q - np.einsum("pka,pka,k->pa", e, e, eps)
-    for k in range(d - 4):
-        j = np.argmax(sq, axis=-1)[:, None]
-        best = np.take_along_axis(sq, j, axis=-1)[:, 0]
-        ok &= best > PSI_RANK_TOL
-        picked = psi[:, :k]
-        psi_j = np.take_along_axis(picked, j[..., None], axis=-1)[..., 0]
-        e_j = np.take_along_axis(e, j[..., None], axis=-1)[..., 0] * eps
-        vec = (np.arange(d) == j) - q[j] * (np.einsum("pk,pka->pa", e_j, e)
-                                            + np.einsum("pm,pmk->pk", psi_j, picked))
-        psi[:, k] = vec / np.sqrt(np.maximum(best, PSI_RANK_TOL))[:, None]
-        sq -= psi[:, k] ** 2
+    psi = np.empty((nu * nv, d - 4, d))
+    ok = np.empty(nu * nv, dtype=bool)
+
+    def part(lo, hi):
+        rows = slice(lo * nv, hi * nv)
+        qe = e[rows] * q
+        w, u = np.linalg.eigh(np.diag(q) - np.einsum("pka,pkb,k->pab", qe, qe, eps))
+        psi[rows] = (np.sqrt(w[:, 4:])[:, None] * q[:, None] * u[:, :, 4:]).transpose(0, 2, 1)
+        ok[rows] = (w[:, 4:] > PSI_RANK_TOL).all(-1)
+
+    split(part, nu, lines(nv))
     return psi.reshape(nu, nv, d - 4, d), ok.reshape(nu, nv)
 
 

@@ -153,8 +153,8 @@ def structure_closure_residuals(frame, jet: KappaJet) -> dict:
     """L_inf defects of the structure equations, reconstructed vs. direct.
 
     Checks d_z of Y_z, of N, and of a smooth normal section (the V^perp
-    projection of a constant ambient vector; a pivoted normal basis is not
-    smooth across grid points, so it cannot be differentiated directly).
+    projection of a constant ambient vector; the on-demand normal basis is
+    not smooth across grid points, so it cannot be differentiated directly).
     """
     m = frame.mask
     spec = frame.spec

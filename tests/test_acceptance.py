@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wlab.diagnostics import (
+    CONVERGENCE_MARGIN,
     analyze,
     convergence_L_inf,
     reduction_span_check,
@@ -21,9 +22,11 @@ from wlab.diagnostics import (
 )
 from wlab.calculus import GridSpec
 from wlab.frame import build_frame
+from wlab.invariants import hopf_schwarzian
 from wlab.gallery import (
     apply_mobius,
     clifford,
+    hopf_from_curvature,
     homogeneous_cp2_hopf,
     include_in_higher_sphere,
     pinkall_hopf_torus,
@@ -232,13 +235,43 @@ def test_criterion_08_parallel_derivative_kills_six_form():
     _ok("8 (six-form vanishes on 10^3 parallel fixtures)")
 
 
+def half_phase(kk):
+    """(theta, ok): theta = arg<kappa, kappa> / 2, unwrapped with period pi
+    down the first column and then along each row, and ok False at the
+    corners of each grid cell whose wrapped increments do not close (a
+    phase residue).  Cells across a periodic seam are not checked."""
+    raw = 0.5 * np.angle(kk)
+    theta = np.unwrap(raw, axis=1, period=np.pi)
+    theta += (np.unwrap(raw[:, 0], period=np.pi) - theta[:, 0])[:, None]
+    du, dv = ((np.diff(raw, axis=a) + np.pi / 2) % np.pi - np.pi / 2 for a in (0, 1))
+    bad = np.pad(np.abs(du[:, :-1] + dv[1:] - du[:, 1:] - dv[:-1]) > np.pi / 2, 1)
+    return theta, ~(bad[1:, 1:] | bad[:-1, 1:] | bad[1:, :-1] | bad[:-1, :-1])
+
+
+REMARK62_CHARTS = [
+    (lambda: pinkall_hopf_torus(1.5, 96, 48).chart, 1e-9),
+    (lambda: apply_mobius(pinkall_hopf_torus(1.5, 96, 48).chart, random_mobius(3, 3, 0.4)), 1e-9),
+    (lambda: hopf_from_curvature(128, 64, k1=lambda t: 1 + 0.5 * np.cos(t)).chart, 1e-7),
+]
+
+
 def test_criterion_09_integrability_evaluator_fixtures():
-    """The two-row integrability evaluator on its hand-checked fixtures.
+    """The two-row integrability evaluator on its hand-checked fixtures and
+    on real surfaces.
 
     Zero and constant data annihilate every term.  For k3 = u with zero
     phase and Schwarzian the first row vanishes while the second equals
     |2 (u^2)_z| = 2|u| (order-6 stencils are exact on polynomials, so the
     comparison is at roundoff).
+
+    On a surface in S^3, kappa = e^{i theta} k_1 psi with psi a parallel
+    unit normal, k_1 = sqrt<kappa, conj kappa> and theta = arg<kappa,
+    kappa> / 2, so with k_2 = k_3 = k_4 = 0 and the frame's s the first row
+    is |D_zbar D_zbar kappa + (conj s / 2) kappa|, the `willmore` field, and
+    the second is the `gauss` field.  Both are compared over `willmore`'s
+    mask less umbilic points and phase residues, and on an FD axis less a
+    CONVERGENCE_MARGIN band.  The rows with k_2..k_4 != 0 are still checked
+    on the fixtures only.
     """
     spec = GridSpec(16, 16, TWO_PI, TWO_PI, True, True)
     zero = np.zeros((16, 16))
@@ -255,7 +288,20 @@ def test_criterion_09_integrability_evaluator_fixtures():
     r1, r2 = remark62_residual([u, z16, z16, z16], z16, z16 + 0j, fd)
     assert np.abs(r1).max() < 1e-10
     assert np.abs(r2 - 2 * np.abs(u)).max() < 1e-10
-    _ok("9 (integrability evaluator fixtures)")
+
+    for make_chart, bound in REMARK62_CHARTS:
+        chart = make_chart()
+        report = analyze(chart, witnesses=False)
+        frame = hopf_schwarzian(build_frame(chart))
+        theta, off_residues = half_phase(frame.kk)
+        k1, zero = np.sqrt(frame.kk_bar), np.zeros(frame.kk_bar.shape)
+        r1, r2 = remark62_residual([k1, zero, zero, zero], theta, frame.s, chart.spec)
+        mask = (report.masks["res_willmore"] & ~frame.umbilic_mask & off_residues
+                & chart.spec.interior_mask(CONVERGENCE_MARGIN))
+        assert mask.sum() > mask.size // 2
+        assert np.abs(r1 - report.fields["res_willmore"])[mask].max() < bound
+        assert np.abs(r2 - report.fields["res_gauss"])[mask].max() < bound
+    _ok("9 (integrability evaluator fixtures and surfaces in S^3)")
 
 
 def test_criterion_10_sphere_content_is_delegated():

@@ -247,10 +247,42 @@ def test_normal_basis_clifford_is_surface_normal():
     assert psi.shape[2] == 1 and ok.all()
     n = clifford_normal(ch)
     lifted = np.concatenate([np.zeros(n.shape[:2] + (1,)), n], axis=-1)
-    # psi is +-(0, n); compare up to the sign of the pivoted Gram-Schmidt
+    # psi is +-(0, n); compare up to the sign of the eigenvector
     dot = np.einsum("uvk,uvk->uv", psi[:, :, 0, 1:], n)
     diff = np.abs(psi[:, :, 0, :] - np.sign(dot)[..., None] * lifted).max()
     assert diff < 1e-10
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: include_in_higher_sphere(clifford(128, 128), 7),
+    lambda: include_in_higher_sphere(clifford(24, 24), 10),
+    lambda: veronese(64, 32),
+    lambda: build_surface("homogeneous_cp2_hopf", 96, 48, {"lambdas": [-1.0, 0.5, 2.0]}),
+    lambda: apply_mobius(pinkall_hopf_torus(1.5, 96, 48).chart, random_mobius(3, 3, 0.4)),
+], ids=["clifford_s7_d9", "clifford_s10_d12", "veronese_fd_d6", "cp2_d7", "mobius_pinkall_d5"])
+def test_normal_basis_is_an_orthonormal_basis_of_v_perp(make_chart):
+    # n-2 Minkowski-orthonormal vectors orthogonal to the V basis span V^perp,
+    # so kappa, a section of V^perp_C, is sum_a <kappa, psi_a> psi_a
+    frame = build_frame(make_chart())
+    psi, ok = normal_basis(frame)
+    d, m = frame.dim, frame.mask
+    assert psi.shape == frame.Y.shape[:2] + (d - 4, d) and ok[m].all()
+    q = signature(d)
+    gram = np.einsum("uvak,uvbk,k->uvab", psi, psi, q)
+    assert np.abs(gram - np.eye(d - 4))[m].max() < 1e-12
+    assert np.abs(np.einsum("uvak,uvbk,k->uvab", psi, frame.V_basis, q))[m].max() < 1e-12
+    coef = np.einsum("uvak,uvk,k->uva", psi, frame.kappa, q)
+    rebuilt = np.einsum("uva,uvak->uvk", coef, psi)
+    gap, size = (np.linalg.norm(f, axis=-1) for f in (frame.kappa - rebuilt, frame.kappa))
+    assert (gap <= 1e-12 * size)[m].all()
+
+
+def test_normal_basis_of_a_surface_in_s2_is_empty():
+    # d = 4: V is everything, so psi has no vectors and no point is flagged
+    frame = build_frame(round_sphere(32, 16, 2))
+    psi, ok = normal_basis(frame)
+    assert psi.shape == (32, 16, 0, 4)
+    assert ok.shape == (32, 16) and ok.all()
 
 
 def test_normal_basis_veronese_orthogonal_to_frame():
@@ -273,8 +305,8 @@ def traced_peak(monkeypatch, threads, job):
 
 
 def test_normal_basis_peak_memory_stays_near_projector_size(monkeypatch):
-    # psi alone is (n-2)/d of a (d, d) projector field, d x Y; a (d, d) copy
-    # of the candidates would be 1x more
+    # psi alone is (n-2)/d of a (d, d) projector field, d x Y; a (d, d) field
+    # of the Gram matrices QP would be 1x more
     frame = build_frame(include_in_higher_sphere(clifford(128, 128), 7))
     for threads in ("1", "2"):
         peak = traced_peak(monkeypatch, threads, lambda: normal_basis(frame))

@@ -146,7 +146,7 @@ def test_frame_ode_matches_closed_form():
     unitary = np.conj([[a1, a2], [1j * l1 * a1, 1j * l2 * a2]])
     w = (ref.chart.points[..., 0::2] + 1j * ref.chart.points[..., 1::2]) @ unitary.T
     moved = np.stack([w.real, w.imag], axis=-1).reshape(ref.chart.points.shape)
-    assert np.abs(res.chart.points - moved).max() < 1e-6
+    assert np.abs(res.chart.points - moved).max() < 1e-13
 
 
 def test_frame_ode_geodesic_gives_clifford_invariants():
