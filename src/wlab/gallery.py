@@ -201,20 +201,14 @@ def solve_amplitudes(lambdas) -> np.ndarray:
     return np.sqrt(np.maximum(asq, 0.0))
 
 
-def _homogeneous_lift(n: int, lambdas, amps, nu: int, nv: int, name: str, params_of: Callable,
+def _homogeneous_lift(lam: np.ndarray, a: np.ndarray, nu: int, nv: int, name: str, params: dict,
                       t_window: Optional[float] = None) -> HopfChartResult:
-    """gamma(t) = (a_k e^{i l_k t})_k with n = 2 or 3 frequencies, on its
-    closing cover or on the non-periodic window [0, t_window] when one is
-    given.  The amplitudes default to `solve_amplitudes(lambdas)`; the
-    sphere, horizontality and unit-speed constraints must hold to 1e-12.
-    `params_of(lam, a)` gives the chart's params, quoted by that check."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (n,) or (amps is not None and np.shape(amps) != (n,)):
-        raise ValueError(f"need exactly {('two', 'three')[n - 2]} frequencies and amplitudes")
-    a = solve_amplitudes(lam) if amps is None else np.asarray(amps, dtype=float)
+    """gamma(t) = (a_k e^{i l_k t})_k with frequencies `lam` and amplitudes
+    `a`, on its closing cover or on the non-periodic window [0, t_window]
+    when one is given.  The sphere, horizontality and unit-speed
+    constraints must hold to 1e-12; the check quotes the chart's `params`."""
     asq = a * a
     defects = np.abs([asq.sum() - 1.0, (asq * lam).sum(), (asq * lam * lam).sum() - 1.0])
-    params = params_of(lam, a)
     if not defects.max() <= 1e-12:  # written so that a NaN fails it
         raise ValueError(f"{name} {params} admits no horizontal unit-speed lift: "
                          f"(sphere, horizontality, speed) defects {defects.tolist()}")
@@ -245,28 +239,33 @@ def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
     """
     big = 0.5 * (c + math.copysign(math.hypot(c, 2.0), c))  # hypot: no overflow of c^2
     l1, l2 = (big, -1.0 / big) if big > 0 else (-1.0 / big, big)
-    return _homogeneous_lift(
-        2, [l1, l2], None, nu, nv, "pinkall_hopf_torus",
-        lambda lam, a: {"c": c, "lambda1": l1, "lambda2": l2,
-                        "a1_sq": float(a[0] * a[0]), "a2_sq": float(a[1] * a[1])})
+    lam = np.array([l1, l2])
+    a = solve_amplitudes(lam)
+    return _homogeneous_lift(lam, a, nu, nv, "pinkall_hopf_torus",
+                             {"c": c, "lambda1": l1, "lambda2": l2,
+                              "a1_sq": float(a[0] * a[0]), "a2_sq": float(a[1] * a[1])})
 
 
-def homogeneous_cp2_hopf(
-    lambdas, nu: int, nv: int, amps=None, t_window: Optional[float] = None
-) -> HopfChartResult:
+def homogeneous_cp2_hopf(lambdas, nu: int, nv: int,
+                         t_window: Optional[float] = None) -> HopfChartResult:
     """Three-frequency homogeneous Hopf lift in S^5 over CP^2.
 
-    gamma(t) = (a1 e^{i l1 t}, a2 e^{i l2 t}, a3 e^{i l3 t}) subject to
-    sum a^2 = 1 (sphere), sum a^2 l = 0 (horizontality), sum a^2 l^2 = 1
-    (unit speed); `amps` defaults to their solution.  Genuinely
+    gamma(t) = (a1 e^{i l1 t}, a2 e^{i l2 t}, a3 e^{i l3 t}) with the
+    amplitudes solved from sum a^2 = 1 (sphere), sum a^2 l = 0
+    (horizontality), sum a^2 l^2 = 1 (unit speed): the frequencies fix
+    each a^2, and the sign of an a_k is an isometry of S^5.  Genuinely
     three-frequency data has k2 != 0 and so a non-flat normal bundle.
 
     `t_window` forces a non-periodic chart over [0, t_window] instead of
     the closed covering grid; the analytic evaluation makes this the
     clean control for finite-difference refinement studies.
     """
-    return _homogeneous_lift(3, lambdas, amps, nu, nv, "homogeneous_cp2_hopf",
-                             lambda lam, a: {"lambdas": lam.tolist(), "amps": a.tolist()}, t_window)
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.shape != (3,):
+        raise ValueError("need exactly three frequencies")
+    a = solve_amplitudes(lam)
+    return _homogeneous_lift(lam, a, nu, nv, "homogeneous_cp2_hopf",
+                             {"lambdas": lam.tolist(), "amps": a.tolist()}, t_window)
 
 
 def _curvature_at(k):
@@ -336,8 +335,7 @@ def hopf_from_curvature(nu: int, nv: int, k1=0.0, k2=0.0, t_period: float = TWO_
         gam = np.array([solutions[k](t)[:m] for t, k in zip(local, idx)])
         return np.exp(1j * phase * wraps)[:, None] * gam if closed else gam
 
-    params = {"mode": "tabulated" if callable(k1) or callable(k2) else "constant_k1",
-              "k1": None if callable(k1) else float(k1), "k2": None if callable(k2) else float(k2),
+    params = {"k1": None if callable(k1) else float(k1), "k2": None if callable(k2) else float(k2),
               "t_period": t_period, "ambient_complex_dim": m}
     chart = _hopf_chart(gamma, t_period, q, nu, nv, "hopf_from_curvature", params)
     return HopfChartResult(chart, t_period, phase % TWO_PI)
@@ -402,7 +400,6 @@ GALLERY = {builder.__name__: params for builder, params in [
                            "ambient_complex_dim": "int (default 2; >= 3 when k2 != 0)"}),
     (homogeneous_cp2_hopf, {
         "lambdas": "list of 3 floats",
-        "amps": "list of 3 floats (default: solved from the constraints)",
         "t_window": "float, force a non-periodic t window (default: closed cover)"}),
     (veronese, {"extent": "float, |u| range of the Mercator strip (default 2.5)"}),
 ]}

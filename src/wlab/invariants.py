@@ -100,8 +100,6 @@ def ricci_residual(frame: FrameField, dzbar_dz_kappa: np.ndarray,
     2<v,kappa> conj kappa - 2<v,conj kappa> kappa; for v = kappa this
     vanishes exactly where the normal bundle is flat.
     """
-    if frame.kappa.shape[-1] == 4:  # V^perp = 0: kappa is projector roundoff, not a section
-        return np.zeros(frame.mask.shape)
     kap = frame.kappa
     # right side first, then the left side minus it: two fields alive at once
     defect = 2.0 * frame.kk[..., None] * np.conj(kap)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .parallel import lines
-
 RANK_TOL = 1e-8  # span_rank's relative singular-value threshold
 
 
@@ -59,35 +57,31 @@ def herm_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(herm_norm_sq(v), 0.0))
 
 
-def span_rank(blocks) -> int:
+def span_rank(leaves) -> int:
     """Rank of the linear span of a set of vectors.
 
     Parameters
     ----------
-    blocks : array (m, dim), or an iterable of such arrays
-        Stacked vectors (rows); each array may be anything reshapeable to
-        (m_k, dim).  The set is the rows of all blocks together.
+    leaves : iterable of arrays (m_k, dim)
+        Stacked vectors (rows); each leaf may be anything reshapeable to
+        (m_k, dim).  The set is the rows of all leaves together.
 
-    The singular values are those of the stacked R factors of the QR
-    decompositions of leaves of `parallel.lines(1)` rows of each block,
-    which equal those of the stacked rows (the R step of TSQR, Demmel,
-    Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012); one leaf
-    is copied at a time.  Singular values above RANK_TOL * sigma_max count
-    toward the rank.
+    The singular values are those of the stacked R factors of the leaves'
+    QR decompositions, which equal those of the stacked rows (the R step
+    of TSQR, Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34,
+    2012); one leaf is copied at a time, so the caller sets the memory by
+    its leaves (`diagnostics.reduction_span_check` cuts `parallel.lines(1)`
+    rows).  Singular values above RANK_TOL * sigma_max count toward the rank.
     """
-    if isinstance(blocks, np.ndarray):
-        blocks = [blocks]
-    factors, step = [], lines(1)
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        block = block.reshape(-1, block.shape[-1])
-        factors.extend(np.linalg.qr(block[lo:lo + step], mode="r")
-                       for lo in range(0, len(block), step))
+    factors = []
+    for leaf in leaves:
+        leaf = np.asarray(leaf, dtype=float)
+        leaf = leaf.reshape(-1, leaf.shape[-1])
+        if len(leaf):
+            factors.append(np.linalg.qr(leaf, mode="r"))
     if not factors:
         raise ValueError("span_rank needs at least one vector")
     s = np.linalg.svd(np.concatenate(factors), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.sum(s > RANK_TOL * s[0]))
 
 

@@ -8,12 +8,12 @@ memory per thread is set by its block, not by the grid.  One rule, read
 when a walk starts, sizes the blocks of every walk over grid points, split
 or serial: `lines(nv)` whole lines of nv points, about BLOCK_POINTS.  Each
 block does the arithmetic the whole would do on its slice, so no field
-depends on the thread count or BLOCK_POINTS (`lorentz.span_rank`'s
-singular values move at roundoff).  Jobs write only into arrays their
-caller allocated, and run no large BLAS product: OpenBLAS gives each
-calling thread its own buffer, so splitting the pole search's `cand @
-pts.T` raised the `spectral_s3` benchmark's peak RSS from about 64.5 to
-71.6 MiB.
+depends on the thread count or BLOCK_POINTS (the rank witnesses' leaves
+move `lorentz.span_rank`'s singular values at roundoff).  Jobs write only
+into arrays their caller allocated, and run no large BLAS product:
+OpenBLAS gives each calling thread its own buffer, so splitting the pole
+search's `cand @ pts.T` raised the `spectral_s3` benchmark's peak RSS from
+about 64.5 to 71.6 MiB.
 """
 
 from __future__ import annotations

@@ -38,11 +38,11 @@ from wlab.gallery import (
     include_in_higher_sphere,
     pinkall_hopf_torus,
     round_sphere,
-    solve_amplitudes,
     veronese,
 )
 from wlab.invariants import hopf_schwarzian, unwrap_half_phase
 from wlab.lorentz import random_mobius, span_rank
+from wlab.parallel import BLOCK_POINTS
 
 from flatness_oracles import flat_normal_scalar, ricci_rhs_max
 from frame_oracles import kappa_jet
@@ -260,7 +260,7 @@ def test_six_form_clifford(clifford_frame, clifford_jet):
 def test_six_form_is_mobius_invariant():
     # the CP^2 lift is full in S^5; W_conformal holds to 1e-11 under this map
     lam = [-1.0, 0.5, 2.0]
-    chart = homogeneous_cp2_hopf(lam, 96, 48, amps=solve_amplitudes(lam)).chart
+    chart = homogeneous_cp2_hopf(lam, 96, 48).chart
     moved = apply_mobius(chart, random_mobius(5, 1, 0.3))
     base = analyze(chart)
     image = analyze(moved)
@@ -318,6 +318,17 @@ def test_reduction_span_copies_no_masked_field():
         tracemalloc.stop()
     assert rank == want == 3
     assert peak <= 0.5 * fields[0].nbytes
+
+
+def test_reduction_span_counts_a_short_last_leaf():
+    # 2 BLOCK_POINTS + 3 masked points: two full leaves and a last one of 3
+    # rows, fewer than the dimension 9
+    rng = np.random.default_rng(12)
+    n, dim = 2 * BLOCK_POINTS + 3, 9
+    pts = rng.normal(size=(n, 4)) @ rng.normal(size=(4, dim))
+    pts[-3:] = rng.normal(size=(3, dim))
+    # the last leaf adds 3 directions to the 4 before it
+    assert reduction_span_check(np.ones((n, 1), bool), [pts[:, None, :]]) == 7
 
 
 def test_reduction_span_needs_samples(monkeypatch):

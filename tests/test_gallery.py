@@ -46,8 +46,7 @@ def test_all_gallery_charts_validate():
         round_sphere(64, 24),
         veronese(64, 24),
         pinkall_hopf_torus(1.5, 80, 32).chart,
-        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 96, 24,
-                             amps=solve_amplitudes([2.0, -1.0, 0.25])).chart,
+        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 96, 24).chart,
     ]
     for ch in charts:
         validate_chart(ch)
@@ -204,11 +203,6 @@ def test_remark_energy_of_a_constant_is_the_trapezoid_value_of_a_callable():
 
 # --- homogeneous CP^2 family -------------------------------------------------
 
-def test_homogeneous_constraint_validation():
-    with pytest.raises(ValueError):
-        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 32, 32, amps=[0.5, 0.5, 0.5])
-
-
 def test_homogeneous_amplitude_solver():
     amps = solve_amplitudes([2.0, -1.0, 0.25])
     asq = amps**2
@@ -230,23 +224,10 @@ def test_solve_amplitudes_on_two_frequencies():
         assert (asq * [l1 * l1, l2 * l2]).sum() == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("lam, amps", [
-    ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0]),  # horizontal, but at rest
-    ([1.0, 0.5, 2.0], [1.0, 0.0, 0.0]),  # unit speed, but not horizontal
-    ([-1.0, 0.5, 2.0], [0.0, 0.0, -1.0]),
-])
-def test_a_single_active_frequency_fails_the_constraint_check(lam, amps):
-    # one frequency l would need l = 0 (horizontal) and l^2 = 1 (unit speed)
-    with pytest.raises(ValueError, match=r"^homogeneous_cp2_hopf \{.* admits no horizontal"):
-        homogeneous_cp2_hopf(lam, 32, 32, amps=amps)
-
-
 def test_homogeneous_cp2_needs_three_frequencies():
     # the shape is checked before the amplitudes are solved
     with pytest.raises(ValueError, match="need exactly three frequencies"):
         homogeneous_cp2_hopf([2.0, -0.5], 32, 32)
-    with pytest.raises(ValueError, match="need exactly three frequencies"):
-        homogeneous_cp2_hopf([2.0, -1.0, 0.25], 32, 32, amps=[0.5, 0.5])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -258,9 +239,10 @@ def test_homogeneous_non_finite_lift_is_rejected(bad):
 
 def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
     # the (2, -1/2) pinkall pair with zero third amplitude satisfies the
-    # constraints for any third frequency and reproduces the same invariants
-    amps = np.array([math.sqrt(0.2), math.sqrt(0.8), 0.0])
-    res = homogeneous_cp2_hopf([2.0, -0.5, 0.3], 80, 32, amps=amps)
+    # constraints for any third frequency and reproduces the same invariants;
+    # the solve gives a3 = 0 exactly for the third frequency 0.3
+    res = homogeneous_cp2_hopf([2.0, -0.5, 0.3], 80, 32)
+    assert res.chart.params["amps"][2] == 0.0
     ref = pinkall_hopf_torus(1.5, 80, 32)
     rep = analyze(res.chart)
     ref_rep = analyze(ref.chart)
@@ -272,7 +254,7 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
 
 def test_homogeneous_generic_triple_not_flat():
     lam = [2.0, -1.0, 0.25]
-    res = homogeneous_cp2_hopf(lam, 96, 24, amps=solve_amplitudes(lam))
+    res = homogeneous_cp2_hopf(lam, 96, 24)
     assert res.closed
     assert res.closing_period == pytest.approx(8 * np.pi, rel=1e-12)
     frame = hopf_schwarzian(build_frame(res.chart))
@@ -293,7 +275,7 @@ def test_homogeneous_generic_triple_not_flat():
 
 def test_homogeneous_window_chart_is_fd():
     lam = [0.0, math.sqrt(5) / 2, -math.sqrt(5) / 2]
-    res = homogeneous_cp2_hopf(lam, 48, 24, amps=solve_amplitudes(lam), t_window=4 * np.pi)
+    res = homogeneous_cp2_hopf(lam, 48, 24, t_window=4 * np.pi)
     assert not res.chart.spec.periodic_u
     validate_chart(res.chart)
 

@@ -209,10 +209,12 @@ def test_ricci_flags_an_under_resolved_fd_chart():
 
 
 def test_ricci_without_normal_directions_is_zero():
+    # V^perp = 0: kappa is projector roundoff, and its Ricci defect is zero to
+    # roundoff (1.5e-41 at 32x16)
     frame = _frame(round_sphere(32, 16, ambient_n=2))
     assert frame.dim == 4
     res = ricci(frame)
-    assert res.shape == frame.mask.shape and not res.any()
+    assert res.shape == frame.mask.shape and res.max() <= 1e-30
 
 
 def _assert_controlled_violation(frame, rel, tol):

@@ -204,8 +204,8 @@ BLOCK_CHARTS = {
 @pytest.mark.parametrize("name", sorted(BLOCK_CHARTS))
 def test_outputs_are_bit_identical_for_every_block_size(monkeypatch, name):
     # each block does per point or per line what the whole array would, so
-    # no field, energy or entry moves with BLOCK_POINTS; span_rank's leaves
-    # move its singular values at roundoff, and no rank
+    # no field, energy or entry moves with BLOCK_POINTS; the rank witnesses'
+    # leaves move span_rank's singular values at roundoff, and no rank
     chart = BLOCK_CHARTS[name]()
     for threads in ("1", "2"):
         monkeypatch.setenv("WLAB_THREADS", threads)
