@@ -29,6 +29,9 @@ holds only the keys shown:
       "seed": 0
     }
 
+A report is its config: the chart's `name`, `params`, `nu` and `nv`, the
+`transforms`, `seed` and each entry's `tolerance` rebuild its run.
+
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or usage
 error or an `--out` file that cannot be written, 3 chart error (any
 failure to build the chart, or non-unit, non-finite, degenerate or

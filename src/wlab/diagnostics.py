@@ -278,11 +278,12 @@ class DiagnosticsReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
+        """The serialized report, in containers that are not the report's."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "chart": self.chart,
-            "energies": self.energies,
-            "ranks": self.ranks,
+            "chart": _jsonable(self.chart),
+            "energies": dict(self.energies),
+            "ranks": dict(self.ranks),
             "residuals": [asdict(e) for e in self.entries],
             "passed": self.passed,
         }

@@ -84,11 +84,6 @@ class Chart:
         return self.points.shape[-1] - 1
 
     @property
-    def mask(self) -> np.ndarray:
-        """(nu, nv) bool, True = usable for norms: the spec's interior mask."""
-        return self.spec.interior_mask()
-
-    @property
     def dim(self) -> int:
         """Dimension of the Minkowski home of the lifts."""
         return self.ambient_n + 2
@@ -150,17 +145,17 @@ def _unit_defect(points: np.ndarray) -> float:
 def _checked_lift(chart: Chart):
     """(y0, rho, live, conformality): the light-cone lift, rho = <y0_z, conj
     y0_z>, live = rho > DEGENERATE_METRIC_TOL and the worst |<y0_z, y0_z>| /
-    rho on the chart mask, a ratio no rescaling of y0 changes.  ChartError
+    rho on the interior mask, a ratio no rescaling of y0 changes.  ChartError
     unless the points are finite unit vectors, the metric is live somewhere
     on the mask and the ratio is within the spectral or FD tolerance."""
     y0 = light_cone_lift(chart)
     y0_z = diff_z(y0, chart.spec)
     rho = herm_norm_sq(y0_z)
     live = rho > DEGENERATE_METRIC_TOL
-    if not (chart.mask & live).any():
+    if not (chart.spec.interior_mask() & live).any():
         raise ChartError("chart metric is degenerate everywhere")
     ratio = np.abs(mink_inner(y0_z, y0_z)) / np.maximum(rho, 1e-300)
-    worst = float(ratio[chart.mask].max())
+    worst = float(ratio[chart.spec.interior_mask()].max())
     if worst > (CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD):
         raise ChartError(f"chart is not conformal: |<x_z,x_z>|/<x_z,x_zbar> reaches {worst:.3e}")
     return y0, rho, live, worst
@@ -191,7 +186,7 @@ def canonical_lift(chart: Chart) -> FrameField:
         Y_z=Y_z,
         Y_zz=Y_zz,
         Y_zzbar=Y_zzbar.real.copy(),  # Im is commutator noise; the copy frees it
-        mask=chart.mask & live,
+        mask=spec.interior_mask() & live,
     )
 
 

@@ -23,9 +23,9 @@ gamma(t) = (a_k e^{i l_k t})_k: Pinkall tori from two frequencies, with
 l1 l2 = -1, and tori over CP^2 from three.
 
 Each builder takes the grid size (nu, nv) and its surface parameters as
-keywords, and these keywords are the parameters' one name: GALLERY maps
-each builder's name to their docs, and `build_surface(name, nu, nv,
-params)` calls the builder bound at that name with `params` as keywords.
+keywords, the parameters' one name: a chart's `params` are these keywords
+with defaults filled in, GALLERY maps each builder's name to their docs,
+and `build_surface(name, nu, nv, params)` calls the builder by that name.
 """
 
 from __future__ import annotations
@@ -62,23 +62,20 @@ def clifford(nu: int, nv: int) -> Chart:
     return Chart(spec, pts, name="clifford")
 
 
-def round_sphere(nu: int, nv: int, ambient_n: int = 4, extent: float = 2.5) -> Chart:
-    """Totally umbilic control: Mercator chart of an equatorial S^2.
+def round_sphere(nu: int, nv: int, extent: float = 2.5) -> Chart:
+    """Totally umbilic control: Mercator chart of the round S^2.
 
-    x = (sech u cos v, sech u sin v, tanh u), zero-padded into S^ambient_n;
-    u in [-extent, extent] is non-periodic (the poles are excluded).
+    x = (sech u cos v, sech u sin v, tanh u); u in [-extent, extent] is
+    non-periodic (the poles are excluded).  `include_in_higher_sphere`
+    makes it the equatorial S^2 of a higher sphere.
     """
-    if ambient_n < 2:
-        raise ValueError("ambient sphere dimension must be >= 2")
     spec = GridSpec(nu, nv, 2 * extent, TWO_PI, False, True, u0=-extent)
     u, v = spec.meshgrid()
     sech = 1.0 / np.cosh(u)
-    pts = np.zeros((nu, nv, ambient_n + 1))
-    pts[..., 0] = sech * np.cos(v)
-    pts[..., 1] = sech * np.sin(v)
-    pts[..., 2] = np.tanh(u)
-    return Chart(spec, pts, name="round_sphere",
-                 params={"ambient_n": ambient_n, "extent": extent})
+    pts = np.stack(
+        [sech * np.cos(v), sech * np.sin(v), np.tanh(u)], axis=-1
+    )
+    return Chart(spec, pts, name="round_sphere", params={"extent": extent})
 
 
 def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
@@ -87,7 +84,7 @@ def veronese(nu: int, nv: int, extent: float = 2.5) -> Chart:
     Full in S^4, hence a non-flat-normal-bundle control.  The conformal
     factor decays like sech(u); `extent` = 2.5 keeps it conditioned.
     """
-    sphere = round_sphere(nu, nv, 2, extent)
+    sphere = round_sphere(nu, nv, extent)
     x, y, z = np.moveaxis(sphere.points, -1, 0)
     s3 = np.sqrt(3.0)
     pts = np.stack(
@@ -112,11 +109,6 @@ class HopfChartResult:
     chart: Chart
     closing_period: float
     lift_monodromy_phase: float
-
-    @property
-    def closed(self) -> bool:
-        """The chart is the periodic cover of a closed curve."""
-        return self.chart.spec.periodic_u
 
 
 def _realify(cplx_vecs: np.ndarray) -> np.ndarray:
@@ -201,11 +193,11 @@ def solve_amplitudes(lambdas) -> np.ndarray:
     return np.sqrt(np.maximum(asq, 0.0))
 
 
-def _homogeneous_lift(lam: np.ndarray, a: np.ndarray, nu: int, nv: int, name: str, params: dict,
-                      t_window: Optional[float] = None) -> HopfChartResult:
+def _homogeneous_lift(lam: np.ndarray, a: np.ndarray, nu: int, nv: int, name: str,
+                      params: dict) -> HopfChartResult:
     """gamma(t) = (a_k e^{i l_k t})_k with frequencies `lam` and amplitudes
     `a`, on its closing cover or on the non-periodic window [0, t_window]
-    when one is given.  The sphere, horizontality and unit-speed
+    when `params` gives one.  The sphere, horizontality and unit-speed
     constraints must hold to 1e-12; the check quotes the chart's `params`."""
     asq = a * a
     defects = np.abs([asq.sum() - 1.0, (asq * lam).sum(), (asq * lam * lam).sum() - 1.0])
@@ -218,8 +210,8 @@ def _homogeneous_lift(lam: np.ndarray, a: np.ndarray, nu: int, nv: int, name: st
         return a[None, :] * np.exp(1j * np.outer(t, lam))
 
     period = t_close
-    if t_window is not None:
-        period, q, params = t_window, None, {**params, "t_window": t_window}
+    if params.get("t_window") is not None:
+        period, q = params["t_window"], None
     chart = _hopf_chart(gamma, period, q, nu, nv, name, params)
     return HopfChartResult(chart, t_close, phase)
 
@@ -241,9 +233,7 @@ def pinkall_hopf_torus(c: float, nu: int, nv: int) -> HopfChartResult:
     l1, l2 = (big, -1.0 / big) if big > 0 else (-1.0 / big, big)
     lam = np.array([l1, l2])
     a = solve_amplitudes(lam)
-    return _homogeneous_lift(lam, a, nu, nv, "pinkall_hopf_torus",
-                             {"c": c, "lambda1": l1, "lambda2": l2,
-                              "a1_sq": float(a[0] * a[0]), "a2_sq": float(a[1] * a[1])})
+    return _homogeneous_lift(lam, a, nu, nv, "pinkall_hopf_torus", {"c": c})
 
 
 def homogeneous_cp2_hopf(lambdas, nu: int, nv: int,
@@ -265,7 +255,7 @@ def homogeneous_cp2_hopf(lambdas, nu: int, nv: int,
         raise ValueError("need exactly three frequencies")
     a = solve_amplitudes(lam)
     return _homogeneous_lift(lam, a, nu, nv, "homogeneous_cp2_hopf",
-                             {"lambdas": lam.tolist(), "amps": a.tolist()}, t_window)
+                             {"lambdas": lam.tolist(), "t_window": t_window})
 
 
 def _curvature_at(k):
@@ -361,7 +351,7 @@ def include_in_higher_sphere(chart: Chart, n_target: int) -> Chart:
         raise ValueError("target sphere dimension is smaller than the chart's")
     pts = np.zeros(chart.points.shape[:2] + (n_target + 1,))
     pts[..., : chart.ambient_n + 1] = chart.points
-    return replace(chart, points=pts, params={**chart.params, "included_n": n_target})
+    return replace(chart, points=pts)
 
 
 def apply_mobius(chart: Chart, matrix: np.ndarray) -> Chart:
@@ -382,7 +372,7 @@ def apply_mobius(chart: Chart, matrix: np.ndarray) -> Chart:
     # w is null up to roundoff, so spatial/timelike is unit to roundoff and
     # the identity map reproduces the chart bit-exactly
     x = w[..., 1:] / t_comp[..., None]
-    return replace(chart, points=x, params={**chart.params, "mobius": True})
+    return replace(chart, points=x)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +382,7 @@ def apply_mobius(chart: Chart, matrix: np.ndarray) -> Chart:
 # each builder by its name, with the keyword parameters a config may pass it
 GALLERY = {builder.__name__: params for builder, params in [
     (clifford, {}),
-    (round_sphere, {"ambient_n": "int, target sphere (default 4)",
-                    "extent": "float, |u| range of the Mercator strip (default 2.5)"}),
+    (round_sphere, {"extent": "float, |u| range of the Mercator strip of S^2 (default 2.5)"}),
     (pinkall_hopf_torus, {"c": "float, constant curvature of the base curve"}),
     (hopf_from_curvature, {"k1": "float (default 0)", "k2": "float (default 0)",
                            "t_period": "float (default 2*pi)",

@@ -101,8 +101,6 @@ def random_mobius(n: int, seed: int, magnitude: float) -> np.ndarray:
     Raises ValueError when the magnitude is not finite or the exponential
     overflows.
     """
-    if n < 3:
-        raise ValueError("ambient sphere dimension must be >= 3")
     dim = n + 2
     rng = np.random.default_rng(seed)
     m = rng.uniform(-1.0, 1.0, size=(dim, dim))

@@ -99,7 +99,7 @@ def test_criterion_03_pinkall_torus_closed_form(pinkall_report):
     ((c^2/4 + 1) T 2 pi) = 5 pi^2 / 2.
     """
     res = pinkall_hopf_torus(1.5, 80, 48)
-    assert res.closed
+    assert res.chart.spec.periodic_u
     assert res.closing_period == pytest.approx(4 * np.pi / 5, rel=1e-14)
     w = pinkall_report.energies["W_conformal"]
     assert w == pytest.approx(2.5 * np.pi**2, rel=1e-12)
@@ -170,7 +170,7 @@ def test_criterion_05_reduction_rank_witnesses(clifford_report):
     hopf_clifford = analyze(pinkall_hopf_torus(0.0, 64, 64).chart)
     assert hopf_clifford.ranks["kappa_jet_rank"] <= 4
 
-    sphere = analyze(round_sphere(64, 24))
+    sphere = analyze(include_in_higher_sphere(round_sphere(64, 24), 4))
     assert sphere.ranks["lift_rank"] == 4
     _ok("5 (lift rank 5 under scrambling; jet rank <= 4; sphere rank 4)")
 

@@ -356,6 +356,45 @@ def test_the_report_fills_in_transform_defaults(tmp_path):
     assert report["seed"] == 4
 
 
+def config_of_report(report: dict) -> dict:
+    """The config a report records: its chart's surface and grid, its
+    transforms and seed, and each entry's tolerance."""
+    chart = report["chart"]
+    return {"surface": {"name": chart["name"], "params": chart["params"]},
+            "grid": {"nu": chart["nu"], "nv": chart["nv"]},
+            "tolerances": {e["name"]: e["tolerance"] for e in report["residuals"]},
+            "transforms": report["transforms"], "seed": report["seed"]}
+
+
+@pytest.mark.parametrize("transforms", [
+    [],
+    [{"include_n": 6}],
+    [{"mobius": {"seed": 1, "magnitude": 0.3}}],
+    [{"include_n": 6}, {"mobius": {"magnitude": 0.3}}],
+], ids=["plain", "include_n", "mobius", "include_n_mobius"])
+@pytest.mark.parametrize("surface", [
+    {"name": "clifford"},
+    {"name": "round_sphere"},
+    {"name": "veronese"},
+    {"name": "pinkall_hopf_torus", "params": {"c": 1.5}},
+    {"name": "hopf_from_curvature", "params": {"k1": 1.0}},
+    {"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1, 0.5, 2]}},
+    {"name": "homogeneous_cp2_hopf", "params": {"lambdas": [-1, 0.5, 2], "t_window": 6}},
+], ids=["clifford", "round_sphere", "veronese", "pinkall", "hopf_ode", "cp2", "cp2_window"])
+def test_a_report_rebuilds_its_own_run(tmp_path, surface, transforms):
+    # a report's chart params are its builder's inputs, so the report is a
+    # config, and running it writes the same report
+    cfg = write_config(tmp_path, surface=surface, grid={"nu": 96, "nv": 48}, seed=3,
+                       transforms=transforms)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code = main(["analyze", cfg, "--out", str(first)])
+    assert code in (0, 1)
+    rebuilt = tmp_path / "rebuilt.json"
+    rebuilt.write_text(json.dumps(config_of_report(json.loads(first.read_text()))))
+    assert main(["analyze", str(rebuilt), "--out", str(second)]) == code
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_transform_pipeline(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -80,7 +80,7 @@ def test_willmore_residual_clifford(clifford_frame, clifford_jet):
 
 
 def test_willmore_residual_round_sphere():
-    frame = build_frame(round_sphere(64, 24))
+    frame = build_frame(include_in_higher_sphere(round_sphere(64, 24), 4))
     jet = kappa_jet(frame)
     assert willmore_residual(jet.willmore_vector)[frame.mask].max() < 1e-10
 
@@ -296,7 +296,7 @@ def test_reduction_span_clifford(clifford_frame, clifford_jet):
 
 
 def test_reduction_span_round_sphere():
-    frame = build_frame(round_sphere(64, 24))
+    frame = build_frame(include_in_higher_sphere(round_sphere(64, 24), 4))
     assert reduction_span_check(frame.mask, [frame.Y]) == 4
 
 
@@ -305,7 +305,7 @@ def test_reduction_span_copies_no_masked_field():
     # the Veronese mask: the masked rows are gathered one leaf at a time,
     # where masked copies of a field were 2.1x one field's bytes
     rng = np.random.default_rng(3)
-    mask = veronese(256, 64).mask
+    mask = veronese(256, 64).spec.interior_mask()
     span = rng.normal(size=(3, 6))
     fields = [(rng.normal(size=(256, 64, 2)) + 1j * rng.normal(size=(256, 64, 2)))
               @ rng.normal(size=(2, 3)) @ span for _ in range(3)]
@@ -334,7 +334,7 @@ def test_reduction_span_counts_a_short_last_leaf():
 def test_reduction_span_needs_samples(monkeypatch):
     # 8 x 8 misses the FD conformality tolerance, which the lift checks
     monkeypatch.setattr("wlab.frame.CONFORMAL_TOL_FD", math.inf)
-    frame = build_frame(round_sphere(8, 8))
+    frame = build_frame(include_in_higher_sphere(round_sphere(8, 8), 4))
     with pytest.raises(ValueError):
         reduction_span_check(frame.mask, [frame.Y])
 
@@ -412,6 +412,19 @@ def test_report_norm_inequality(clifford_frame):
     for entry in rep.entries:
         if not math.isnan(entry.L2):
             assert entry.L2 <= entry.L_inf * area * (1 + 1e-12)
+
+
+def test_the_json_dict_shares_no_container_with_the_report():
+    report = analyze(homogeneous_cp2_hopf([-1.0, 0.5, 2.0], 32, 16).chart)
+    before = json.dumps(report.to_json_dict(), sort_keys=True)
+    out = report.to_json_dict()
+    out["energies"].pop("W_euclidean")
+    out["ranks"].clear()
+    out["chart"]["params"]["lambdas"].append(3.0)
+    out["chart"]["params"]["t_window"] = 6.0
+    assert "W_euclidean" in report.energies and report.ranks
+    assert report.chart["params"] == {"lambdas": [-1.0, 0.5, 2.0], "t_window": None}
+    assert json.dumps(report.to_json_dict(), sort_keys=True) == before
 
 
 def test_field_norms_empty_mask():

@@ -89,7 +89,7 @@ GEOMETRY = {
          "isothermic": ("skipped", "the isothermic row is evaluated only where flat_normal "
                         "passes")}),
     "round_sphere_48x24": (
-        lambda: build_surface("round_sphere", 48, 24, {}),
+        lambda: include_in_higher_sphere(build_surface("round_sphere", 48, 24, {}), 4),
         {**INTEGRABILITY,
          "willmore": ("pass", "kappa = 0 solves the Willmore equation"),
          **{name: ("skipped", "the sphere is totally umbilic, so every point is masked")

@@ -75,7 +75,7 @@ def test_canonical_lift_clifford_closed_form():
 
 
 def test_canonical_lift_mercator_sphere():
-    fr = canonical_lift(round_sphere(192, 32))
+    fr = canonical_lift(include_in_higher_sphere(round_sphere(192, 32), 4))
     defect = np.abs(mink_inner(fr.Y_z, np.conj(fr.Y_z)) - 0.5)[fr.mask].max()
     assert defect < 1e-8
 
@@ -168,15 +168,14 @@ def test_every_entry_point_rejects_a_chart_alike(monkeypatch, make_chart, messag
     assert str(info.value) == errors["analyze"]
 
 
-def test_chart_mask_is_the_interior_mask_and_not_settable():
-    ch = round_sphere(32, 16)
-    assert np.array_equal(ch.mask, ch.spec.interior_mask())
+def test_chart_takes_no_mask_argument():
+    ch = include_in_higher_sphere(round_sphere(32, 16), 4)
     with pytest.raises(TypeError):
-        Chart(ch.spec, ch.points, mask=ch.mask)
+        Chart(ch.spec, ch.points, mask=ch.spec.interior_mask())
 
 
 def test_chart_reads_its_sphere_from_its_points():
-    ch = round_sphere(32, 16, ambient_n=6)
+    ch = include_in_higher_sphere(round_sphere(32, 16), 6)
     assert (ch.ambient_n, ch.dim) == (6, 8)
     with pytest.raises(TypeError):
         Chart(ch.spec, ch.points, ambient_n=6)
@@ -218,7 +217,7 @@ def test_frame_relations_spectral():
 
 
 def test_frame_relations_fd():
-    fr = build_frame(round_sphere(128, 32))
+    fr = build_frame(include_in_higher_sphere(round_sphere(128, 32), 4))
     res = frame_residuals(fr)
     for name, val in res.items():
         assert val < 1e-4, (name, val)
@@ -279,7 +278,7 @@ def test_normal_basis_is_an_orthonormal_basis_of_v_perp(make_chart):
 
 def test_normal_basis_of_a_surface_in_s2_is_empty():
     # d = 4: V is everything, so psi has no vectors and no point is flagged
-    frame = build_frame(round_sphere(32, 16, 2))
+    frame = build_frame(round_sphere(32, 16))
     psi, ok = normal_basis(frame)
     assert psi.shape == (32, 16, 0, 4)
     assert ok.shape == (32, 16) and ok.all()

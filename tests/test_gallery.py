@@ -30,6 +30,21 @@ from wlab.lorentz import random_mobius
 TWO_PI = 2 * np.pi
 
 
+def pinkall_lift(c):
+    """(l, a): l1 > l2, the roots of l^2 - c l - 1 = 0 (the root of larger
+    magnitude by the quadratic formula, the other from l1 l2 = -1), and the
+    amplitudes that `solve_amplitudes` gives them."""
+    big = 0.5 * (c + math.copysign(math.hypot(c, 2.0), c))
+    lam = np.array((big, -1.0 / big) if big > 0 else (-1.0 / big, big))
+    return lam, solve_amplitudes(lam)
+
+
+def theta0_defect(res, lam, a) -> float:
+    """max |x(t, 0) - (a_k e^{i l_k t})_k| over the chart's theta = 0 line."""
+    line = res.chart.points[:, 0, 0::2] + 1j * res.chart.points[:, 0, 1::2]
+    return float(np.abs(line - a * np.exp(1j * np.outer(res.chart.spec.u, lam))).max())
+
+
 def test_clifford_chart_geometry():
     ch = clifford(32, 32)
     assert np.abs(np.linalg.norm(ch.points, axis=-1) - 1).max() < 1e-15
@@ -43,7 +58,7 @@ def test_clifford_chart_geometry():
 def test_all_gallery_charts_validate():
     charts = [
         clifford(32, 32),
-        round_sphere(64, 24),
+        include_in_higher_sphere(round_sphere(64, 24), 4),
         veronese(64, 24),
         pinkall_hopf_torus(1.5, 80, 32).chart,
         homogeneous_cp2_hopf([2.0, -1.0, 0.25], 96, 24).chart,
@@ -62,15 +77,15 @@ def test_all_gallery_charts_validate():
 ])
 def test_pinkall_closure(c, period, cover):
     res = pinkall_hopf_torus(c, 64, 32)
-    assert res.closed == (cover is not None)
-    assert res.chart.spec.periodic_u == res.closed
+    assert res.chart.params == {"c": c}
+    assert res.chart.spec.periodic_u == (cover is not None)
     assert res.chart.cover_count == (cover or 1)
     assert res.closing_period == pytest.approx(period, rel=1e-15)
     assert res.chart.spec.Lu == pytest.approx((cover or 1) * period, rel=1e-15)
+    lam, a = pinkall_lift(c)
+    assert theta0_defect(res, lam, a) < 1e-14
     # frame monodromy: gamma(T) = e^{i phase} gamma(0)
-    p = res.chart.params
-    a = np.sqrt([p["a1_sq"], p["a2_sq"]])
-    gam_t = a * np.exp(1j * np.array([p["lambda1"], p["lambda2"]]) * res.closing_period)
+    gam_t = a * np.exp(1j * lam * res.closing_period)
     assert np.abs(gam_t - np.exp(1j * res.lift_monodromy_phase) * a).max() < 1e-12
 
 
@@ -87,19 +102,21 @@ def test_pinkall_at_zero_curvature_is_clifford():
 
 
 def test_pinkall_three_halves_closed_form():
-    p = pinkall_hopf_torus(1.5, 80, 48).chart.params
-    assert p["lambda1"] == pytest.approx(2.0, rel=1e-15)
-    assert p["lambda2"] == pytest.approx(-0.5, rel=1e-15)
-    assert p["a1_sq"] == pytest.approx(0.2, rel=1e-14)
-    assert p["a2_sq"] == pytest.approx(0.8, rel=1e-14)
+    (l1, l2), a = pinkall_lift(1.5)
+    a1_sq, a2_sq = a * a
+    assert l1 == pytest.approx(2.0, rel=1e-15)
+    assert l2 == pytest.approx(-0.5, rel=1e-15)
+    assert a1_sq == pytest.approx(0.2, rel=1e-14)
+    assert a2_sq == pytest.approx(0.8, rel=1e-14)
 
 
 @given(c=st.floats(-1e5, 1e5))
 @example(c=10.0)  # the old closed form gave l1 l2 + 1 = 3.4e-15 here
 @example(c=-1e5)
 def test_pinkall_roots_have_product_minus_one_and_satisfy_the_constraints(c):
-    p = pinkall_hopf_torus(c, 8, 8).chart.params
-    l1, l2, a1_sq, a2_sq = p["lambda1"], p["lambda2"], p["a1_sq"], p["a2_sq"]
+    lam, a = pinkall_lift(c)
+    (l1, l2), (a1_sq, a2_sq) = lam, a * a
+    assert theta0_defect(pinkall_hopf_torus(c, 8, 8), lam, a) < 1e-14
     assert l1 > l2 and l1 * l1 - c * l1 - 1 == pytest.approx(0, abs=2e-15 * max(1, l1 * l1))
     assert abs(l1 * l2 + 1) <= 4.5e-16
     assert abs(a1_sq + a2_sq - 1) <= 1e-14  # sphere
@@ -116,7 +133,7 @@ def test_pinkall_without_a_lift_names_c(c):
 
 def test_pinkall_irrational_twist_reports_open():
     res = pinkall_hopf_torus(1.0, 64, 32)  # lambda = golden ratio pair
-    assert not res.closed
+    assert not res.chart.spec.periodic_u
     rep = analyze(res.chart)
     assert rep.entry("flat_normal").L_inf < 1e-4  # rank-1 normal bundle
 
@@ -138,7 +155,7 @@ def test_frame_ode_matches_closed_form():
     t_close = TWO_PI / (l1 - l2)
     res = hopf_from_curvature(80, 32, k1=c, k2=0.0, t_period=t_close, ambient_complex_dim=2)
     ref = pinkall_hopf_torus(c, 80, 32)
-    assert res.closed and res.chart.cover_count == ref.chart.cover_count
+    assert res.chart.spec.periodic_u and res.chart.cover_count == ref.chart.cover_count
     # the ODE starts at gamma = e_1, xi = e_2; the unitary whose rows are the
     # conjugates of the closed form's gamma(0) and gamma'(0) moves it there
     # and commutes with the fibre action e^{i theta}
@@ -150,7 +167,7 @@ def test_frame_ode_matches_closed_form():
 
 def test_frame_ode_geodesic_gives_clifford_invariants():
     res = hopf_from_curvature(48, 48, k1=0.0, k2=0.0, t_period=np.pi, ambient_complex_dim=2)
-    assert res.closed and res.chart.cover_count == 2
+    assert res.chart.spec.periodic_u and res.chart.cover_count == 2
     rep = analyze(res.chart)
     assert rep.passed
     assert rep.energies["W_conformal"] == pytest.approx(2 * np.pi**2, rel=1e-12)
@@ -159,7 +176,7 @@ def test_frame_ode_geodesic_gives_clifford_invariants():
 def test_frame_ode_k2_surface_is_not_flat():
     t_close = 4 * np.pi / math.sqrt(5.0)
     res = hopf_from_curvature(64, 32, k1=0.0, k2=0.5, t_period=t_close, ambient_complex_dim=3)
-    assert res.closed and res.chart.cover_count == 1
+    assert res.chart.spec.periodic_u and res.chart.cover_count == 1
     frame = hopf_schwarzian(build_frame(res.chart))
     live = frame.mask & ~frame.umbilic_mask
     assert flat_normal_residual(frame)[live].min() > 1e-2
@@ -178,7 +195,7 @@ def test_frame_ode_k2_surface_is_not_flat():
 ])
 def test_frame_ode_keeps_its_constraints_without_reprojection(curve, nu):
     res = hopf_from_curvature(nu, 64, **curve)
-    assert res.closed
+    assert res.chart.spec.periodic_u
     assert validate_chart(res.chart)["conformality"] <= 1e-12
 
 
@@ -242,7 +259,7 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
     # constraints for any third frequency and reproduces the same invariants;
     # the solve gives a3 = 0 exactly for the third frequency 0.3
     res = homogeneous_cp2_hopf([2.0, -0.5, 0.3], 80, 32)
-    assert res.chart.params["amps"][2] == 0.0
+    assert solve_amplitudes([2.0, -0.5, 0.3])[2] == 0.0
     ref = pinkall_hopf_torus(1.5, 80, 32)
     rep = analyze(res.chart)
     ref_rep = analyze(ref.chart)
@@ -255,7 +272,7 @@ def test_homogeneous_degenerate_third_amplitude_reduces_to_pinkall():
 def test_homogeneous_generic_triple_not_flat():
     lam = [2.0, -1.0, 0.25]
     res = homogeneous_cp2_hopf(lam, 96, 24)
-    assert res.closed
+    assert res.chart.spec.periodic_u
     assert res.closing_period == pytest.approx(8 * np.pi, rel=1e-12)
     frame = hopf_schwarzian(build_frame(res.chart))
     live = frame.mask & ~frame.umbilic_mask
@@ -290,7 +307,7 @@ def test_veronese_reference_values():
 
 
 def test_round_sphere_reference_values():
-    rep = analyze(round_sphere(96, 32))
+    rep = analyze(include_in_higher_sphere(round_sphere(96, 32), 4))
     assert rep.entry("willmore").L_inf < 1e-9
     assert abs(rep.energies["W_conformal"]) < 1e-8
     assert rep.ranks["lift_rank"] == 4
@@ -303,7 +320,8 @@ def test_round_sphere_reference_values():
                    "rank of roundoff and kappa_jet_rank reads 4")
 def test_the_totally_umbilic_sphere_has_kappa_jet_rank_0():
     for nu, nv in [(48, 24), (96, 48)]:
-        assert analyze(round_sphere(nu, nv)).ranks["kappa_jet_rank"] == 0, (nu, nv)
+        sphere = include_in_higher_sphere(round_sphere(nu, nv), 4)
+        assert analyze(sphere).ranks["kappa_jet_rank"] == 0, (nu, nv)
 
 
 # --- transformations ----------------------------------------------------------

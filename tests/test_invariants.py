@@ -50,7 +50,7 @@ def veronese_frame():
 
 
 def test_round_sphere_is_totally_umbilic():
-    frame = _frame(round_sphere(96, 32))
+    frame = _frame(include_in_higher_sphere(round_sphere(96, 32), 4))
     kappa_norm = np.sqrt(np.maximum(herm_norm_sq(frame.kappa), 0))
     assert kappa_norm[frame.mask].max() < 1e-9
     assert frame.umbilic_mask[frame.mask].all()
@@ -211,7 +211,7 @@ def test_ricci_flags_an_under_resolved_fd_chart():
 def test_ricci_without_normal_directions_is_zero():
     # V^perp = 0: kappa is projector roundoff, and its Ricci defect is zero to
     # roundoff (1.5e-41 at 32x16)
-    frame = _frame(round_sphere(32, 16, ambient_n=2))
+    frame = _frame(round_sphere(32, 16))
     assert frame.dim == 4
     res = ricci(frame)
     assert res.shape == frame.mask.shape and res.max() <= 1e-30
@@ -318,7 +318,7 @@ def test_willmore_energy_clifford(clifford_frame):
 
 
 def test_willmore_energy_round_sphere():
-    ch = round_sphere(96, 32)
+    ch = include_in_higher_sphere(round_sphere(96, 32), 4)
     frame = _frame(ch)
     assert abs(willmore_energy_conformal(frame)) < 1e-8
     assert abs(willmore_energy_euclidean(ch)) < 1e-8

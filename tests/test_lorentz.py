@@ -199,7 +199,7 @@ def mobius_generator(n, seed, magnitude):
 
 
 @pytest.mark.parametrize("magnitude", [0.02, 0.3, 1.0, 3.0])
-@pytest.mark.parametrize("n", [3, 4, 7, 10, 20])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 20])
 def test_random_mobius_matches_scipy_expm(n, magnitude):
     for seed in range(5):
         want = expm(mobius_generator(n, seed, magnitude))

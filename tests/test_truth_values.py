@@ -50,7 +50,7 @@ def test_the_pinkall_willmore_residual_is_its_closed_form(c, nu, nv, rel):
 
 def test_the_frame_ode_torus_over_a_circle_has_the_pinkall_values():
     res = hopf_from_curvature(64, 32, k1=1.5, t_period=TWO_PI / 2.5)
-    assert res.closed and res.chart.cover_count == 5
+    assert res.chart.spec.periodic_u and res.chart.cover_count == 5
     report = analyze(res.chart, witnesses=False)
     assert report.energies["W_conformal"] == pytest.approx(2.5 * np.pi**2, rel=ENERGY_REL)
     assert report.entry("willmore").L_inf == pytest.approx(pinkall_willmore(1.5), rel=1e-8)
