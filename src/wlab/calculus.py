@@ -268,16 +268,16 @@ def integrate(f: np.ndarray, spec: GridSpec) -> complex:
 def convergence_order(sizes, residuals) -> float:
     """Least-squares slope of log(residual) versus log(size).
 
-    `residuals` holds one positive residual per grid size (int).  A slope
-    of -p means the residual decays like size^-p.  Warns (and still
-    returns the slope) if the residuals fail to decrease.
+    `residuals` holds one positive, finite residual per grid size (int),
+    else ValueError.  A slope of -p means the residual decays like
+    size^-p.  Warns (and still returns the slope) if they fail to decrease.
     """
     sizes = list(sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 sizes to fit an order")
     res = np.asarray(residuals, dtype=float)
-    if np.any(res <= 0):
-        res = np.maximum(res, 1e-300)
+    if not np.all((res > 0) & np.isfinite(res)):
+        raise ValueError(f"residuals must be positive and finite, not {res.tolist()}")
     if not np.all(np.diff(res) < 0):
         warnings.warn("residuals are not strictly decreasing; slope may be meaningless")
     slope = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(res), 1)[0]

@@ -253,7 +253,7 @@ def cmd_convergence(args) -> int:
     for row in RESIDUALS:
         linfs = [convergence_L_inf(r, row.field) for r in reports]
         table["residual_L_inf"][row.name] = linfs
-        if any(np.isnan(linfs)) or any(x <= 0 for x in linfs):
+        if not all(x > 0 and math.isfinite(x) for x in linfs):  # convergence_order's domain
             table["fitted_order"][row.name] = "skipped"
             continue
         slope = convergence_order(sizes, linfs)

@@ -1,9 +1,9 @@
 """The one place that cuts per-point work into threads and blocks.
 
 `split(job, n, block)` runs job(lo, hi) over contiguous parts of range(n):
-part 0 on the calling thread, the others on a process-wide pool of helper
-threads created on first use; a call from any thread but the main one
-runs as one part.  Each part walks its range in blocks, so a kernel's
+part 0 on the calling thread, the others on one cached pool of helper
+threads per thread cap and process; a call from any thread but the main
+one runs as one part.  Each part walks its range in blocks, so a kernel's
 memory per thread is set by its block, not by the grid.  One rule, read
 when a walk starts, sizes the blocks of every walk over grid points, split
 or serial: `lines(nv)` whole lines of nv points, about BLOCK_POINTS.  Each
@@ -18,24 +18,12 @@ about 64.5 to 71.6 MiB.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 BLOCK_POINTS = 1024  # fits the widest per-point buffers: P's blocks, the pole search
-
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_size
-    _pool, _pool_size = None, 0
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
 
 def thread_cap() -> int:
     """Threads one `split` may use: WLAB_THREADS, else all cores.
@@ -55,15 +43,14 @@ def thread_cap() -> int:
     return cap
 
 
-def _helpers(count: int) -> ThreadPoolExecutor:
-    # only the main thread splits, so only it creates or replaces the pool
-    global _pool, _pool_size
-    if _pool_size < count:
-        if _pool is not None:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(max_workers=count, thread_name_prefix="wlab-part")
-        _pool_size = count
-    return _pool
+@functools.lru_cache(maxsize=1)
+def _helpers(count: int, pid: int) -> ThreadPoolExecutor:
+    # keyed by pid, as a forked child inherits the pool but none of its
+    # threads; a new cap evicts the old pool, whose idle workers exit once
+    # it is freed.  Only the main thread splits: a part that split from a
+    # helper would wait on its own pool, and threads calling `analyze`
+    # concurrently would multiply the cap.
+    return ThreadPoolExecutor(max_workers=count, thread_name_prefix="wlab-part")
 
 
 def lines(points_per_line: int) -> int:
@@ -87,7 +74,7 @@ def split(job, n: int, block: int = 0) -> None:
         for start in range(lo, hi, step):
             job(start, min(start + step, hi))
 
-    futures = [_helpers(parts - 1).submit(walk, lo, hi)
+    futures = [_helpers(cap - 1, os.getpid()).submit(walk, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         walk(bounds[0], bounds[1])

@@ -241,6 +241,12 @@ def test_convergence_needs_three_sizes():
         convergence_order([16, 32], [1.0 / 16, 1.0 / 32])
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-4, np.nan, np.inf])
+def test_convergence_order_refuses_a_residual_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        convergence_order([16, 32, 64], [1e-3, bad, 1e-5])
+
+
 def per_row_fd_matrix(n: int, h: float) -> np.ndarray:
     """The FD matrix with each row's stencil solved on its own: the
     reference for the seven stencils `_fd_matrix` solves once."""

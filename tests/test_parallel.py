@@ -1,10 +1,12 @@
 import ast
+import gc
 import json
 import os
 import pathlib
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +78,22 @@ def test_split_works_in_a_forked_child(monkeypatch):
         os._exit(0 if sorted(seen) == [(0, 2), (2, 4)] else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_helper_threads_follow_the_cap(monkeypatch):
+    # a lower cap replaces the pool, and the old pool's idle workers exit
+    for threads in ("7", "2"):
+        monkeypatch.setenv("WLAB_THREADS", threads)
+        split(lambda lo, hi: None, 8)
+    gc.collect()
+
+    def helpers():
+        return [t for t in threading.enumerate() if t.name.startswith("wlab-part")]
+
+    deadline = time.monotonic() + 30  # a worker exits when it next wakes
+    while len(helpers()) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(helpers()) <= 1
 
 
 def test_split_reraises_a_helper_part_error(monkeypatch):

@@ -71,3 +71,16 @@ def test_all_exports_the_public_api_and_no_module():
     assert not modules, modules
     assert {"analyze", "build_frame", "Chart", "mink_inner", "wirtinger"} <= set(wlab.__all__)
     assert all(hasattr(wlab, name) for name in wlab.__all__)
+
+
+def test_no_module_holds_mutable_global_state():
+    # a `global` statement or a fork hook marks state that a module rebinds
+    # at run time; the helper pool is a cached function of its inputs
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Global), (path.name, node.lineno)
+            # as `os.register_at_fork` or as an imported bare name
+            named = {getattr(node, key, None) for key in ("attr", "id", "name")}
+            assert "register_at_fork" not in named, (path.name, getattr(node, "lineno", None))
