@@ -194,14 +194,14 @@ def _diff_axis(f: np.ndarray, axis: int, n: int, length: float, periodic: bool,
 
 def diff_real(f: np.ndarray, spec: GridSpec, axis: int, order: int = 2) -> tuple[np.ndarray, ...]:
     """(f', f'') of a real field along axis 0 (u) or 1 (v), real; (f',) for
-    order 1.  FD: the matrix of `_diff_axis`, twice.  Periodic: one rfft, then
-    irffts of ik and -k^2 times it (Nyquist 0).  Not split across threads:
-    a split version measured no faster on two cores."""
+    order 1.  FD: the matrix of `_diff_axis`, once per order.  Periodic: one
+    rfft, then irffts of ik and -k^2 times it (Nyquist 0).  Not split across
+    threads: a split version measured no faster on two cores."""
     n, length, periodic = ((spec.nu, spec.Lu, spec.periodic_u) if axis == 0
                            else (spec.nv, spec.Lv, spec.periodic_v))
     if not periodic:
         f1 = _diff_axis(f, axis, n, length, False)
-        return (f1, _diff_axis(f1, axis, n, length, False))[:order]
+        return (f1,) if order == 1 else (f1, _diff_axis(f1, axis, n, length, False))
     if f.shape[axis] != n:
         raise ValueError(f"field has {f.shape[axis]} points on axis {axis}, grid has {n}")
     k = _spectral_wavenumbers(n, length)[: n // 2 + 1].reshape((-1,) + (1,) * (f.ndim - 1 - axis))

@@ -249,28 +249,18 @@ def cmd_convergence(args) -> int:
     reports = [run_analysis({**cfg, "grid": {"nu": n, "nv": n}}, witnesses=False)
                for n in sizes]
 
+    print("residual".ljust(18) + "".join(f"n={n}".rjust(13) for n in sizes) + "  order")
     table = {"sizes": sizes, "residual_L_inf": {}, "fitted_order": {}}
     for row in RESIDUALS:
         linfs = [convergence_L_inf(r, row.field) for r in reports]
         table["residual_L_inf"][row.name] = linfs
-        if not all(x > 0 and math.isfinite(x) for x in linfs):  # convergence_order's domain
-            table["fitted_order"][row.name] = "skipped"
-            continue
-        slope = convergence_order(sizes, linfs)
-        table["fitted_order"][row.name] = {
-            "slope": slope,
-            "label": classify_order(slope, linfs, reports[0].entry(row.name).tolerance),
-        }
-
-    header = "residual".ljust(18) + "".join(f"n={n}".rjust(13) for n in sizes) + "  order"
-    print(header)
-    for name, linfs in table["residual_L_inf"].items():
-        fit = table["fitted_order"][name]
-        label = fit if isinstance(fit, str) else fit["label"]
-        line = name.ljust(18) + "".join(
-            "      nan".rjust(13) if np.isnan(x) else f"{x:13.3e}" for x in linfs
-        )
-        print(f"{line}  {label}")
+        fit = label = "skipped"
+        if all(x > 0 and math.isfinite(x) for x in linfs):  # convergence_order's domain
+            slope = convergence_order(sizes, linfs)
+            label = classify_order(slope, linfs, reports[0].entry(row.name).tolerance)
+            fit = {"slope": slope, "label": label}
+        table["fitted_order"][row.name] = fit
+        print(row.name.ljust(18) + "".join(f"{x:13.3e}" for x in linfs) + f"  {label}")
     if args.out:
         _emit((json.dumps(table, sort_keys=True, indent=2) + "\n",), args.out)
     return 0

@@ -127,7 +127,7 @@ def light_cone_lift(chart: Chart) -> np.ndarray:
     The one check of the points: ChartError unless each is a finite unit
     vector (a NaN norm compares False, so it is rejected).
     """
-    defect = _unit_defect(chart.points)
+    defect = float(np.abs(np.linalg.norm(chart.points, axis=-1) - 1.0).max())
     if not defect <= UNIT_TOL:
         bad = int((~np.isfinite(chart.points)).any(axis=-1).sum())
         raise ChartError(f"chart points are not finite unit vectors: {bad} non-finite "
@@ -138,45 +138,36 @@ def light_cone_lift(chart: Chart) -> np.ndarray:
     return y0
 
 
-def _unit_defect(points: np.ndarray) -> float:
-    return float(np.abs(np.linalg.norm(points, axis=-1) - 1.0).max())
-
-
-def _checked_lift(chart: Chart):
-    """(y0, rho, live, conformality): the light-cone lift, rho = <y0_z, conj
-    y0_z>, live = rho > DEGENERATE_METRIC_TOL and the worst |<y0_z, y0_z>| /
-    rho on the interior mask, a ratio no rescaling of y0 changes.  ChartError
-    unless the points are finite unit vectors, the metric is live somewhere
-    on the mask and the ratio is within the spectral or FD tolerance."""
+def validate_chart(chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The chart check, which `canonical_lift` runs: (y0, rho, live,
+    conformality), the light-cone lift, rho = <y0_z, conj y0_z>, live = rho >
+    DEGENERATE_METRIC_TOL and the worst |<y0_z, y0_z>| / rho on the interior
+    mask, a ratio no rescaling of y0 changes.  ChartError unless the points
+    are finite unit vectors, the metric is live somewhere on the mask and
+    the ratio is within the spectral or FD tolerance."""
     y0 = light_cone_lift(chart)
     y0_z = diff_z(y0, chart.spec)
     rho = herm_norm_sq(y0_z)
     live = rho > DEGENERATE_METRIC_TOL
-    if not (chart.spec.interior_mask() & live).any():
+    interior = chart.spec.interior_mask()
+    if not (interior & live).any():
         raise ChartError("chart metric is degenerate everywhere")
     ratio = np.abs(mink_inner(y0_z, y0_z)) / np.maximum(rho, 1e-300)
-    worst = float(ratio[chart.spec.interior_mask()].max())
+    worst = float(ratio[interior].max())
     if worst > (CONFORMAL_TOL_SPECTRAL if chart.spec.fully_periodic else CONFORMAL_TOL_FD):
         raise ChartError(f"chart is not conformal: |<x_z,x_z>|/<x_z,x_zbar> reaches {worst:.3e}")
     return y0, rho, live, worst
 
 
-def validate_chart(chart: Chart) -> dict:
-    """The check of `canonical_lift` without the rest of the frame: raises
-    what it raises, and returns the measured unit defect and conformality."""
-    *_, worst = _checked_lift(chart)
-    return {"unit_defect": _unit_defect(chart.points), "conformality": worst}
-
-
 def canonical_lift(chart: Chart) -> FrameField:
     """Scale the light-cone lift so that <Y_z, Y_zbar> = 1/2.
 
-    The chart is checked here, once (see `validate_chart`).  The result
+    The chart is checked here, once, by `validate_chart`.  The result
     does not depend on the scale of the lift it starts from, up to
     discretization error: the canonical lift is scale-fixing.
     """
     spec = chart.spec
-    y0, rho, live, _ = _checked_lift(chart)
+    y0, rho, live, _ = validate_chart(chart)
     Y = y0 / np.sqrt(2.0 * np.where(live, rho, 1.0))[..., None]
     Y_z = diff_z(Y, spec)  # real Y: diff_real with ROADMAP item 5 once item 1 floors abs_kk/theta
     Y_zz, Y_zzbar = wirtinger(Y_z, spec)

@@ -41,7 +41,8 @@ def test_every_wrapped_name_resolves_in_wlab():
 
 # the stages one `analyze` runs, by the span names the per-layer metrics sum
 ANALYZE_STAGES = (
-    "frame.canonical_lift", "frame.perp_projector", "frame.build_frame", "frame.normal_project",
+    "frame.validate_chart", "frame.canonical_lift", "frame.perp_projector", "frame.build_frame",
+    "frame.normal_project",
     "invariants.hopf_schwarzian", "invariants.ricci_residual",
     "invariants.willmore_energy_conformal", "invariants.willmore_energy_euclidean",
     "diagnostics.willmore_residual", "diagnostics.s_willmore_residual", "diagnostics.six_form",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wlab.calculus as calculus
 from wlab.calculus import (
     FD_ORDER,
     GridSpec,
@@ -10,6 +11,7 @@ from wlab.calculus import (
     classify_order,
     convergence_order,
     diff_real,
+    diff_u,
     diff_z,
     diff_zbar,
     integrate,
@@ -126,6 +128,24 @@ def test_diff_real_matches_the_complex_axis_derivative(monkeypatch, nu, nv, peri
 def test_diff_real_shape_mismatch(torus_spec):
     with pytest.raises(ValueError):
         diff_real(np.ones((32, 30)), torus_spec, 1)
+
+
+def test_diff_real_builds_only_the_orders_asked_for(monkeypatch):
+    # on an open axis each order is one product with the FD matrix
+    calls = []
+    monkeypatch.setattr(calculus, "_diff_axis",
+                        lambda *args: calls.append(args[1]) or _diff_axis(*args))
+    spec = GridSpec(24, 20, TWO_PI, 2.0, True, False)
+    f = np.random.default_rng(3).normal(size=(24, 20, 2))
+    (first,) = diff_real(f, spec, 1, order=1)
+    assert calls == [1]
+    assert np.array_equal(first, diff_real(f, spec, 1)[0])
+    assert calls == [1, 1, 1]
+
+
+def test_axis_derivative_shape_mismatch(torus_spec):
+    with pytest.raises(ValueError, match="field has 5 points on axis 0, grid has 32"):
+        diff_u(np.zeros((5, 32)), torus_spec)
 
 
 def test_operators_commute(torus_spec):

@@ -15,10 +15,17 @@ from hypothesis import strategies as st
 
 import wlab.cli
 from wlab.calculus import classify_order, convergence_order
-from wlab.cli import RESIDUAL_CSV_COLUMNS, ConfigError, main, run_analysis, validate_config
+from wlab.cli import (
+    RESIDUAL_CSV_COLUMNS,
+    ConfigError,
+    main,
+    report_json,
+    run_analysis,
+    validate_config,
+)
 from wlab.diagnostics import RESIDUALS, analyze, convergence_L_inf
 from wlab.frame import Chart, ChartError
-from wlab.gallery import GALLERY, build_surface, clifford, veronese
+from wlab.gallery import GALLERY, build_surface, clifford, round_sphere, veronese
 from wlab.invariants import unwrap_half_phase
 
 
@@ -114,6 +121,22 @@ def test_gallery_list(capsys):
     for name in ("clifford", "round_sphere", "pinkall_hopf_torus",
                  "hopf_from_curvature", "homogeneous_cp2_hopf", "veronese"):
         assert name in listed
+
+
+def test_a_surface_without_a_pole_exits_4_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, surface={"name": "round_sphere", "params": {"extent": 6.0}},
+                       grid={"nu": 128, "nv": 64})
+    assert main(["analyze", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("analysis failed: no stereographic pole at distance >= 0.1 "
+                            "from the surface\n")
+
+
+def test_a_numpy_scalar_param_is_written_as_a_json_number():
+    text = report_json(analyze(round_sphere(32, 16, extent=np.int64(2)), witnesses=False), 0, [])
+    assert '"extent": 2\n' in text
+    assert json.loads(text)["chart"]["params"] == {"extent": 2}
 
 
 def test_fields_dump(tmp_path):
@@ -713,6 +736,13 @@ def run_python(*args, timeout=300):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
+def test_the_module_runs_as_the_wlab_command(capsys):
+    assert main(["gallery", "list"]) == 0
+    proc = run_python("-m", "wlab.cli", "gallery", "list")
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (capsys.readouterr().out, "")
 
 
 @pytest.mark.parametrize("magnitude", [803, 1000])

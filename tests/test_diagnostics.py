@@ -544,3 +544,14 @@ def test_residual_table_drives_every_name_list(tmp_path):
     assert header == ["u", "v", "kkbar", "abs_kk", "theta"] + [
         row.field for row in RESIDUALS if row.csv
     ]
+
+
+def test_report_entry_of_an_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError, match="nope"):
+        analyze(clifford(16, 16), witnesses=False).entry("nope")
+
+
+def test_a_surface_close_to_every_pole_candidate_fails_the_euclidean_energy():
+    # a Mercator sphere out to |u| = 6 comes within 0.1 of every candidate pole
+    with pytest.raises(ValueError, match=r"no stereographic pole at distance >= 0\.1"):
+        analyze(round_sphere(128, 64, 6.0))

@@ -49,6 +49,8 @@ SEGMENTS = {
     "nonlinear": (lambda t, y: np.array([-40.0 * y[0] + math.sin(3 * t),
                                          1j * (1 + 0.3 * math.cos(t)) * y[1] + 0.1 * y[0] ** 2]),
                   0.0, 2.0, np.array([1.0 + 0.0j, 0.2 - 0.1j])),
+    # y' = 0: the first step from a vanishing derivative, every error estimate zero
+    "constant": (lambda t, y: np.zeros_like(y), 0.0, 3.0, np.array([1.0 - 0.5j, -2.0 + 0.0j])),
 }
 
 
@@ -103,3 +105,10 @@ def test_hopf_charts_match_the_scipy_path_within_a_hundredth_of_the_budget(name,
 def test_a_curve_past_the_step_budget_fails_loudly():
     with pytest.raises(RuntimeError, match="frame ODE integration failed: more than"):
         hopf_from_curvature(16, 16, k1=1e20)
+
+
+def test_a_curvature_jump_past_the_step_floor_fails_loudly():
+    # the step needed to resolve k1 = 1e20 falls below 10 ulps of t
+    with pytest.raises(RuntimeError, match="frame ODE integration failed: Required step size "
+                                           "is less than spacing between numbers."):
+        hopf_from_curvature(16, 16, k1=lambda t: 0.0 if t < 1.0 else 1e20)

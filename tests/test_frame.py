@@ -65,6 +65,21 @@ def test_nan_point_is_a_chart_error_in_lift_and_mobius_map():
         apply_mobius(ch, random_mobius(3, 1, 0.3))
 
 
+def test_validate_chart_returns_the_lift_and_the_mask_the_frame_uses(monkeypatch):
+    # canonical_lift runs validate_chart once and takes its scale and mask from it
+    ch = veronese(48, 24)
+    calls = []
+    monkeypatch.setattr(wlab.frame, "validate_chart",
+                        lambda chart: calls.append(chart) or validate_chart(chart))
+    frame = canonical_lift(ch)
+    assert calls == [ch]
+    y0, rho, live, conformality = validate_chart(ch)
+    assert np.array_equal(y0, light_cone_lift(ch))
+    assert np.array_equal(frame.Y, y0 / np.sqrt(2.0 * np.where(live, rho, 1.0))[..., None])
+    assert np.array_equal(frame.mask, ch.spec.interior_mask() & live)
+    assert 0.0 < conformality < wlab.frame.CONFORMAL_TOL_FD
+
+
 def test_canonical_lift_clifford_closed_form():
     ch = clifford(32, 32)
     fr = canonical_lift(ch)

@@ -196,7 +196,8 @@ def test_frame_ode_k2_surface_is_not_flat():
 def test_frame_ode_keeps_its_constraints_without_reprojection(curve, nu):
     res = hopf_from_curvature(nu, 64, **curve)
     assert res.chart.spec.periodic_u
-    assert validate_chart(res.chart)["conformality"] <= 1e-12
+    *_, conformality = validate_chart(res.chart)
+    assert conformality <= 1e-12
 
 
 def test_frame_ode_requires_room_for_k2():
@@ -297,6 +298,13 @@ def test_homogeneous_window_chart_is_fd():
     validate_chart(res.chart)
 
 
+def test_homogeneous_irrational_frequency_ratio_gives_an_open_chart():
+    # (sqrt(2) + 1) / 1.5 is irrational: the curve never closes
+    res = homogeneous_cp2_hopf([-1.0, 0.5, math.sqrt(2)], 32, 16)
+    assert not res.chart.spec.periodic_u and res.chart.spec.periodic_v
+    assert res.chart.cover_count == 1
+
+
 # --- veronese and round sphere ----------------------------------------------
 
 def test_veronese_reference_values():
@@ -355,6 +363,11 @@ def test_mobius_guard_rejects_degenerate_map():
     bad[0, 0] = 0.0  # not a Lorentz transform: kills the timelike slot
     with pytest.raises(ValueError, match="singularity"):
         apply_mobius(clifford(16, 16), bad)
+
+
+def test_mobius_matrix_shape_check():
+    with pytest.raises(ValueError, match=r"shape \(4, 4\); the chart needs \(5, 5\)"):
+        apply_mobius(clifford(16, 16), np.eye(4))
 
 
 def test_inclusion_dimension_check():

@@ -6,7 +6,7 @@ import wlab.frame
 import numpy as np
 import pytest
 
-from wlab.calculus import classify_order, convergence_order, diff_u, diff_v
+from wlab.calculus import GridSpec, classify_order, convergence_order, diff_u, diff_v
 from wlab.cli import report_json
 from wlab.diagnostics import analyze, convergence_L_inf
 from wlab.frame import Chart, build_frame
@@ -385,3 +385,14 @@ def test_theta_unwrapping_mask_clean_on_gallery(clifford_frame):
     theta, theta_mask = unwrap_half_phase(frame.kk, frame.spec)
     assert theta_mask.all()
     assert np.abs(theta).max() < 1e-6  # <kappa,kappa> is real positive
+
+
+def test_unwrap_half_phase_on_a_grid_open_in_v():
+    # theta = u + v runs past pi along both axes, so both are unwrapped; a
+    # smooth phase leaves no plaquette with a residue
+    spec = GridSpec(32, 24, 2 * np.pi, 3.0, True, False)
+    u, v = spec.meshgrid()
+    theta, ok = unwrap_half_phase(np.exp(2j * (u + v)), spec)
+    offset = theta - (u + v)
+    assert np.abs(offset - offset[0, 0]).max() < 1e-12
+    assert ok.all()

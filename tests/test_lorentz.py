@@ -179,6 +179,11 @@ def test_random_mobius_identity_at_zero_magnitude():
     assert np.allclose(m, np.eye(6), atol=1e-15)
 
 
+def test_random_mobius_rejects_a_map_that_overflows():
+    with pytest.raises(ValueError, match=r"the Mobius map of magnitude 1e\+300 is not finite"):
+        random_mobius(3, 0, 1e300)
+
+
 def test_random_mobius_preserves_form():
     rng = np.random.default_rng(5)
     m = random_mobius(5, seed=11, magnitude=1.5)
